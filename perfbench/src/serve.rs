@@ -60,7 +60,7 @@ const T0_HOURS: f64 = 1.0;
 /// re-sweep).
 const WARMUP_EPOCHS: u64 = 8;
 /// Set-ups per untraced run; `setup_s` is their median.
-const SETUP_REPEATS: usize = 9;
+const SETUP_REPEATS: usize = 21;
 /// How long the tail of a run may take to drain before sessions still
 /// unanswered count as failed.
 const DRAIN: Duration = Duration::from_secs(10);
@@ -74,40 +74,52 @@ const GAIN_SHOTS: u64 = 512;
 /// First job index of the quality evaluations, clear of every index the
 /// tuner uses.
 const GAIN_JOB_BASE: u64 = 9_000_000;
-/// Equal slices of the measured span behind `latency_p50_ms`: the median
-/// of their medians. This host shares its CPUs, and a burst of steal
-/// that spans a few seconds would otherwise move a whole run's median.
+/// Equal slices of the measured span behind `latency_p50_ms` and
+/// `slo_attainment`: each is the median of the slices' values. On a host
+/// whose CPUs are shared, a burst of steal that spans a few seconds would
+/// otherwise move a whole run's median and, more still, its tail.
 const LATENCY_WINDOWS: usize = 10;
 /// How often the traced run samples the reactor's queue depths.
 const QUEUE_SAMPLE_PERIOD: Duration = Duration::from_millis(10);
 
-/// Traffic and latency limit of one serving workload.
+/// Traffic and latency limits of one serving workload.
 #[derive(Debug, Clone, Copy)]
 struct Spec {
     recal: bool,
     /// Offered sessions per second, over both tenants.
     rate: f64,
-    /// The SLO limit, about five times the unloaded median.
+    /// The SLO limit.
     limit_s: f64,
+    /// The median generator lag a run may show. Past it the load
+    /// generator, not the fleet, set the pace, and the run is rejected;
+    /// a stall that delays a few sends is charged to their latencies.
+    max_lag_p50_s: f64,
 }
 
 impl Spec {
     fn new(recal: bool) -> Spec {
-        // About a third of the fixture's closed-loop capacity on a 2-core
-        // host (~1,270/s warm, ~400/s with a follower): enough headroom
-        // that a host whose CPUs are shared does not push the fleet
-        // toward saturation, where queueing multiplies every stall.
+        // Rates: about a third of the fixture's closed-loop capacity on a
+        // 2-core host (~1,270/s warm, ~400/s with a follower): enough
+        // headroom that a host whose CPUs are shared does not push the
+        // fleet toward saturation, where queueing multiplies every stall.
+        // Limits: a shared host stalls a session for a few milliseconds
+        // now and then (a time slice, a burst of steal), so a limit must
+        // sit well past such stalls or the share measures the host. At
+        // 5 ms, five times the warm p50, 8% of warm sessions missed on a
+        // busy host and the share spread by 10 to 12% between runs.
         if recal {
             Spec {
                 recal,
                 rate: 150.0,
                 limit_s: 0.015,
+                max_lag_p50_s: 0.0015,
             }
         } else {
             Spec {
                 recal,
                 rate: 400.0,
-                limit_s: 0.005,
+                limit_s: 0.010,
+                max_lag_p50_s: 0.0005,
             }
         }
     }
@@ -118,13 +130,6 @@ impl Spec {
         } else {
             "serve_warm"
         }
-    }
-
-    /// The median generator lag a run may show. Past it the load
-    /// generator, not the fleet, set the pace, and the run is rejected;
-    /// a stall that delays a few sends is charged to their latencies.
-    fn max_lag_p50_s(&self) -> f64 {
-        self.limit_s / 10.0
     }
 }
 
@@ -931,11 +936,11 @@ pub fn run(recal: bool, seed: u64, seconds: f64, traced: bool, work: &Path) -> R
     });
     let lags = stats::lags(&served.attempts);
     let lag_p50 = lags.median().unwrap_or(0.0);
-    result.check(lag_p50 <= spec.max_lag_p50_s(), || {
+    result.check(lag_p50 <= spec.max_lag_p50_s, || {
         format!(
             "the generator fell behind: median send lag {:.3} ms over the {:.3} ms allowed",
             lag_p50 * 1e3,
-            spec.max_lag_p50_s() * 1e3
+            spec.max_lag_p50_s * 1e3
         )
     });
 
@@ -960,6 +965,8 @@ pub fn run(recal: bool, seed: u64, seconds: f64, traced: bool, work: &Path) -> R
         .filter_map(|a| a.done)
         .fold(measured, f64::max);
     let attainment = stats::slo_attainment(&served.attempts, spec.limit_s);
+    let windowed_attainment =
+        stats::windowed_attainment(&served.attempts, measured, LATENCY_WINDOWS, spec.limit_s);
     println!(
         "workload {}: open loop, Poisson arrivals at {} sessions/s over {} tenants x {DEVICES} devices \
          ({} connections, {} load threads), {WORKERS} workers, {}{measured} s measured",
@@ -987,7 +994,7 @@ pub fn run(recal: bool, seed: u64, seconds: f64, traced: bool, work: &Path) -> R
         lags.percentile(0.99).unwrap_or(0.0) * 1e3,
         lags.percentile(1.0).unwrap_or(0.0) * 1e3,
         lags.len(),
-        spec.max_lag_p50_s() * 1e3
+        spec.max_lag_p50_s * 1e3
     );
 
     if !traced {
@@ -1023,7 +1030,9 @@ pub fn run(recal: bool, seed: u64, seconds: f64, traced: bool, work: &Path) -> R
             spec.rate
         );
         println!(
-            "slo_attainment = {attainment:.5} share (limit {} ms; failures count as misses; {attempted} attempted)",
+            "slo_attainment = {:.5} share (median of {LATENCY_WINDOWS} windows; whole run {attainment:.5}; \
+             limit {} ms; failures count as misses; {attempted} attempted)",
+            windowed_attainment.unwrap_or(0.0),
             spec.limit_s * 1e3
         );
         println!(
@@ -1034,7 +1043,7 @@ pub fn run(recal: bool, seed: u64, seconds: f64, traced: bool, work: &Path) -> R
         result.metrics = vec![
             ("latency_p50_ms", windowed_p50.unwrap_or(0.0) * 1e3),
             ("sessions_per_s", completed as f64 / last_done),
-            ("slo_attainment", attainment),
+            ("slo_attainment", windowed_attainment.unwrap_or(0.0)),
             ("objective_gain", gain),
             ("setup_s", setup),
         ];

@@ -144,10 +144,15 @@ pub fn ok_latencies(attempts: &[Attempt]) -> Samples {
 }
 
 /// The median, over `windows` equal slices of `span` seconds (by due
-/// time), of each slice's median latency: a burst that slows less than
-/// half the slices cannot move it, while a slowdown of every session
-/// does.
-pub fn windowed_median(attempts: &[Attempt], span: f64, windows: usize) -> Option<f64> {
+/// time), of `per_slice` of each slice's attempts: a burst that disturbs
+/// less than half the slices cannot move it, while a change to every
+/// session does. Slices where `per_slice` gives `None` are skipped.
+fn windowed(
+    attempts: &[Attempt],
+    span: f64,
+    windows: usize,
+    per_slice: impl Fn(&[Attempt]) -> Option<f64>,
+) -> Option<f64> {
     let per_window: Vec<f64> = (0..windows)
         .filter_map(|w| {
             let (from, to) = (
@@ -159,10 +164,30 @@ pub fn windowed_median(attempts: &[Attempt], span: f64, windows: usize) -> Optio
                 .filter(|a| a.due >= from && a.due < to)
                 .copied()
                 .collect();
-            ok_latencies(&slice).median()
+            per_slice(&slice)
         })
         .collect();
     Samples::new(per_window).median()
+}
+
+/// The median over `windows` equal slices of each slice's median latency.
+pub fn windowed_median(attempts: &[Attempt], span: f64, windows: usize) -> Option<f64> {
+    windowed(attempts, span, windows, |slice| {
+        ok_latencies(slice).median()
+    })
+}
+
+/// The median over `windows` equal slices of each slice's SLO attainment
+/// (failures still count as misses within their slice).
+pub fn windowed_attainment(
+    attempts: &[Attempt],
+    span: f64,
+    windows: usize,
+    limit: f64,
+) -> Option<f64> {
+    windowed(attempts, span, windows, |slice| {
+        (!slice.is_empty()).then(|| slo_attainment(slice, limit))
+    })
 }
 
 /// Generator lag of every session sent.
@@ -300,6 +325,29 @@ mod tests {
         let got = windowed_median(&attempts, 10.0, 10).unwrap();
         assert!((got - 0.002).abs() < 1e-12, "{got}");
         assert_eq!(windowed_median(&[], 10.0, 10), None);
+    }
+
+    #[test]
+    fn windowed_attainment_ignores_a_burst_but_counts_failures_everywhere() {
+        let at = |due: f64, latency: f64, ok: bool| Attempt {
+            due,
+            sent: Some(due),
+            done: Some(due + latency),
+            ok,
+        };
+        // Ten 1-second windows of 1 ms sessions; in two windows every
+        // session takes 9 ms, past the 5 ms limit.
+        let mut attempts: Vec<Attempt> = (0..100)
+            .map(|i| at(i as f64 / 10.0, if i < 20 { 0.009 } else { 0.001 }, true))
+            .collect();
+        assert_eq!(slo_attainment(&attempts, 0.005), 0.8);
+        assert_eq!(windowed_attainment(&attempts, 10.0, 10, 0.005), Some(1.0));
+        // One fast failure in every window: each window meets 9 of 10.
+        for a in attempts.iter_mut().step_by(10) {
+            *a = at(a.due, 0.001, false);
+        }
+        assert_eq!(windowed_attainment(&attempts, 10.0, 10, 0.005), Some(0.9));
+        assert_eq!(windowed_attainment(&[], 10.0, 10, 0.005), None);
     }
 
     #[test]
