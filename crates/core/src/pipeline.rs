@@ -21,8 +21,8 @@ use crate::executor::Executor;
 use crate::metrics;
 use crate::vqe::{GroupSchedules, VqeProblem};
 use crate::window_tuner::{
-    FleetCacheSession, MitigationConfigStore, MitigationStoreBackend, TunedMitigation, WarmStats,
-    WindowTuner, WindowTunerConfig,
+    FleetCacheSession, MitigationConfigStore, MitigationStoreBackend, Stage, TunedMitigation,
+    WarmStats, WindowTuner, WindowTunerConfig, GS_DD_ZNE,
 };
 use vaqem_device::noise::NoiseParameters;
 use vaqem_mathkit::rng::SeedStream;
@@ -110,15 +110,21 @@ impl Strategy {
 
     /// Returns `true` for strategies that require the variational tuner.
     pub fn is_vaqem(self) -> bool {
-        matches!(
-            self,
-            Strategy::VaqemGs
-                | Strategy::VaqemXx
-                | Strategy::VaqemXy
-                | Strategy::VaqemGsXy
-                | Strategy::VaqemZne
-                | Strategy::VaqemGsXyZne
-        )
+        self.tuning().is_some()
+    }
+
+    /// The tuner stages and DD sequence of a VAQEM strategy; `None` for
+    /// the fixed ones.
+    fn tuning(self) -> Option<(&'static [Stage], DdSequence)> {
+        Some(match self {
+            Strategy::VaqemGs => (&[Stage::Gs], DdSequence::Xy4),
+            Strategy::VaqemXx => (&[Stage::Dd], DdSequence::Xx),
+            Strategy::VaqemXy => (&[Stage::Dd], DdSequence::Xy4),
+            Strategy::VaqemGsXy => (&[Stage::Gs, Stage::Dd], DdSequence::Xy4),
+            Strategy::VaqemZne => (&[Stage::Zne], DdSequence::Xy4),
+            Strategy::VaqemGsXyZne => (&GS_DD_ZNE, DdSequence::Xy4),
+            _ => return None,
+        })
     }
 }
 
@@ -316,15 +322,6 @@ pub fn run_pipeline_with_cache<S: MitigationStoreBackend>(
     let mut backend_no_mem = backend.clone();
     backend_no_mem.clear_mem();
 
-    // Shared tuned configurations (computed lazily, reused across
-    // strategies that need them).
-    let mut tuned_gs: Option<TunedMitigation> = None;
-    let mut tuned_xx: Option<TunedMitigation> = None;
-    let mut tuned_xy: Option<TunedMitigation> = None;
-    let mut tuned_combined: Option<TunedMitigation> = None;
-    let mut tuned_zne: Option<TunedMitigation> = None;
-    let mut tuned_combined_zne: Option<TunedMitigation> = None;
-
     let tuner_config = |seq: DdSequence| WindowTunerConfig {
         sweep_resolution: config.sweep_resolution,
         dd_sequence: seq,
@@ -339,129 +336,25 @@ pub fn run_pipeline_with_cache<S: MitigationStoreBackend>(
 
     // Phase (b) part 1: resolve each strategy to a mitigation config
     // (running the per-window tuner where required, warm-started against
-    // the fleet cache when a session was supplied).
+    // the fleet cache when a session was supplied). Each VAQEM strategy
+    // is tuned once and reused if it is listed again.
     let mut usage = session.as_ref().map(|_| CacheUsage::default());
+    let mut tuned: Vec<(Strategy, TunedMitigation)> = Vec::new();
     let mut resolved: Vec<(Strategy, MitigationConfig, usize)> =
         Vec::with_capacity(strategies.len());
     for &strategy in strategies {
-        let (cfg, tuning_evals): (MitigationConfig, usize) = match strategy {
-            Strategy::NoEm | Strategy::MemBaseline => (MitigationConfig::baseline(), 0),
-            Strategy::DdXx => (uniform_dd_config(&backend, &cache, DdSequence::Xx)?, 0),
-            Strategy::DdXy => (uniform_dd_config(&backend, &cache, DdSequence::Xy4)?, 0),
-            Strategy::VaqemGs => {
-                if tuned_gs.is_none() {
-                    let tuner = WindowTuner::new(problem, &backend, tuner_config(DdSequence::Xy4));
-                    tuned_gs = Some(match session.as_deref_mut() {
-                        Some(s) => {
-                            let report = tuner.tune_gs_warm(&params, s)?;
-                            usage
-                                .as_mut()
-                                .expect("usage set with session")
-                                .absorb(report.stats);
-                            report.tuned
-                        }
-                        None => tuner.tune_gs(&params)?,
-                    });
+        let (cfg, tuning_evals) = match strategy.tuning() {
+            Some((stages, seq)) => {
+                if !tuned.iter().any(|(s, _)| *s == strategy) {
+                    let tuner = WindowTuner::new(problem, &backend, tuner_config(seq));
+                    let report = tuner.tune(&params, stages, session.as_deref_mut())?;
+                    usage.iter_mut().for_each(|u| u.absorb(report.stats));
+                    tuned.push((strategy, report.tuned));
                 }
-                let t = tuned_gs.as_ref().expect("just set");
+                let (_, t) = tuned.iter().find(|(s, _)| *s == strategy).expect("tuned");
                 (t.config.clone(), t.evaluations)
             }
-            Strategy::VaqemXx => {
-                if tuned_xx.is_none() {
-                    let tuner = WindowTuner::new(problem, &backend, tuner_config(DdSequence::Xx));
-                    tuned_xx = Some(match session.as_deref_mut() {
-                        Some(s) => {
-                            let report = tuner.tune_dd_warm(&params, s)?;
-                            usage
-                                .as_mut()
-                                .expect("usage set with session")
-                                .absorb(report.stats);
-                            report.tuned
-                        }
-                        None => tuner.tune_dd(&params)?,
-                    });
-                }
-                let t = tuned_xx.as_ref().expect("just set");
-                (t.config.clone(), t.evaluations)
-            }
-            Strategy::VaqemXy => {
-                if tuned_xy.is_none() {
-                    let tuner = WindowTuner::new(problem, &backend, tuner_config(DdSequence::Xy4));
-                    tuned_xy = Some(match session.as_deref_mut() {
-                        Some(s) => {
-                            let report = tuner.tune_dd_warm(&params, s)?;
-                            usage
-                                .as_mut()
-                                .expect("usage set with session")
-                                .absorb(report.stats);
-                            report.tuned
-                        }
-                        None => tuner.tune_dd(&params)?,
-                    });
-                }
-                let t = tuned_xy.as_ref().expect("just set");
-                (t.config.clone(), t.evaluations)
-            }
-            Strategy::VaqemGsXy => {
-                if tuned_combined.is_none() {
-                    let tuner = WindowTuner::new(problem, &backend, tuner_config(DdSequence::Xy4));
-                    tuned_combined = Some(match session.as_deref_mut() {
-                        Some(s) => {
-                            let report = tuner.tune_combined_warm(&params, s)?;
-                            usage
-                                .as_mut()
-                                .expect("usage set with session")
-                                .absorb(report.stats);
-                            report.tuned
-                        }
-                        None => tuner.tune_combined(&params)?,
-                    });
-                }
-                let t = tuned_combined.as_ref().expect("just set");
-                (t.config.clone(), t.evaluations)
-            }
-            Strategy::ZneFixed => (
-                MitigationConfig::zero_noise_extrapolation(ZneConfig::standard()),
-                0,
-            ),
-            Strategy::VaqemZne => {
-                if tuned_zne.is_none() {
-                    let tuner = WindowTuner::new(problem, &backend, tuner_config(DdSequence::Xy4));
-                    tuned_zne = Some(match session.as_deref_mut() {
-                        Some(s) => {
-                            let report = tuner.tune_zne_warm(&params, s)?;
-                            usage
-                                .as_mut()
-                                .expect("usage set with session")
-                                .absorb(report.stats);
-                            report.tuned
-                        }
-                        None => tuner.tune_zne(&params)?,
-                    });
-                }
-                let t = tuned_zne.as_ref().expect("just set");
-                (t.config.clone(), t.evaluations)
-            }
-            Strategy::VaqemGsXyZne => {
-                if tuned_combined_zne.is_none() {
-                    let tuner = WindowTuner::new(problem, &backend, tuner_config(DdSequence::Xy4));
-                    tuned_combined_zne = Some(match session.as_deref_mut() {
-                        Some(s) => {
-                            // The composed (dd, gs, zne) choice is cached
-                            // as one unit — see tune_combined_zne_warm.
-                            let report = tuner.tune_combined_zne_warm(&params, s)?;
-                            usage
-                                .as_mut()
-                                .expect("usage set with session")
-                                .absorb(report.stats);
-                            report.tuned
-                        }
-                        None => tuner.tune_combined_zne(&params)?,
-                    });
-                }
-                let t = tuned_combined_zne.as_ref().expect("just set");
-                (t.config.clone(), t.evaluations)
-            }
+            None => (fixed_config(strategy, &backend, &cache)?, 0),
         };
         resolved.push((strategy, cfg, tuning_evals));
     }
@@ -519,7 +412,10 @@ pub fn run_pipeline_with_cache<S: MitigationStoreBackend>(
         tuned_params: params,
         angle_trace,
         results,
-        combined_tuning: tuned_combined,
+        combined_tuning: tuned
+            .into_iter()
+            .find(|(s, _)| *s == Strategy::VaqemGsXy)
+            .map(|(_, t)| t),
         cache_usage: usage,
     })
 }
@@ -561,13 +457,24 @@ fn evaluate_resolved<E: Executor>(
     sums.into_iter().map(|s| s / repeats as f64).collect()
 }
 
-/// The naive DD comparison: one repetition in every window (§VII-B: "a
-/// single round / sequence of DD within the idle windows").
-fn uniform_dd_config<E: Executor>(
+/// The configuration of a strategy that is not tuned. The naive DD
+/// comparison is one repetition in every window (§VII-B: "a single round
+/// / sequence of DD within the idle windows").
+fn fixed_config<E: Executor>(
+    strategy: Strategy,
     backend: &QuantumBackend<E>,
     cache: &GroupSchedules,
-    sequence: DdSequence,
 ) -> Result<MitigationConfig, VaqemError> {
+    let sequence = match strategy {
+        Strategy::DdXx => DdSequence::Xx,
+        Strategy::DdXy => DdSequence::Xy4,
+        Strategy::ZneFixed => {
+            return Ok(MitigationConfig::zero_noise_extrapolation(
+                ZneConfig::standard(),
+            ))
+        }
+        _ => return Ok(MitigationConfig::baseline()),
+    };
     let scheduled = cache
         .schedules()
         .first()

@@ -10,6 +10,12 @@
 //! of §VIII-A: gate positions are tuned first, then DD fills the re-derived
 //! windows.
 //!
+//! Every knob is a stage of one loop: gate positions and DD repetition
+//! counts per window, and the ZNE protocol (§IX) with the whole circuit as
+//! its unit. A single driver runs any sequence of stages — sweep each
+//! unit, keep the best candidate, let the §IX-C guard accept or revert the
+//! result — and the public `tune_*` methods only name the sequence.
+//!
 //! Execution is batched: every machine interaction goes through the
 //! [`crate::executor::Executor::run_batch`] path. The measurement-group
 //! base circuits are ALAP-scheduled **once per tuning stage** (the
@@ -707,24 +713,227 @@ pub struct FleetCacheSession<'a, S: MitigationStoreBackend = MitigationConfigSto
     pub calibration: &'a NoiseParameters,
 }
 
-/// Applies a stage's guard verdict to the store: accepted runs publish
-/// their freshly swept choices; rejected runs evict the cached entries
-/// that seeded them (stale within their epoch).
-fn reconcile_store<S: MitigationStoreBackend>(
-    s: &mut FleetCacheSession<'_, S>,
-    accepted: bool,
-    pending: Vec<(WindowFingerprint, CachedChoice)>,
-    seeded: &[WindowFingerprint],
-) {
-    if accepted {
-        for (fp, choice) in pending {
-            s.store
-                .publish(s.device, s.epoch, fp, StoredChoice::Window(choice));
+/// A stage of the variational loop (paper §VI-C): one mitigation knob,
+/// swept unit by unit against the VQA objective, then gated by the §IX-C
+/// guard against the configuration the previous stage kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    /// Gate positions, one unit per movable window of the baseline
+    /// schedule ("VAQEM: GS").
+    Gs,
+    /// DD repetition counts, one unit per window of the schedule with the
+    /// base configuration applied ("VAQEM: XX" / "VAQEM: XY").
+    Dd,
+    /// The ZNE protocol, with the whole circuit as its one unit (§IX).
+    Zne,
+}
+
+/// GS, then DD, then ZNE. With a cache session the result is also cached
+/// whole, under a [`TuningMode::Composed`] fingerprint.
+pub(crate) const GS_DD_ZNE: [Stage; 3] = [Stage::Gs, Stage::Dd, Stage::Zne];
+
+/// First job index of the composed cache entry's re-validation guard.
+const COMPOSED_GUARD_JOB: u64 = 6_000_000;
+
+/// First job index of [`WindowTuner::tune_dd_best_sequence`]'s scores.
+const SEQUENCE_SCORE_JOB: u64 = 4_000_000;
+
+/// One unit a stage tunes: a window on `qubit` with room for `max` DD
+/// repetitions, or the whole circuit (ZNE, which ignores both).
+struct Unit {
+    qubit: usize,
+    max: usize,
+    /// The unit's cache key, when tuning against a session.
+    fingerprint: Option<WindowFingerprint>,
+}
+
+impl Stage {
+    /// First job indices of the stage's sweeps and of its guard. Sweep
+    /// indices rise by one per candidate across the stage's units.
+    fn jobs(self) -> (u64, u64) {
+        match self {
+            Stage::Gs => (2, 2_000_000),
+            Stage::Dd => (1_000_001, 3_000_000),
+            Stage::Zne => (5_000_000, 5_500_000),
         }
-    } else {
-        for fp in seeded {
-            s.store.discard(s.device, s.epoch, fp);
+    }
+
+    /// The stage's units on top of `base`, keyed for the cache when a
+    /// calibration snapshot is given, and `base` with the knob untuned on
+    /// every unit (ALAP positions, no DD repetitions).
+    fn units<E: Executor>(
+        self,
+        tuner: &WindowTuner<'_, E>,
+        cache: &GroupSchedules,
+        base: &MitigationConfig,
+        calibration: Option<&NoiseParameters>,
+    ) -> Result<(Vec<Unit>, MitigationConfig), VaqemError> {
+        let (cfg, pulse) = (&tuner.config, tuner.backend.durations().single_qubit_ns());
+        let seq = cfg.dd_sequence;
+        let mut untuned = base.clone();
+        let (mode, scheduled, windows) = match self {
+            Stage::Gs => {
+                let s = tuner.canonical_schedule(cache, &MitigationConfig::baseline())?;
+                let windows = GsPass::new(pulse).movable_windows(&s);
+                untuned.gate_positions = vec![1.0; windows.len()];
+                (TuningMode::Gs, s, windows)
+            }
+            Stage::Dd => {
+                let s = tuner.canonical_schedule(cache, base)?;
+                let windows = DdPass::new(seq, pulse, pulse).windows(&s);
+                untuned.dd_repetitions = vec![0; windows.len()];
+                untuned.dd_sequence = Some(seq);
+                (TuningMode::Dd(seq), s, windows)
+            }
+            Stage::Zne => {
+                let key = |c| tuner.circuit_key(TuningMode::Zne, cache, c);
+                let unit = Unit {
+                    qubit: 0,
+                    max: 0,
+                    fingerprint: calibration.map(key).transpose()?,
+                };
+                return Ok((vec![unit], untuned));
+            }
+        };
+        let units = windows.iter().enumerate().map(|(i, w)| {
+            let ordinal = windows[..i].iter().filter(|v| v.qubit == w.qubit).count();
+            Unit {
+                qubit: w.qubit,
+                max: seq.max_repetitions(w, pulse).min(cfg.max_repetitions),
+                fingerprint: calibration
+                    .map(|c| window_fingerprint(mode, w, ordinal, &scheduled, c, pulse, cfg)),
+            }
+        });
+        Ok((units.collect(), untuned))
+    }
+
+    /// Lands a cached value on unit `i` of `config` and returns its
+    /// objective; `None` (a miss) when the variant is not the stage's.
+    fn adopt(
+        self,
+        unit: &Unit,
+        i: usize,
+        stored: StoredChoice,
+        config: &mut MitigationConfig,
+    ) -> Option<f64> {
+        match (self, stored) {
+            (Stage::Gs, StoredChoice::Window(c)) => {
+                config.gate_positions[i] = c.value.clamp(0.0, 1.0);
+                Some(c.objective)
+            }
+            (Stage::Dd, StoredChoice::Window(c)) => {
+                // An identical window replays the exact repetition count;
+                // a same-class window with a different cap rescales by
+                // the cached fraction.
+                let replay = c.value.round().max(0.0) as usize;
+                config.dd_repetitions[i] = if replay <= unit.max {
+                    replay
+                } else {
+                    ((c.fraction_of_max * unit.max as f64).round() as usize).min(unit.max)
+                };
+                Some(c.objective)
+            }
+            (Stage::Zne, StoredChoice::Composed(c)) => {
+                config.zne = Some(c.zne?);
+                Some(c.objective)
+            }
+            _ => None,
         }
+    }
+
+    /// Unit `i`'s sweep: `config` with each candidate landed on the unit.
+    /// Refuses a sweep resolution below 2 and an empty ZNE candidate list.
+    fn trials<E: Executor>(
+        self,
+        tuner: &WindowTuner<'_, E>,
+        unit: &Unit,
+        i: usize,
+        config: &MitigationConfig,
+    ) -> Result<Vec<MitigationConfig>, VaqemError> {
+        let cfg = &tuner.config;
+        let (resolution, protocols) = (cfg.sweep_resolution, cfg.zne_candidates.len());
+        if (self == Stage::Zne && protocols == 0) || (self != Stage::Zne && resolution < 2) {
+            return Err(VaqemError::Config {
+                message: format!(
+                    "{self:?} cannot sweep: sweep_resolution {resolution}, {protocols} ZNE candidates"
+                ),
+            });
+        }
+        let with = |land: &dyn Fn(&mut MitigationConfig)| {
+            let mut trial = config.clone();
+            land(&mut trial);
+            trial
+        };
+        Ok(match self {
+            Stage::Gs => position_candidates(resolution)
+                .into_iter()
+                .map(|p| with(&|t| t.gate_positions[i] = p))
+                .collect(),
+            Stage::Dd => integer_candidates(unit.max, resolution)
+                .into_iter()
+                .map(|r| with(&|t| t.dd_repetitions[i] = r))
+                .collect(),
+            Stage::Zne => (cfg.zne_candidates.iter())
+                .map(|z| with(&|t| t.zne = Some(z.clone())))
+                .collect(),
+        })
+    }
+
+    /// Unit `i`'s Fig. 14 record once `config` holds its setting; none
+    /// for the whole circuit.
+    fn choice(
+        self,
+        unit: &Unit,
+        i: usize,
+        config: &MitigationConfig,
+        objective: f64,
+    ) -> Option<WindowChoice> {
+        let (fraction_of_max, value) = match self {
+            Stage::Gs => (config.gate_positions[i], config.gate_positions[i]),
+            Stage::Dd => {
+                let reps = config.dd_repetitions[i] as f64;
+                (reps / unit.max.max(1) as f64, reps)
+            }
+            Stage::Zne => return None,
+        };
+        Some(WindowChoice {
+            window: i,
+            qubit: unit.qubit,
+            fraction_of_max,
+            value,
+            objective,
+        })
+    }
+}
+
+/// The store value of a freshly swept unit: its window choice, or, for
+/// the whole circuit, the configuration it was tuned in.
+fn stored(
+    choice: Option<&WindowChoice>,
+    config: &MitigationConfig,
+    objective: f64,
+) -> StoredChoice {
+    match choice {
+        Some(c) => StoredChoice::Window(CachedChoice {
+            fraction_of_max: c.fraction_of_max,
+            value: c.value,
+            objective: c.objective,
+        }),
+        None => StoredChoice::Composed(ComposedChoice::from_config(config, objective)),
+    }
+}
+
+/// A run that has tuned nothing yet: the baseline configuration.
+fn untuned() -> WarmTuneReport {
+    WarmTuneReport {
+        tuned: TunedMitigation {
+            config: MitigationConfig::baseline(),
+            gs_choices: Vec::new(),
+            dd_choices: Vec::new(),
+            evaluations: 0,
+            zne_evaluations: 0,
+        },
+        stats: WarmStats::default(),
     }
 }
 
@@ -741,14 +950,6 @@ pub struct WarmStats {
     /// ([`WindowTuner::tune_combined_warm`]) this is `true` when *any*
     /// stage's guard rejected.
     pub guard_rejected: bool,
-}
-
-impl WarmStats {
-    fn absorb(&mut self, other: WarmStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.guard_rejected |= other.guard_rejected;
-    }
 }
 
 /// Result of a warm-started tuning run: the tuned mitigation plus the
@@ -799,184 +1000,84 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
         Ok(base.apply_under(first, self.backend.durations()))
     }
 
-    /// Averaged machine evaluation used by the acceptance guard; all
-    /// repeats go out as one batch.
-    fn guard_eval(&self, cache: &GroupSchedules, cfg: &MitigationConfig, job_base: u64) -> f64 {
-        let r = self.config.guard_repeats.max(1) as u64;
-        let evals: Vec<(MitigationConfig, u64)> =
-            (0..r).map(|k| (cfg.clone(), job_base + k)).collect();
-        let energies = self
-            .problem
-            .machine_energy_batch(self.backend, cache, &evals);
-        energies.iter().sum::<f64>() / r as f64
+    /// The circuit-level cache key, read off the unmitigated schedule.
+    fn circuit_key(
+        &self,
+        mode: TuningMode,
+        cache: &GroupSchedules,
+        calibration: &NoiseParameters,
+    ) -> Result<WindowFingerprint, VaqemError> {
+        let scheduled = self.canonical_schedule(cache, &MitigationConfig::baseline())?;
+        let pulse = self.backend.durations().single_qubit_ns();
+        Ok(circuit_fingerprint(
+            mode,
+            &scheduled,
+            calibration,
+            pulse,
+            &self.config,
+        ))
     }
 
-    /// Acceptance guard (paper §IX-C: destructive interference is "weeded
-    /// out by the tuning logic"): keeps `tuned` only if it measures at
-    /// least as well as `base` on fresh evaluations. Both sides'
-    /// `guard_repeats` evaluations are dispatched as a single batch.
-    /// Returns the surviving config and whether `tuned` was accepted.
-    fn accept_or_revert(
+    /// The guard's measurement: `r = guard_repeats` fresh evaluations per
+    /// side in one batch, side `s` at jobs `job + s·r ..`, averaged.
+    fn guard_means(
         &self,
         cache: &GroupSchedules,
-        base: &MitigationConfig,
-        tuned: MitigationConfig,
-        job_base: u64,
-        evaluations: &mut usize,
-    ) -> (MitigationConfig, bool) {
-        let r = self.config.guard_repeats.max(1) as u64;
-        let evals: Vec<(MitigationConfig, u64)> = (0..r)
-            .map(|k| (tuned.clone(), job_base + k))
-            .chain((0..r).map(|k| (base.clone(), job_base + r + k)))
+        sides: &[&MitigationConfig],
+        job: u64,
+    ) -> Vec<f64> {
+        let r = self.config.guard_repeats.max(1);
+        let evals: Vec<(MitigationConfig, u64)> = (sides.iter())
+            .flat_map(|cfg| std::iter::repeat_n(*cfg, r).cloned())
+            .zip(job..)
             .collect();
         let energies = self
             .problem
             .machine_energy_batch(self.backend, cache, &evals);
-        *evaluations += 2 * r as usize;
-        let e_tuned = energies[..r as usize].iter().sum::<f64>() / r as f64;
-        let e_base = energies[r as usize..].iter().sum::<f64>() / r as f64;
-        if e_tuned <= e_base {
-            (tuned, true)
-        } else {
-            (base.clone(), false)
+        energies
+            .chunks(r)
+            .map(|side| side.iter().sum::<f64>() / r as f64)
+            .collect()
+    }
+
+    /// Acceptance guard (paper §IX-C: destructive interference is "weeded
+    /// out by the tuning logic"): keeps `tuned.config` only if it measures
+    /// at least as well as `base` on fresh evaluations, and reverts it to
+    /// `base` otherwise. Both sides' `guard_repeats` evaluations go out as
+    /// one batch and count towards `tuned.evaluations`. Returns whether
+    /// the tuned configuration was kept.
+    fn guard(
+        &self,
+        cache: &GroupSchedules,
+        base: &MitigationConfig,
+        tuned: &mut TunedMitigation,
+        job: u64,
+    ) -> bool {
+        let means = self.guard_means(cache, &[&tuned.config, base], job);
+        tuned.evaluations += 2 * self.config.guard_repeats.max(1);
+        let accepted = means[0] <= means[1];
+        if !accepted {
+            tuned.config = base.clone();
         }
+        accepted
     }
 
     /// Tunes DD repetition counts per window (the paper's "VAQEM: XY/XX").
     ///
     /// # Errors
     ///
-    /// Propagates objective-evaluation errors.
+    /// Propagates objective-evaluation and configuration errors.
     pub fn tune_dd(&self, params: &[f64]) -> Result<TunedMitigation, VaqemError> {
-        let cache = self.problem.schedule_groups(self.backend, params)?;
-        self.tune_dd_on_top(&cache, &MitigationConfig::baseline())
+        self.tune_cold(params, &[Stage::Dd])
     }
 
     /// Tunes gate positions per movable window (the paper's "VAQEM: GS").
     ///
     /// # Errors
     ///
-    /// Propagates objective-evaluation errors.
+    /// Propagates objective-evaluation and configuration errors.
     pub fn tune_gs(&self, params: &[f64]) -> Result<TunedMitigation, VaqemError> {
-        let cache = self.problem.schedule_groups(self.backend, params)?;
-        self.tune_gs_cached(&cache)
-    }
-
-    fn tune_gs_cached(&self, cache: &GroupSchedules) -> Result<TunedMitigation, VaqemError> {
-        Ok(self.tune_gs_impl::<MitigationConfigStore>(cache, None)?.0)
-    }
-
-    /// GS tuning with an optional fleet-cache session. With a session,
-    /// windows whose fingerprint hits adopt the cached position without
-    /// sweeping; misses sweep in full. The acceptance guard always runs;
-    /// swept choices enter the store only on acceptance, and a rejection
-    /// evicts the entries that seeded the run.
-    fn tune_gs_impl<S: MitigationStoreBackend>(
-        &self,
-        cache: &GroupSchedules,
-        mut session: Option<&mut FleetCacheSession<'_, S>>,
-    ) -> Result<(TunedMitigation, WarmStats), VaqemError> {
-        let pulse = self.backend.durations().single_qubit_ns();
-        let scheduled = self.canonical_schedule(cache, &MitigationConfig::baseline())?;
-        let gs = GsPass::new(pulse);
-        let windows = gs.movable_windows(&scheduled);
-        let n = windows.len();
-        let mut positions = vec![1.0f64; n]; // ALAP baseline
-        let mut choices = Vec::with_capacity(n);
-        let mut evaluations = 0usize;
-        let mut stats = WarmStats::default();
-        let mut pending: Vec<(WindowFingerprint, CachedChoice)> = Vec::new();
-        let mut seeded: Vec<WindowFingerprint> = Vec::new();
-        let candidates = position_candidates(self.config.sweep_resolution);
-        let mut job = 1u64;
-        for (i, w) in windows.iter().enumerate() {
-            let fingerprint = session.as_deref_mut().map(|s| {
-                let ordinal = windows[..i].iter().filter(|v| v.qubit == w.qubit).count();
-                window_fingerprint(
-                    TuningMode::Gs,
-                    w,
-                    ordinal,
-                    &scheduled,
-                    s.calibration,
-                    pulse,
-                    &self.config,
-                )
-            });
-            if let (Some(fp), Some(s)) = (fingerprint, session.as_deref_mut()) {
-                if let Some(StoredChoice::Window(cached)) = s.store.lookup(s.device, s.epoch, &fp) {
-                    positions[i] = cached.value.clamp(0.0, 1.0);
-                    choices.push(WindowChoice {
-                        window: i,
-                        qubit: w.qubit,
-                        fraction_of_max: positions[i],
-                        value: positions[i],
-                        objective: cached.objective,
-                    });
-                    stats.hits += 1;
-                    seeded.push(fp);
-                    continue;
-                }
-                stats.misses += 1;
-            }
-            // The window's whole sweep goes out as one parallel batch.
-            let evals: Vec<(MitigationConfig, u64)> = candidates
-                .iter()
-                .map(|&pos| {
-                    let mut trial = positions.clone();
-                    trial[i] = pos;
-                    evaluations += 1;
-                    job += 1;
-                    (MitigationConfig::gate_scheduling(trial), job)
-                })
-                .collect();
-            let energies = self
-                .problem
-                .machine_energy_batch(self.backend, cache, &evals);
-            let mut next_energy = energies.iter();
-            let result = sweep_minimize(&candidates, |_| {
-                *next_energy.next().expect("one energy per candidate")
-            });
-            positions[i] = result.best_candidate;
-            if let Some(fp) = fingerprint {
-                pending.push((
-                    fp,
-                    CachedChoice {
-                        fraction_of_max: result.best_candidate,
-                        value: result.best_candidate,
-                        objective: result.best_value,
-                    },
-                ));
-            }
-            choices.push(WindowChoice {
-                window: i,
-                qubit: w.qubit,
-                fraction_of_max: result.best_candidate,
-                value: result.best_candidate,
-                objective: result.best_value,
-            });
-        }
-        let tuned = MitigationConfig::gate_scheduling(positions);
-        let (config, accepted) = self.accept_or_revert(
-            cache,
-            &MitigationConfig::baseline(),
-            tuned,
-            2_000_000,
-            &mut evaluations,
-        );
-        stats.guard_rejected = !accepted;
-        if let Some(s) = session {
-            reconcile_store(s, accepted, pending, &seeded);
-        }
-        Ok((
-            TunedMitigation {
-                config,
-                gs_choices: choices,
-                dd_choices: Vec::new(),
-                evaluations,
-                zne_evaluations: 0,
-            },
-            stats,
-        ))
+        self.tune_cold(params, &[Stage::Gs])
     }
 
     /// Tunes GS first, then DD on the GS-adjusted schedule — the paper's
@@ -984,21 +1085,9 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
     ///
     /// # Errors
     ///
-    /// Propagates objective-evaluation errors.
+    /// Propagates objective-evaluation and configuration errors.
     pub fn tune_combined(&self, params: &[f64]) -> Result<TunedMitigation, VaqemError> {
-        let cache = self.problem.schedule_groups(self.backend, params)?;
-        let gs = self.tune_gs_cached(&cache)?;
-        // DD is tuned on top of the (guarded) GS configuration, and the DD
-        // stage's own guard compares against that same configuration — so
-        // the composed result can only improve, stage by stage.
-        let dd = self.tune_dd_on_top(&cache, &gs.config)?;
-        Ok(TunedMitigation {
-            config: dd.config.clone(),
-            gs_choices: gs.gs_choices,
-            dd_choices: dd.dd_choices,
-            evaluations: gs.evaluations + dd.evaluations,
-            zne_evaluations: 0,
-        })
+        self.tune_cold(params, &[Stage::Gs, Stage::Dd])
     }
 
     /// Extension (paper §IX-B): selects the best DD sequence *type* within
@@ -1008,182 +1097,14 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
     ///
     /// # Errors
     ///
-    /// Propagates objective-evaluation errors.
+    /// Propagates objective-evaluation and configuration errors.
     pub fn tune_dd_best_sequence(
         &self,
         params: &[f64],
         candidates: &[DdSequence],
     ) -> Result<(DdSequence, TunedMitigation), VaqemError> {
-        assert!(!candidates.is_empty(), "at least one sequence candidate");
         let cache = self.problem.schedule_groups(self.backend, params)?;
-        let mut best: Option<(DdSequence, TunedMitigation, f64)> = None;
-        for (i, &seq) in candidates.iter().enumerate() {
-            let tuner = WindowTuner::new(
-                self.problem,
-                self.backend,
-                WindowTunerConfig {
-                    dd_sequence: seq,
-                    ..self.config.clone()
-                },
-            );
-            let mut tuned = tuner.tune_dd_on_top(&cache, &MitigationConfig::baseline())?;
-            // Candidate score streams must never overlap: stride by at
-            // least the guard width (and never less than the historical
-            // spacing of 10).
-            let stride = (self.config.guard_repeats.max(1) as u64).max(10);
-            let score = self.guard_eval(&cache, &tuned.config, 4_000_000 + stride * i as u64);
-            tuned.evaluations += self.config.guard_repeats.max(1);
-            match &best {
-                Some((_, _, s)) if *s <= score => {}
-                _ => best = Some((seq, tuned, score)),
-            }
-        }
-        let (seq, tuned, _) = best.expect("non-empty candidates");
-        Ok((seq, tuned))
-    }
-
-    fn tune_dd_on_top(
-        &self,
-        cache: &GroupSchedules,
-        base: &MitigationConfig,
-    ) -> Result<TunedMitigation, VaqemError> {
-        Ok(self
-            .tune_dd_on_top_impl::<MitigationConfigStore>(cache, base, None)?
-            .0)
-    }
-
-    /// DD tuning with an optional fleet-cache session — see
-    /// [`Self::tune_gs_impl`] for the warm-start contract.
-    fn tune_dd_on_top_impl<S: MitigationStoreBackend>(
-        &self,
-        cache: &GroupSchedules,
-        base: &MitigationConfig,
-        mut session: Option<&mut FleetCacheSession<'_, S>>,
-    ) -> Result<(TunedMitigation, WarmStats), VaqemError> {
-        let pulse = self.backend.durations().single_qubit_ns();
-        let scheduled = self.canonical_schedule(cache, base)?;
-        let dd_pass = DdPass::new(self.config.dd_sequence, pulse, pulse);
-        let windows = dd_pass.windows(&scheduled);
-        let n = windows.len();
-        let mut reps = vec![0usize; n];
-        let mut choices = Vec::with_capacity(n);
-        let mut evaluations = 0usize;
-        let mut stats = WarmStats::default();
-        let mut pending: Vec<(WindowFingerprint, CachedChoice)> = Vec::new();
-        let mut seeded: Vec<WindowFingerprint> = Vec::new();
-        let mut job = 1_000_000u64;
-        for (i, w) in windows.iter().enumerate() {
-            let max = self
-                .config
-                .dd_sequence
-                .max_repetitions(w, pulse)
-                .min(self.config.max_repetitions);
-            if max == 0 {
-                choices.push(WindowChoice {
-                    window: i,
-                    qubit: w.qubit,
-                    fraction_of_max: 0.0,
-                    value: 0.0,
-                    objective: f64::NAN,
-                });
-                continue;
-            }
-            let fingerprint = session.as_deref_mut().map(|s| {
-                let ordinal = windows[..i].iter().filter(|v| v.qubit == w.qubit).count();
-                window_fingerprint(
-                    TuningMode::Dd(self.config.dd_sequence),
-                    w,
-                    ordinal,
-                    &scheduled,
-                    s.calibration,
-                    pulse,
-                    &self.config,
-                )
-            });
-            if let (Some(fp), Some(s)) = (fingerprint, session.as_deref_mut()) {
-                if let Some(StoredChoice::Window(cached)) = s.store.lookup(s.device, s.epoch, &fp) {
-                    // An identical window replays the exact repetition
-                    // count; a same-class window with a different cap
-                    // rescales by the cached fraction.
-                    let replay = cached.value.round().max(0.0) as usize;
-                    reps[i] = if replay <= max {
-                        replay
-                    } else {
-                        ((cached.fraction_of_max * max as f64).round() as usize).min(max)
-                    };
-                    choices.push(WindowChoice {
-                        window: i,
-                        qubit: w.qubit,
-                        fraction_of_max: reps[i] as f64 / max as f64,
-                        value: reps[i] as f64,
-                        objective: cached.objective,
-                    });
-                    stats.hits += 1;
-                    seeded.push(fp);
-                    continue;
-                }
-                stats.misses += 1;
-            }
-            let candidates = integer_candidates(max, self.config.sweep_resolution);
-            // The window's whole sweep goes out as one parallel batch.
-            let evals: Vec<(MitigationConfig, u64)> = candidates
-                .iter()
-                .map(|&r| {
-                    let mut trial = reps.clone();
-                    trial[i] = r;
-                    let mut cfg = base.clone();
-                    cfg.dd_repetitions = trial;
-                    cfg.dd_sequence = Some(self.config.dd_sequence);
-                    evaluations += 1;
-                    job += 1;
-                    (cfg, job)
-                })
-                .collect();
-            let energies = self
-                .problem
-                .machine_energy_batch(self.backend, cache, &evals);
-            let mut next_energy = energies.iter();
-            let result = sweep_minimize(&candidates, |_| {
-                *next_energy.next().expect("one energy per candidate")
-            });
-            reps[i] = result.best_candidate;
-            if let Some(fp) = fingerprint {
-                pending.push((
-                    fp,
-                    CachedChoice {
-                        fraction_of_max: result.best_candidate as f64 / max as f64,
-                        value: result.best_candidate as f64,
-                        objective: result.best_value,
-                    },
-                ));
-            }
-            choices.push(WindowChoice {
-                window: i,
-                qubit: w.qubit,
-                fraction_of_max: result.best_candidate as f64 / max as f64,
-                value: result.best_candidate as f64,
-                objective: result.best_value,
-            });
-        }
-        let mut tuned = base.clone();
-        tuned.dd_repetitions = reps;
-        tuned.dd_sequence = Some(self.config.dd_sequence);
-        let (config, accepted) =
-            self.accept_or_revert(cache, base, tuned, 3_000_000, &mut evaluations);
-        stats.guard_rejected = !accepted;
-        if let Some(s) = session {
-            reconcile_store(s, accepted, pending, &seeded);
-        }
-        Ok((
-            TunedMitigation {
-                config,
-                gs_choices: Vec::new(),
-                dd_choices: choices,
-                evaluations,
-                zne_evaluations: 0,
-            },
-            stats,
-        ))
+        self.best_sequence(&cache, candidates)
     }
 
     /// Warm-started DD tuning against the fleet cache: fingerprint hits
@@ -1200,16 +1121,13 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
     ///
     /// # Errors
     ///
-    /// Propagates objective-evaluation errors.
+    /// Propagates objective-evaluation and configuration errors.
     pub fn tune_dd_warm<S: MitigationStoreBackend>(
         &self,
         params: &[f64],
         session: &mut FleetCacheSession<'_, S>,
     ) -> Result<WarmTuneReport, VaqemError> {
-        let cache = self.problem.schedule_groups(self.backend, params)?;
-        let (tuned, stats) =
-            self.tune_dd_on_top_impl(&cache, &MitigationConfig::baseline(), Some(session))?;
-        Ok(WarmTuneReport { tuned, stats })
+        self.tune(params, &[Stage::Dd], Some(session))
     }
 
     /// Warm-started GS tuning — the gate-position counterpart of
@@ -1217,15 +1135,13 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
     ///
     /// # Errors
     ///
-    /// Propagates objective-evaluation errors.
+    /// Propagates objective-evaluation and configuration errors.
     pub fn tune_gs_warm<S: MitigationStoreBackend>(
         &self,
         params: &[f64],
         session: &mut FleetCacheSession<'_, S>,
     ) -> Result<WarmTuneReport, VaqemError> {
-        let cache = self.problem.schedule_groups(self.backend, params)?;
-        let (tuned, stats) = self.tune_gs_impl(&cache, Some(session))?;
-        Ok(WarmTuneReport { tuned, stats })
+        self.tune(params, &[Stage::Gs], Some(session))
     }
 
     /// Warm-started GS-then-DD tuning — the coordinated "VAQEM: GS+XY"
@@ -1234,26 +1150,13 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
     ///
     /// # Errors
     ///
-    /// Propagates objective-evaluation errors.
+    /// Propagates objective-evaluation and configuration errors.
     pub fn tune_combined_warm<S: MitigationStoreBackend>(
         &self,
         params: &[f64],
         session: &mut FleetCacheSession<'_, S>,
     ) -> Result<WarmTuneReport, VaqemError> {
-        let cache = self.problem.schedule_groups(self.backend, params)?;
-        let (gs, mut stats) = self.tune_gs_impl(&cache, Some(session))?;
-        let (dd, dd_stats) = self.tune_dd_on_top_impl(&cache, &gs.config, Some(session))?;
-        stats.absorb(dd_stats);
-        Ok(WarmTuneReport {
-            tuned: TunedMitigation {
-                config: dd.config.clone(),
-                gs_choices: gs.gs_choices,
-                dd_choices: dd.dd_choices,
-                evaluations: gs.evaluations + dd.evaluations,
-                zne_evaluations: 0,
-            },
-            stats,
-        })
+        self.tune(params, &[Stage::Gs, Stage::Dd], Some(session))
     }
 
     /// Tunes the ZNE protocol on the untuned baseline (paper §IX): every
@@ -1264,16 +1167,9 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
     ///
     /// # Errors
     ///
-    /// Propagates objective-evaluation errors.
+    /// Propagates objective-evaluation and configuration errors.
     pub fn tune_zne(&self, params: &[f64]) -> Result<TunedMitigation, VaqemError> {
-        let cache = self.problem.schedule_groups(self.backend, params)?;
-        Ok(self
-            .tune_zne_on_top_impl::<MitigationConfigStore>(
-                &cache,
-                &MitigationConfig::baseline(),
-                None,
-            )?
-            .0)
+        self.tune_cold(params, &[Stage::Zne])
     }
 
     /// Warm-started ZNE tuning against the fleet cache: the circuit-level
@@ -1284,41 +1180,24 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
     ///
     /// # Errors
     ///
-    /// Propagates objective-evaluation errors.
+    /// Propagates objective-evaluation and configuration errors.
     pub fn tune_zne_warm<S: MitigationStoreBackend>(
         &self,
         params: &[f64],
         session: &mut FleetCacheSession<'_, S>,
     ) -> Result<WarmTuneReport, VaqemError> {
-        let cache = self.problem.schedule_groups(self.backend, params)?;
-        let (tuned, stats, _) =
-            self.tune_zne_on_top_impl(&cache, &MitigationConfig::baseline(), Some(session))?;
-        Ok(WarmTuneReport { tuned, stats })
+        self.tune(params, &[Stage::Zne], Some(session))
     }
 
     /// The full composed pipeline: GS, then DD on the GS-adjusted
     /// schedule, then the ZNE protocol over the mitigated circuit — the
-    /// "VAQEM: GS+XY+ZNE" configuration. Each stage's guard compares
-    /// against the previous stage's surviving config, so the composition
-    /// can only improve stage by stage.
+    /// "VAQEM: GS+XY+ZNE" configuration.
     ///
     /// # Errors
     ///
-    /// Propagates objective-evaluation errors.
+    /// Propagates objective-evaluation and configuration errors.
     pub fn tune_combined_zne(&self, params: &[f64]) -> Result<TunedMitigation, VaqemError> {
-        let cache = self.problem.schedule_groups(self.backend, params)?;
-        let gs = self.tune_gs_cached(&cache)?;
-        let dd = self.tune_dd_on_top(&cache, &gs.config)?;
-        let zne = self
-            .tune_zne_on_top_impl::<MitigationConfigStore>(&cache, &dd.config, None)?
-            .0;
-        Ok(TunedMitigation {
-            config: zne.config.clone(),
-            gs_choices: gs.gs_choices,
-            dd_choices: dd.dd_choices,
-            evaluations: gs.evaluations + dd.evaluations + zne.evaluations,
-            zne_evaluations: zne.zne_evaluations,
-        })
+        self.tune_cold(params, &GS_DD_ZNE)
     }
 
     /// Warm-started GS+DD+ZNE tuning that caches the **composed** choice:
@@ -1336,190 +1215,200 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
     ///
     /// # Errors
     ///
-    /// Propagates objective-evaluation errors.
+    /// Propagates objective-evaluation and configuration errors.
     pub fn tune_combined_zne_warm<S: MitigationStoreBackend>(
         &self,
         params: &[f64],
         session: &mut FleetCacheSession<'_, S>,
     ) -> Result<WarmTuneReport, VaqemError> {
-        let cache = self.problem.schedule_groups(self.backend, params)?;
-        let pulse = self.backend.durations().single_qubit_ns();
-        let scheduled = self.canonical_schedule(&cache, &MitigationConfig::baseline())?;
-        let fp = circuit_fingerprint(
-            TuningMode::Composed(self.config.dd_sequence),
-            &scheduled,
-            session.calibration,
-            pulse,
-            &self.config,
-        );
-        let mut seed_rejected = false;
-        if let Some(StoredChoice::Composed(c)) =
-            session.store.lookup(session.device, session.epoch, &fp)
-        {
-            let mut evaluations = 0usize;
-            let (config, accepted) = self.accept_or_revert(
-                &cache,
-                &MitigationConfig::baseline(),
-                c.to_config(),
-                6_000_000,
-                &mut evaluations,
-            );
-            if accepted {
-                let zne_evaluations = if config.zne.is_some() {
-                    self.config.guard_repeats.max(1)
-                } else {
-                    0
-                };
-                return Ok(WarmTuneReport {
-                    tuned: TunedMitigation {
-                        config,
-                        gs_choices: Vec::new(),
-                        dd_choices: Vec::new(),
-                        evaluations,
-                        zne_evaluations,
-                    },
-                    stats: WarmStats {
-                        hits: 1,
-                        misses: 0,
-                        guard_rejected: false,
-                    },
-                });
-            }
-            session.store.discard(session.device, session.epoch, &fp);
-            seed_rejected = true;
-        }
-        let (gs, mut stats) = self.tune_gs_impl(&cache, Some(session))?;
-        let (dd, dd_stats) = self.tune_dd_on_top_impl(&cache, &gs.config, Some(session))?;
-        let (zne, zne_stats, zne_objective) =
-            self.tune_zne_on_top_impl(&cache, &dd.config, Some(session))?;
-        stats.absorb(dd_stats);
-        stats.absorb(zne_stats);
-        stats.misses += 1; // the composed lookup itself re-tuned
-        stats.guard_rejected |= seed_rejected;
-        let config = zne.config.clone();
-        session.store.publish(
-            session.device,
-            session.epoch,
-            fp,
-            StoredChoice::Composed(ComposedChoice::from_config(&config, zne_objective)),
-        );
-        Ok(WarmTuneReport {
-            tuned: TunedMitigation {
-                config,
-                gs_choices: gs.gs_choices,
-                dd_choices: dd.dd_choices,
-                evaluations: gs.evaluations + dd.evaluations + zne.evaluations,
-                zne_evaluations: zne.zne_evaluations,
-            },
-            stats,
-        })
+        self.tune(params, &GS_DD_ZNE, Some(session))
     }
 
-    /// ZNE-protocol tuning on top of `base`, with an optional fleet-cache
-    /// session — the circuit-level counterpart of
-    /// [`Self::tune_dd_on_top_impl`]. The fingerprint is always computed
-    /// from the unmitigated canonical schedule, so warm lookups are
-    /// independent of the composition being amplified.
-    ///
-    /// The third return value is the chosen protocol's measured objective
-    /// (`NaN` when the guard reverted to `base`) — recorded in composed
-    /// cache entries.
-    fn tune_zne_on_top_impl<S: MitigationStoreBackend>(
+    /// The tuning driver: runs `stages` in order on the schedule cache of
+    /// `params`, each on top of the configuration the previous one kept,
+    /// warm-started from `session` when one is given. With a session,
+    /// [`GS_DD_ZNE`] consults its composed cache entry first.
+    pub(crate) fn tune<S: MitigationStoreBackend>(
         &self,
-        cache: &GroupSchedules,
-        base: &MitigationConfig,
-        mut session: Option<&mut FleetCacheSession<'_, S>>,
-    ) -> Result<(TunedMitigation, WarmStats, f64), VaqemError> {
-        let candidates = &self.config.zne_candidates;
-        assert!(!candidates.is_empty(), "at least one ZNE candidate");
-        let mut stats = WarmStats::default();
-        let mut evaluations = 0usize;
-        // The fingerprint (and the canonical-schedule pass it needs) is
-        // only computed when a cache session is present.
-        let fingerprint = match session.as_deref_mut() {
-            Some(s) => {
-                let pulse = self.backend.durations().single_qubit_ns();
-                let scheduled = self.canonical_schedule(cache, &MitigationConfig::baseline())?;
-                Some(circuit_fingerprint(
-                    TuningMode::Zne,
-                    &scheduled,
-                    s.calibration,
-                    pulse,
-                    &self.config,
-                ))
-            }
-            None => None,
-        };
-        let mut chosen: Option<(ZneConfig, f64)> = None;
-        let mut seeded = false;
-        if let (Some(fp), Some(s)) = (fingerprint, session.as_deref_mut()) {
-            match s.store.lookup(s.device, s.epoch, &fp) {
-                Some(StoredChoice::Composed(c)) if c.zne.is_some() => {
-                    chosen = Some((c.zne.clone().expect("checked above"), c.objective));
-                    stats.hits += 1;
-                    seeded = true;
+        params: &[f64],
+        stages: &[Stage],
+        session: Option<&mut FleetCacheSession<'_, S>>,
+    ) -> Result<WarmTuneReport, VaqemError> {
+        let cache = self.problem.schedule_groups(self.backend, params)?;
+        match session {
+            Some(s) if stages == GS_DD_ZNE => self.tune_composed(&cache, s),
+            mut session => {
+                let mut report = untuned();
+                for &stage in stages {
+                    self.run_stage(stage, &cache, &mut report, session.as_deref_mut())?;
                 }
-                _ => stats.misses += 1,
+                Ok(report)
             }
         }
-        let mut swept = false;
-        if chosen.is_none() {
-            // The whole candidate sweep ships as one batch; each ZNE
-            // evaluation internally executes one job per (scale factor,
-            // measurement group).
-            let evals: Vec<(MitigationConfig, u64)> = candidates
-                .iter()
-                .enumerate()
-                .map(|(i, z)| {
-                    evaluations += 1;
-                    (base.clone().with_zne(z.clone()), 5_000_000 + i as u64)
-                })
-                .collect();
+    }
+
+    /// [`Self::tune`] without a cache session.
+    fn tune_cold(&self, params: &[f64], stages: &[Stage]) -> Result<TunedMitigation, VaqemError> {
+        Ok(self
+            .tune::<MitigationConfigStore>(params, stages, None)?
+            .tuned)
+    }
+
+    /// Runs one stage on top of `report.tuned.config` and folds its
+    /// outcome into `report`.
+    ///
+    /// Per unit, a cache hit adopts the stored value and a miss sweeps the
+    /// unit's candidates as one batch. The guard then keeps the assembled
+    /// configuration only if it measures no worse than the base. With a
+    /// session, an accepted run publishes its swept choices and a rejected
+    /// one discards the entries that seeded it. Returns the objective of
+    /// the kept setting (`NaN` when the guard reverted).
+    fn run_stage<S: MitigationStoreBackend>(
+        &self,
+        stage: Stage,
+        cache: &GroupSchedules,
+        report: &mut WarmTuneReport,
+        mut session: Option<&mut FleetCacheSession<'_, S>>,
+    ) -> Result<f64, VaqemError> {
+        let (tuned, stats) = (&mut report.tuned, &mut report.stats);
+        let base = std::mem::take(&mut tuned.config);
+        let calibration = session.as_deref().map(|s| s.calibration);
+        let (units, mut config) = stage.units(self, cache, &base, calibration)?;
+        let (first_job, guard_job) = stage.jobs();
+        let mut job = first_job;
+        let mut choices = Vec::with_capacity(units.len());
+        let (mut pending, mut seeded) = (Vec::new(), Vec::new());
+        let mut objective = f64::NAN;
+        for (i, unit) in units.iter().enumerate() {
+            if stage == Stage::Dd && unit.max == 0 {
+                // No room for one repetition: recorded, never tuned.
+                choices.extend(stage.choice(unit, i, &config, f64::NAN));
+                continue;
+            }
+            if let (Some(fp), Some(s)) = (unit.fingerprint, session.as_deref_mut()) {
+                let stored = s.store.lookup(s.device, s.epoch, &fp);
+                if let Some(o) = stored.and_then(|v| stage.adopt(unit, i, v, &mut config)) {
+                    stats.hits += 1;
+                    seeded.push(fp);
+                    objective = o;
+                    choices.extend(stage.choice(unit, i, &config, o));
+                    continue;
+                }
+                stats.misses += 1;
+            }
+            // The unit's whole sweep goes out as one parallel batch.
+            let trials = stage.trials(self, unit, i, &config)?;
+            let evals: Vec<(MitigationConfig, u64)> = trials.into_iter().zip(job..).collect();
+            job += evals.len() as u64;
+            tuned.evaluations += evals.len();
             let energies = self
                 .problem
                 .machine_energy_batch(self.backend, cache, &evals);
-            let mut best = 0usize;
-            for (i, e) in energies.iter().enumerate() {
-                if *e < energies[best] {
-                    best = i;
+            let mut energy = energies.iter();
+            let best = sweep_minimize(&evals, |_| {
+                *energy.next().expect("one energy per candidate")
+            });
+            (config, _) = best.best_candidate;
+            objective = best.best_value;
+            let choice = stage.choice(unit, i, &config, objective);
+            if let Some(fp) = unit.fingerprint {
+                pending.push((fp, stored(choice.as_ref(), &config, objective)));
+            }
+            choices.extend(choice);
+        }
+        tuned.config = config;
+        let accepted = self.guard(cache, &base, tuned, guard_job);
+        stats.guard_rejected |= !accepted;
+        if let Some(s) = session {
+            if accepted {
+                for (fp, value) in pending {
+                    s.store.publish(s.device, s.epoch, fp, value);
+                }
+            } else {
+                for fp in &seeded {
+                    s.store.discard(s.device, s.epoch, fp);
                 }
             }
-            chosen = Some((candidates[best].clone(), energies[best]));
-            swept = true;
         }
-        let (zne, objective) = chosen.expect("hit or swept");
-        let tuned = base.clone().with_zne(zne);
-        let (config, accepted) =
-            self.accept_or_revert(cache, base, tuned, 5_500_000, &mut evaluations);
-        stats.guard_rejected = !accepted;
-        // Folded-circuit accounting: the sweep (all candidates) plus the
-        // guard's tuned side executed ZNE evaluations; the guard's base
-        // side ran unfolded.
-        let zne_evaluations =
-            if swept { candidates.len() } else { 0 } + self.config.guard_repeats.max(1);
-        if let (Some(fp), Some(s)) = (fingerprint, session) {
-            if accepted && swept {
-                s.store.publish(
-                    s.device,
-                    s.epoch,
-                    fp,
-                    StoredChoice::Composed(ComposedChoice::from_config(&config, objective)),
-                );
-            } else if !accepted && seeded {
-                s.store.discard(s.device, s.epoch, &fp);
+        match stage {
+            Stage::Gs => tuned.gs_choices = choices,
+            Stage::Dd => tuned.dd_choices = choices,
+            // The sweeps and the guard's tuned side ran folded circuits.
+            Stage::Zne => {
+                tuned.zne_evaluations +=
+                    (job - first_job) as usize + self.config.guard_repeats.max(1)
             }
         }
-        Ok((
-            TunedMitigation {
-                config,
-                gs_choices: Vec::new(),
-                dd_choices: Vec::new(),
-                evaluations,
-                zne_evaluations,
-            },
-            stats,
-            if accepted { objective } else { f64::NAN },
-        ))
+        Ok(if accepted { objective } else { f64::NAN })
+    }
+
+    /// [`GS_DD_ZNE`] through the session's composed cache entry (see
+    /// [`Self::tune_combined_zne_warm`]).
+    fn tune_composed<S: MitigationStoreBackend>(
+        &self,
+        cache: &GroupSchedules,
+        s: &mut FleetCacheSession<'_, S>,
+    ) -> Result<WarmTuneReport, VaqemError> {
+        let mode = TuningMode::Composed(self.config.dd_sequence);
+        let fp = self.circuit_key(mode, cache, s.calibration)?;
+        let mut report = untuned();
+        if let Some(StoredChoice::Composed(c)) = s.store.lookup(s.device, s.epoch, &fp) {
+            let mut hit = untuned();
+            hit.tuned.config = c.to_config();
+            if self.guard(
+                cache,
+                &report.tuned.config,
+                &mut hit.tuned,
+                COMPOSED_GUARD_JOB,
+            ) {
+                if hit.tuned.config.zne.is_some() {
+                    hit.tuned.zne_evaluations = self.config.guard_repeats.max(1);
+                }
+                hit.stats.hits = 1;
+                return Ok(hit);
+            }
+            s.store.discard(s.device, s.epoch, &fp);
+            report.stats.guard_rejected = true;
+        }
+        let mut objective = f64::NAN;
+        for stage in GS_DD_ZNE {
+            objective = self.run_stage(stage, cache, &mut report, Some(&mut *s))?;
+        }
+        report.stats.misses += 1; // the composed lookup itself missed
+        let composed = stored(None, &report.tuned.config, objective);
+        s.store.publish(s.device, s.epoch, fp, composed);
+        Ok(report)
+    }
+
+    /// Tunes DD once per candidate sequence on `cache` and keeps the one
+    /// with the best fresh score (see [`Self::tune_dd_best_sequence`]).
+    fn best_sequence(
+        &self,
+        cache: &GroupSchedules,
+        candidates: &[DdSequence],
+    ) -> Result<(DdSequence, TunedMitigation), VaqemError> {
+        let r = self.config.guard_repeats.max(1);
+        // Candidate score streams must never overlap: stride by at least
+        // the guard width, and never less than the historical 10.
+        let stride = (r as u64).max(10);
+        let mut best: Option<(DdSequence, TunedMitigation, f64)> = None;
+        for (i, &seq) in candidates.iter().enumerate() {
+            let config = WindowTunerConfig {
+                dd_sequence: seq,
+                ..self.config.clone()
+            };
+            let mut run = untuned();
+            WindowTuner::new(self.problem, self.backend, config)
+                .run_stage::<MitigationConfigStore>(Stage::Dd, cache, &mut run, None)?;
+            let job = SEQUENCE_SCORE_JOB + stride * i as u64;
+            let score = self.guard_means(cache, &[&run.tuned.config], job)[0];
+            run.tuned.evaluations += r;
+            if !best.as_ref().is_some_and(|(_, _, s)| *s <= score) {
+                best = Some((seq, run.tuned, score));
+            }
+        }
+        let (seq, tuned, _) = best.expect("at least one sequence candidate");
+        Ok((seq, tuned))
     }
 }
 

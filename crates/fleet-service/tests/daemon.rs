@@ -289,6 +289,41 @@ fn zne_sessions_flow_through_the_daemon_unchanged() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn tuning_errors_reach_the_client_and_free_the_device() {
+    // An empty ZNE candidate list used to panic the pool worker: the
+    // caller saw a closed channel instead of an error, the device stayed
+    // busy for good, and shutdown() never returned. The tuner now refuses
+    // the configuration with a typed error.
+    let dir = temp_dir("tuning-error");
+    let mut cfg = config(&dir);
+    cfg.tuner.zne_candidates = Vec::new();
+    let devices = vec![device("fleet-east", 4242), device("fleet-west", 4242)];
+    let service =
+        FleetService::open(cfg, devices, problem(), SeedStream::new(4242)).expect("service opens");
+    let wait = std::time::Duration::from_secs(60);
+    let submit = |kind| {
+        let rx = service.submit(SessionRequest {
+            client: "c0".to_string(),
+            t_hours: 1.0,
+            params: params(),
+            device: Some(0),
+            kind,
+        });
+        rx.recv_timeout(wait).expect("the worker answers")
+    };
+    match submit(SessionKind::Zne) {
+        Err(SessionError::Tuning(message)) => assert!(message.contains("ZNE candidates")),
+        other => panic!("expected a typed tuning error, got {other:?}"),
+    }
+    let dd = submit(SessionKind::Dd).expect("the same device tunes again");
+    assert!(dd.misses > 0, "the DD session swept its windows");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(service.shutdown()));
+    (done_rx.recv_timeout(wait).expect("shutdown returns")).expect("checkpoint");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 fn request(client: &str, t_hours: f64, device: Option<usize>) -> SessionRequest {
     SessionRequest {
         client: client.to_string(),
