@@ -166,7 +166,10 @@ fn main() {
     let store_dir: PathBuf =
         std::env::temp_dir().join(format!("vaqem-extension-zne-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
-    println!("\ncomposed-config store at {}", store_dir.display());
+    // The store path holds the process id, so it goes to stderr: stdout
+    // stays a pure function of the seed.
+    println!();
+    eprintln!("composed-config store at {}", store_dir.display());
 
     // Deterministically scan machine seeds for a run whose composed
     // replay re-accepts (guard rejections under shot noise are legitimate
