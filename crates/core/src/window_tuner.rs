@@ -873,7 +873,9 @@ impl Stage {
                 .into_iter()
                 .map(|r| with(&|t| t.dd_repetitions[i] = r))
                 .collect(),
-            Stage::Zne => (cfg.zne_candidates.iter())
+            Stage::Zne => cfg
+                .zne_candidates
+                .iter()
                 .map(|z| with(&|t| t.zne = Some(z.clone())))
                 .collect(),
         })
@@ -1027,7 +1029,8 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
         job: u64,
     ) -> Vec<f64> {
         let r = self.config.guard_repeats.max(1);
-        let evals: Vec<(MitigationConfig, u64)> = (sides.iter())
+        let evals: Vec<(MitigationConfig, u64)> = sides
+            .iter()
             .flat_map(|cfg| std::iter::repeat_n(*cfg, r).cloned())
             .zip(job..)
             .collect();

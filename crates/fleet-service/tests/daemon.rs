@@ -291,10 +291,10 @@ fn zne_sessions_flow_through_the_daemon_unchanged() {
 
 #[test]
 fn tuning_errors_reach_the_client_and_free_the_device() {
-    // An empty ZNE candidate list used to panic the pool worker: the
-    // caller saw a closed channel instead of an error, the device stayed
-    // busy for good, and shutdown() never returned. The tuner now refuses
-    // the configuration with a typed error.
+    // An empty ZNE candidate list is a configuration error. It must
+    // reach the client as a typed error, not as a closed channel from a
+    // dead worker, and the device and shutdown() must not stall behind
+    // it.
     let dir = temp_dir("tuning-error");
     let mut cfg = config(&dir);
     cfg.tuner.zne_candidates = Vec::new();
