@@ -361,8 +361,7 @@ pub fn run_pipeline_with_cache<S: MitigationStoreBackend>(
 
     // Phase (b) part 2: all final evaluations — every strategy times every
     // repeat — go out as one batch per backend (MEM on vs. off), through
-    // Executor::run_batch. Job indices match the historical sequential
-    // path: repeat r of any strategy evaluates at job 500_000 + r.
+    // Executor::run_batch.
     let repeats = config.eval_repeats.max(1);
     let energies = evaluate_resolved(
         problem,
