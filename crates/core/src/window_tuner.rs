@@ -715,7 +715,8 @@ pub struct FleetCacheSession<'a, S: MitigationStoreBackend = MitigationConfigSto
 
 /// A stage of the variational loop (paper §VI-C): one mitigation knob,
 /// swept unit by unit against the VQA objective, then gated by the §IX-C
-/// guard against the configuration the previous stage kept.
+/// guard against the configuration the previous stage kept — so a
+/// composition can only improve, stage by stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Stage {
     /// Gate positions, one unit per movable window of the baseline
