@@ -14,6 +14,8 @@
 //! - Mid-frame disconnect: a peer vanishing halfway through a frame
 //!   (with a session still in flight) leaves the daemon quiescent —
 //!   no decode errors, no stalls, other connections keep completing.
+//!   A submit pinned to a device the fleet lacks gets a typed protocol
+//!   error, and the same connection keeps serving.
 
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -534,6 +536,25 @@ fn mid_frame_disconnect_and_bad_preamble_leave_the_daemon_quiescent() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+
+    // A well-framed submit pinned to a device the fleet lacks is
+    // answered with a typed protocol error on the same connection; the
+    // reactor never indexes by it, and the next session completes.
+    let bad = healthy
+        .submit(SessionRequest {
+            device: Some(99),
+            ..request(1.0)
+        })
+        .unwrap();
+    match healthy.await_result(bad).expect("reply") {
+        Err(SessionError::Protocol(msg)) => assert!(msg.contains("99"), "{msg}"),
+        other => panic!("expected a typed protocol error, got {other:?}"),
+    }
+    let token = healthy.submit(request(1.0)).unwrap();
+    healthy
+        .await_result(token)
+        .expect("reply")
+        .expect("tuning ok after the rejected submit");
 
     healthy.shutdown().expect("acked goodbye");
     server.stop();

@@ -672,6 +672,17 @@ impl Reactor {
 
     fn handle_arrive(&mut self, request: SessionRequest, reply: Reply) {
         self.counters.arrivals += 1;
+        // A pinned device must exist before anything indexes by it. The
+        // in-process `submit` asserts this; a wire frame can carry any
+        // index, so the remote client gets a typed protocol error.
+        if let Some(d) = request.device.filter(|&d| d >= self.lanes.len()) {
+            let msg = format!(
+                "device index {d} out of range ({} devices)",
+                self.lanes.len()
+            );
+            self.answer(reply, Err(SessionError::Protocol(msg)));
+            return;
+        }
         // Queue-aware admission: the pinned device, or the one
         // minimizing sampled queue wait + projected backlog (ties to the
         // lowest index — see `scheduler::admit`).
