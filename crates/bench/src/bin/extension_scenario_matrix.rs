@@ -6,6 +6,7 @@
 //! cell's tenant contention phase — asserting per cell:
 //!
 //! * the DRR starvation bound on the contention device,
+//! * the light tenants' fair window in the bursty cells,
 //! * quota reserve == settle accounting against the harness's log,
 //! * warm < cold machine-minute cost,
 //! * kill-and-restart recovery with the warm-hit rate preserved,

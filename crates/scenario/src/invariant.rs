@@ -96,6 +96,52 @@ pub fn starvation_bound(order: &[String], submitted: &[(String, usize)]) -> Inva
     )
 }
 
+/// Checks that fair arbitration pulls light tenants ahead of a heavy
+/// backlog: every session of every client but `heavy` completes within
+/// the first `tenants x light_n + 1` positions of `order`, where
+/// `light_n` is the largest light submission count. With equal weights
+/// each rotation serves every tenant once, and the `+ 1` is the heavy
+/// session already running when the lights arrived. FIFO would complete
+/// the lights last, behind the whole heavy backlog — an order the
+/// starvation bound alone still accepts.
+pub(crate) fn fair_window(
+    order: &[String],
+    submitted: &[(String, usize)],
+    heavy: &str,
+) -> InvariantOutcome {
+    const NAME: &str = "fair_window";
+    let lights = submitted.iter().filter(|(c, _)| c != heavy);
+    let light_n = lights.clone().map(|(_, n)| *n).max().unwrap_or(0);
+    let window = submitted.len() * light_n + 1;
+    for (light, _) in lights {
+        match order.iter().rposition(|c| c == light) {
+            Some(last) if last < window => {}
+            Some(last) => {
+                return InvariantOutcome::new(
+                    NAME,
+                    false,
+                    format!(
+                        "light client {light} finished at position {last}, outside the fair \
+                         window of {window} (order {order:?})"
+                    ),
+                )
+            }
+            None => {
+                return InvariantOutcome::new(
+                    NAME,
+                    false,
+                    format!("light client {light} never completed (order {order:?})"),
+                )
+            }
+        }
+    }
+    InvariantOutcome::new(
+        NAME,
+        true,
+        format!("every light session completed within the first {window} positions"),
+    )
+}
+
 /// Checks quota reserve == settle accounting against the final metrics
 /// report: the drained ledger must hold zero in-flight sessions and
 /// zero reserved minutes for every client, and each client's
@@ -251,6 +297,27 @@ mod tests {
     fn missing_completions_fail_the_bound() {
         let out = starvation_bound(&order(&["a"]), &submitted(&[("a", 2)]));
         assert!(!out.pass);
+    }
+
+    #[test]
+    fn fair_window_accepts_drr_and_catches_fifo() {
+        let submitted = submitted(&[("heavy", 4), ("light-a", 1), ("light-b", 1), ("light-c", 1)]);
+        // DRR: one heavy session was running when the lights arrived,
+        // then one rotation serves each light.
+        let drr = order(&[
+            "heavy", "light-a", "light-b", "light-c", "heavy", "heavy", "heavy",
+        ]);
+        let out = fair_window(&drr, &submitted, "heavy");
+        assert!(out.pass, "{}", out.detail);
+        // FIFO parks the lights at positions 4, 5 and 6, behind the whole
+        // heavy backlog; the starvation bound still accepts that order.
+        let fifo = order(&[
+            "heavy", "heavy", "heavy", "heavy", "light-a", "light-b", "light-c",
+        ]);
+        assert!(starvation_bound(&fifo, &submitted).pass);
+        let out = fair_window(&fifo, &submitted, "heavy");
+        assert!(!out.pass);
+        assert!(out.detail.contains("light-b"), "{}", out.detail);
     }
 
     #[test]

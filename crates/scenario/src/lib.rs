@@ -17,6 +17,8 @@
 //!
 //! * **DRR starvation bound** on the contention device's completion
 //!   order (every backlogged client keeps its weight share, minus one);
+//! * **fair window** in the bursty cells: every light tenant completes
+//!   inside the first rotation after a heavy backlog, which FIFO fails;
 //! * **quota accounting**: reservations settle exactly once — the
 //!   drained ledger holds zero in-flight sessions and zero reserved
 //!   minutes, and `completed + rejected` matches what the harness

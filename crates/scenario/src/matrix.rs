@@ -30,8 +30,8 @@ use std::sync::mpsc::Receiver;
 use std::time::{Duration, Instant};
 
 use crate::invariant::{
-    quota_accounting, restart_recovery, starvation_bound, warm_cheaper_than_cold, warm_cold_parity,
-    InvariantOutcome,
+    fair_window, quota_accounting, restart_recovery, starvation_bound, warm_cheaper_than_cold,
+    warm_cold_parity, InvariantOutcome,
 };
 use crate::report::{CellReport, MatrixReport};
 use crate::tenant::TenantBehavior;
@@ -471,7 +471,8 @@ fn completion_order(
 
 /// Drives the cell's tenant behavior against device 0 and returns the
 /// behavior's invariant verdicts (always including the DRR starvation
-/// bound over the phase's completion order).
+/// bound over the phase's completion order, plus the fair window in the
+/// bursty cells).
 fn run_tenant_phase(
     service: &FleetService,
     tenant: TenantBehavior,
@@ -512,6 +513,7 @@ fn run_tenant_phase(
                 .chain(lights.iter().map(|c| (c.to_string(), 1)))
                 .collect();
             invariants.push(starvation_bound(&order, &submitted));
+            invariants.push(fair_window(&order, &submitted, "heavy"));
         }
         TenantBehavior::Greedy => {
             // A blocker occupies the device so the greedy burst queues;

@@ -35,11 +35,19 @@ fn reduced_grid_holds_every_invariant_in_every_cell() {
         assert!(names.contains(&"starvation_bound"), "{names:?}");
         assert!(names.contains(&"quota_accounting"), "{names:?}");
     }
-    // The greedy cells additionally record the typed quota rejection.
+    // The greedy cells additionally record the typed quota rejection,
+    // and the bursty cells the fair window the starvation bound alone
+    // cannot tell from FIFO.
     for cell in report.cells.iter().filter(|c| c.tenant == "greedy") {
         assert!(
             cell.invariants.iter().any(|i| i.name == "quota_rejection"),
             "greedy cell must probe the in-flight cap"
+        );
+    }
+    for cell in report.cells.iter().filter(|c| c.tenant == "bursty") {
+        assert!(
+            cell.invariants.iter().any(|i| i.name == "fair_window"),
+            "bursty cell must check the light tenants' fair window"
         );
     }
 
