@@ -575,6 +575,17 @@ fn metrics_report_is_structured_and_prints() {
         .sum();
     assert!(attributed_misses > 0, "cold round misses are attributed");
     assert_eq!(report.shards.len(), 8);
+    // Each device routes to a shard of its own, and sessions serialize
+    // per device, so no shard lock ever blocks.
+    let store = service.store();
+    assert_ne!(store.shard_of("fleet-east"), store.shard_of("fleet-west"));
+    let contended: u64 = report.shards.iter().map(|s| s.lock_contended).sum();
+    assert_eq!(contended, 0, "cross-device shard contention");
+    assert!(
+        report.events.checkpoint_ticks >= report.events.completions,
+        "every completion ticks the compaction policy"
+    );
+    assert_eq!(report.events.compaction_errors, 0);
     assert!(report.store_entries > 0);
     assert_eq!(report.workers_idle, report.workers_total);
     let rendered = report.to_string();
