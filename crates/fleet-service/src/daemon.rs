@@ -51,10 +51,9 @@
 //! # Determinism
 //!
 //! Per-device trajectory streams are derived from the root seed and the
-//! device name, exactly as in the single-threaded `extension_fleet_cache`
-//! replay — so a session's tuned result is independent of which client
-//! submitted first, and N concurrent clients tuning identical
-//! fingerprints converge to the single-threaded replay's configs
+//! device name — so a session's tuned result is independent of which
+//! client submitted first, and N concurrent clients tuning identical
+//! fingerprints converge to a single-threaded replay's configs
 //! (`tests/fleet_service.rs` pins this). Scheduling itself is a pure
 //! function of the event order: the DRR dispatch sequence and quota
 //! verdicts contain no RNG and no wall clocks.
@@ -507,8 +506,8 @@ impl FleetService {
     /// **no checkpoint** — the append-only journal is the only durable
     /// record, exactly as after a process kill. The next
     /// [`FleetService::open`] on the same directory must rebuild the
-    /// store by journal replay (`extension_fleet_service` exercises
-    /// this mid-run).
+    /// store by journal replay (the daemon tests and every scenario-grid
+    /// cell exercise this).
     pub fn halt(self) {
         let _ = self.stop();
     }

@@ -6,9 +6,7 @@
 //! instead asks a [`DeviceArbiter`] for the next session whenever a
 //! device frees up. The arbiter is a thin daemon-facing wrapper around
 //! the fleet-wide arbitration policy,
-//! [`vaqem_runtime::fleet::DrrQueue`] — the *same* type
-//! `schedule_sessions_fair` drives offline, so the makespan model and
-//! the live service can never disagree about dispatch order.
+//! [`vaqem_runtime::fleet::DrrQueue`].
 //!
 //! # Semantics
 //!
@@ -22,8 +20,9 @@
 //!   completed-session count never falls below its weight-proportional
 //!   share by more than one session per device
 //!   (`tests/fairness_props.rs` pins the bound under arbitrary arrival
-//!   interleavings; the skewed-tenant `extension_fleet_service` replay
-//!   asserts it end to end).
+//!   interleavings; the scenario grid asserts it end to end in every
+//!   cell, and its bursty cells also check that light tenants finish
+//!   inside the first rotation after a heavy backlog).
 
 use vaqem_runtime::fleet::{DrrLaneSnapshot, DrrQueue};
 

@@ -5,9 +5,7 @@
 //! optimizing the small term. This module folds the cost model's
 //! per-device queue-wait samples
 //! ([`CostModel::queuing_minutes`]) into placement: a session is admitted
-//! to the device minimizing `queue_wait + projected backlog`, and the
-//! resulting timeline is priced with
-//! [`vaqem_runtime::fleet::schedule_sessions_queued`].
+//! to the device minimizing `queue_wait + projected backlog`.
 //!
 //! Everything here is deterministic: queue waits are a pure function of
 //! `(seed, device label)`, and ties break toward the lower device index.
@@ -16,8 +14,7 @@ use vaqem_mathkit::rng::SeedStream;
 use vaqem_runtime::cost::{AngleTuningMode, CostModel, WorkloadProfile};
 
 /// Deterministic queue-wait samples, one per device, keyed by the device
-/// label — the admission-side counterpart of the
-/// `schedule_sessions_queued` pricing.
+/// label — the waits [`admit`] adds to each device's projected backlog.
 pub fn device_queue_minutes(
     cost: &CostModel,
     seeds: &SeedStream,

@@ -91,7 +91,7 @@ pub const DEFAULT_SEED: u64 = 0x5641_5145_4d32_3032;
 pub const SEED_ENV_VAR: &str = "VAQEM_SEED";
 
 /// Legacy alias of [`SEED_ENV_VAR`] kept readable so existing
-/// `VAQEM_FLEET_SEED=...` invocations of the fleet replay keep working.
+/// `VAQEM_FLEET_SEED=...` invocations keep working.
 pub const LEGACY_SEED_ENV_VAR: &str = "VAQEM_FLEET_SEED";
 
 /// The one root-seed override hook for replay binaries and harnesses.

@@ -194,7 +194,7 @@ impl CostModel {
     /// machine objective `evaluations`, dispatched as `batches` batched
     /// submissions with the jobs pooled across `dispatch.workers` lanes.
     ///
-    /// This is the pricing primitive the fleet replay uses: the warm-start
+    /// This is the pricing primitive the fleet daemon uses: the warm-start
     /// tuner reports exactly how many evaluations it spent (cache hits
     /// skip their window's sweep entirely), and this converts that count
     /// into machine minutes. One evaluation executes one job per

@@ -1,173 +1,15 @@
-//! Fleet-level scheduling: many VQA clients, few shared devices.
-//!
-//! The ROADMAP's north star is "millions of users"; the unit of contention
-//! on a quantum cloud is the per-client EM-tuning session (the dominant
-//! machine-time cost, Fig. 15). This module answers the throughput
-//! question cluster-evaluation work frames as *jobs per hour under
-//! contention*: given per-session minutes (measured or priced by
-//! [`crate::cost::CostModel`]), how long does a fleet of clients take on a
-//! pool of devices, and how much does the warm-start cache buy?
-//!
-//! The model is deliberately simple and deterministic: each device
-//! serializes its sessions (a tuning session holds the machine), clients
-//! are assigned round-robin, and the fleet finishes when its slowest
-//! device drains. No RNG is involved, so a replay is bit-reproducible.
-//!
-//! # Fair arbitration
-//!
-//! [`DrrQueue`] is the fleet's single arbitration policy: deficit-
-//! round-robin weighted fair queueing across clients. The live daemon
-//! (`vaqem-fleet-service`) instantiates one per device to pick the next
-//! session, and [`schedule_sessions_fair`] drives the *same* type to
-//! predict the offline makespan and completion order — model and service
-//! can never disagree about who runs next.
+//! Fleet arbitration: [`DrrQueue`], the deficit-round-robin weighted
+//! fair queue across clients. The live daemon (`vaqem-fleet-service`)
+//! keeps one per device and asks it for the next session whenever the
+//! device frees up.
 
 use std::collections::VecDeque;
 
-/// One client's EM-tuning session on one device.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TuningSession {
-    /// Client label (reporting only).
-    pub client: String,
-    /// Index of the device the session runs on.
-    pub device: usize,
-    /// Machine minutes the session occupies its device.
-    pub minutes: f64,
-}
-
-/// The fleet timeline that results from draining a set of sessions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetSchedule {
-    /// Busy minutes accumulated per device (machine time only — queue
-    /// waits are tracked separately in [`Self::device_queue_min`]).
-    pub device_busy_min: Vec<f64>,
-    /// Queue-wait minutes charged per device before its sessions start.
-    /// All zeros unless built by [`schedule_sessions_queued`]; idle time
-    /// in a cloud queue is wall-clock, never machine time, so it extends
-    /// the makespan without inflating [`Self::total_machine_min`].
-    pub device_queue_min: Vec<f64>,
-    /// Number of sessions scheduled.
-    pub sessions: usize,
-}
-
-impl FleetSchedule {
-    /// Fleet makespan: minutes until the slowest device drains (its
-    /// queue wait plus its busy minutes).
-    pub fn makespan_min(&self) -> f64 {
-        self.device_busy_min
-            .iter()
-            .zip(&self.device_queue_min)
-            .fold(0.0, |a, (&b, &q)| a.max(b + q))
-    }
-
-    /// Total machine minutes consumed across the fleet (queue waits
-    /// excluded — nothing executes while a session queues).
-    pub fn total_machine_min(&self) -> f64 {
-        self.device_busy_min.iter().sum()
-    }
-
-    /// Throughput: tuning sessions completed per wall-clock hour
-    /// (0 when no session ran).
-    pub fn sessions_per_hour(&self) -> f64 {
-        let makespan = self.makespan_min();
-        if makespan <= 0.0 {
-            0.0
-        } else {
-            self.sessions as f64 * 60.0 / makespan
-        }
-    }
-
-    /// Load imbalance: makespan over the ideal (perfectly balanced)
-    /// drain time. 1.0 means perfectly balanced; larger means one device
-    /// is the bottleneck.
-    pub fn imbalance(&self) -> f64 {
-        let ideal = self.total_machine_min() / self.device_busy_min.len().max(1) as f64;
-        if ideal <= 0.0 {
-            1.0
-        } else {
-            self.makespan_min() / ideal
-        }
-    }
-}
-
-/// Assigns device `i % num_devices` to the `i`-th client — the fleet
-/// replay's deterministic placement policy.
-pub fn round_robin_device(client_index: usize, num_devices: usize) -> usize {
-    assert!(num_devices > 0, "fleet needs at least one device");
-    client_index % num_devices
-}
-
-/// Drains `sessions` over `num_devices` serializing devices.
-///
-/// # Panics
-///
-/// Panics when `num_devices` is zero or a session names a device out of
-/// range.
-pub fn schedule_sessions(num_devices: usize, sessions: &[TuningSession]) -> FleetSchedule {
-    assert!(num_devices > 0, "fleet needs at least one device");
-    let mut busy = vec![0.0f64; num_devices];
-    for s in sessions {
-        assert!(
-            s.device < num_devices,
-            "session {} targets device {} of {}",
-            s.client,
-            s.device,
-            num_devices
-        );
-        assert!(s.minutes >= 0.0, "negative session time");
-        busy[s.device] += s.minutes;
-    }
-    FleetSchedule {
-        device_queue_min: vec![0.0; num_devices],
-        device_busy_min: busy,
-        sessions: sessions.len(),
-    }
-}
-
-/// [`schedule_sessions`] with cloud queuing folded in: each device that
-/// runs at least one session first pays its queue wait (minutes, e.g.
-/// sampled from [`crate::cost::CostModel::queuing_minutes`]) before its
-/// sessions drain. Devices with no sessions stay idle and pay nothing —
-/// queue waits are per held block, not per existing machine.
-///
-/// This is the ROADMAP's "queueing-aware fleet scheduler" primitive: the
-/// makespan now reflects that a lightly-loaded device behind a long queue
-/// can still be the fleet bottleneck.
-///
-/// # Panics
-///
-/// Panics when `num_devices` is zero, `queue_min.len() != num_devices`, a
-/// queue wait is negative, or a session names a device out of range.
-pub fn schedule_sessions_queued(
-    num_devices: usize,
-    sessions: &[TuningSession],
-    queue_min: &[f64],
-) -> FleetSchedule {
-    assert_eq!(
-        queue_min.len(),
-        num_devices,
-        "one queue wait per device required"
-    );
-    assert!(queue_min.iter().all(|&q| q >= 0.0), "negative queue wait");
-    let mut schedule = schedule_sessions(num_devices, sessions);
-    let mut used = vec![false; num_devices];
-    for s in sessions {
-        used[s.device] = true;
-    }
-    for (d, queue) in schedule.device_queue_min.iter_mut().enumerate() {
-        if used[d] {
-            *queue = queue_min[d];
-        }
-    }
-    schedule
-}
-
 /// A deficit-round-robin (DRR) weighted fair queue over per-client lanes.
 ///
-/// This is the fleet's arbitration policy, shared by the live daemon
-/// (one `DrrQueue` per device) and the offline
-/// [`schedule_sessions_fair`] model. Lanes are visited in registration
-/// order (ties between equally-eligible lanes always break toward the
+/// This is the fleet's arbitration policy (the live daemon keeps one
+/// `DrrQueue` per device). Lanes are visited in registration order
+/// (ties between equally-eligible lanes always break toward the
 /// **lowest lane index**, i.e. earliest registration); on each visit a
 /// lane is granted `weight x quantum` minutes of deficit, serves queued
 /// items while its deficit covers their cost, and carries the remainder
@@ -360,249 +202,9 @@ impl<T> DrrQueue<T> {
     }
 }
 
-/// A [`FleetSchedule`] plus the per-device session completion order the
-/// DRR arbiter produced — the offline counterpart of the live daemon's
-/// dispatch log, used to audit starvation-freedom without running the
-/// service.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FairFleetSchedule {
-    /// The priced timeline (same accounting as
-    /// [`schedule_sessions_queued`]).
-    pub schedule: FleetSchedule,
-    /// Per device: the client label of each completed session, in
-    /// completion order.
-    pub completion_order: Vec<Vec<String>>,
-}
-
-/// Drains `sessions` over `num_devices` serializing devices with
-/// **deficit-round-robin weighted fair queueing** across clients on each
-/// device — the same [`DrrQueue`] policy the live daemon dispatches
-/// with. `weights` overrides per-client weights (unlisted clients weigh
-/// 1); lanes are registered in first-appearance order of `sessions`, so
-/// the dispatch order is a pure function of the inputs.
-///
-/// The timeline is accumulated **from the DRR drain itself**: each
-/// dispatched session adds its minutes to its device, and a device that
-/// dispatched at least one session pays its queue wait, exactly as in
-/// [`schedule_sessions_queued`]. Comparing the two is therefore a real
-/// conservation check on the arbiter — a `DrrQueue` that dropped,
-/// duplicated, or misrouted a session would produce a different
-/// timeline. Because every device serializes its sessions, a correct
-/// drain yields the same makespan and machine minutes as FIFO: fairness
-/// reorders *who waits*, never how long the device works, so a uniform
-/// workload never loses throughput to it (pinned by a unit test, a
-/// proptest, and the fleet replay). What changes is
-/// [`FairFleetSchedule::completion_order`], where light clients no
-/// longer trail a heavy tenant's backlog.
-///
-/// The per-visit quantum is each device's largest single session, so
-/// every backlogged client is served on every rotation (the
-/// starvation-freedom bound in [`DrrQueue`]).
-///
-/// # Panics
-///
-/// Panics as [`schedule_sessions_queued`] does (empty fleet, queue
-/// vector length mismatch, negative waits, out-of-range device,
-/// negative minutes), and when a weight override is zero.
-pub fn schedule_sessions_fair(
-    num_devices: usize,
-    sessions: &[TuningSession],
-    weights: &[(String, u32)],
-    queue_min: &[f64],
-) -> FairFleetSchedule {
-    assert!(num_devices > 0, "fleet needs at least one device");
-    assert_eq!(
-        queue_min.len(),
-        num_devices,
-        "one queue wait per device required"
-    );
-    assert!(queue_min.iter().all(|&q| q >= 0.0), "negative queue wait");
-    for s in sessions {
-        assert!(
-            s.device < num_devices,
-            "session {} targets device {} of {}",
-            s.client,
-            s.device,
-            num_devices
-        );
-    }
-    let weight_of = |client: &str| {
-        weights
-            .iter()
-            .find(|(c, _)| c == client)
-            .map(|&(_, w)| w)
-            .unwrap_or(1)
-    };
-    let mut schedule = FleetSchedule {
-        device_busy_min: vec![0.0; num_devices],
-        device_queue_min: vec![0.0; num_devices],
-        sessions: 0,
-    };
-    let mut completion_order = Vec::with_capacity(num_devices);
-    for (device, &wait_min) in queue_min.iter().enumerate() {
-        let device_sessions: Vec<&TuningSession> =
-            sessions.iter().filter(|s| s.device == device).collect();
-        if device_sessions.is_empty() {
-            completion_order.push(Vec::new());
-            continue;
-        }
-        let quantum = device_sessions
-            .iter()
-            .map(|s| s.minutes)
-            .fold(0.0f64, f64::max)
-            .max(1e-9);
-        let mut arbiter: DrrQueue<()> = DrrQueue::new(quantum);
-        for s in &device_sessions {
-            arbiter.register(&s.client, weight_of(&s.client));
-            arbiter.enqueue(&s.client, s.minutes, ());
-        }
-        // The device's timeline is what the arbiter actually dispatches.
-        let mut order = Vec::with_capacity(device_sessions.len());
-        while let Some((client, minutes, ())) = arbiter.dispatch_next() {
-            schedule.device_busy_min[device] += minutes;
-            schedule.sessions += 1;
-            order.push(client);
-        }
-        schedule.device_queue_min[device] = wait_min;
-        completion_order.push(order);
-    }
-    FairFleetSchedule {
-        schedule,
-        completion_order,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn session(client: &str, device: usize, minutes: f64) -> TuningSession {
-        TuningSession {
-            client: client.into(),
-            device,
-            minutes,
-        }
-    }
-
-    #[test]
-    fn devices_serialize_their_sessions() {
-        let s = schedule_sessions(
-            2,
-            &[
-                session("c0", 0, 10.0),
-                session("c1", 1, 5.0),
-                session("c2", 0, 7.0),
-            ],
-        );
-        assert_eq!(s.device_busy_min, vec![17.0, 5.0]);
-        assert_eq!(s.makespan_min(), 17.0);
-        assert_eq!(s.total_machine_min(), 22.0);
-        assert_eq!(s.sessions, 3);
-    }
-
-    #[test]
-    fn throughput_and_imbalance() {
-        let s = schedule_sessions(2, &[session("a", 0, 30.0), session("b", 1, 30.0)]);
-        assert!((s.sessions_per_hour() - 4.0).abs() < 1e-12);
-        assert!((s.imbalance() - 1.0).abs() < 1e-12);
-        let skewed = schedule_sessions(2, &[session("a", 0, 30.0), session("b", 0, 30.0)]);
-        assert!(skewed.imbalance() > 1.9);
-        assert!(skewed.sessions_per_hour() < s.sessions_per_hour());
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        assert_eq!(round_robin_device(0, 3), 0);
-        assert_eq!(round_robin_device(4, 3), 1);
-    }
-
-    #[test]
-    fn empty_fleet_is_defined() {
-        let s = schedule_sessions(3, &[]);
-        assert_eq!(s.makespan_min(), 0.0);
-        assert_eq!(s.sessions_per_hour(), 0.0);
-        assert_eq!(s.imbalance(), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "device")]
-    fn out_of_range_device_rejected() {
-        schedule_sessions(1, &[session("c", 1, 1.0)]);
-    }
-
-    #[test]
-    fn queued_schedule_charges_only_used_devices() {
-        let sessions = [session("a", 0, 10.0), session("b", 0, 5.0)];
-        let s = schedule_sessions_queued(2, &sessions, &[7.0, 1000.0]);
-        assert_eq!(
-            s.device_queue_min,
-            vec![7.0, 0.0],
-            "idle device pays no queue"
-        );
-        assert_eq!(s.makespan_min(), 22.0);
-        assert_eq!(
-            s.total_machine_min(),
-            15.0,
-            "queue waits never count as machine time"
-        );
-    }
-
-    #[test]
-    fn queuing_minutes_feed_pins_the_makespan() {
-        // The ROADMAP "Concurrency" item: CostModel::queuing_minutes flows
-        // into the fleet schedule. The sampled waits are deterministic per
-        // (seed, device label), so the queued makespan is pinned to the
-        // recomputed expectation and reproducible run to run.
-        use crate::cost::{AngleTuningMode, CostModel, WorkloadProfile};
-        use vaqem_mathkit::rng::SeedStream;
-        let model = CostModel::ibm_cloud_2021();
-        let seeds = SeedStream::new(77);
-        let profile = WorkloadProfile {
-            num_qubits: 4,
-            circuit_ns: 12_000.0,
-            iterations: 100,
-            measurement_groups: 2,
-            windows: 12,
-            sweep_resolution: 4,
-            shots: 512,
-        };
-        let queue: Vec<f64> = ["fleet-east", "fleet-west"]
-            .iter()
-            .map(|d| model.queuing_minutes(&profile, AngleTuningMode::IdealSimulation, &seeds, d))
-            .collect();
-        assert!(queue.iter().all(|&q| q > 0.0));
-        let sessions = [
-            session("c0", 0, 30.0),
-            session("c1", 1, 30.0),
-            session("c2", 0, 10.0),
-        ];
-        let queued = schedule_sessions_queued(2, &sessions, &queue);
-        let plain = schedule_sessions(2, &sessions);
-        let expected = (40.0 + queue[0]).max(30.0 + queue[1]);
-        assert!((queued.makespan_min() - expected).abs() < 1e-12);
-        assert!(queued.makespan_min() > plain.makespan_min());
-        assert_eq!(
-            queued.total_machine_min(),
-            plain.total_machine_min(),
-            "queuing extends the makespan, not the machine bill"
-        );
-        // Replays are bit-identical: same seed, same labels, same makespan.
-        let queue2: Vec<f64> = ["fleet-east", "fleet-west"]
-            .iter()
-            .map(|d| model.queuing_minutes(&profile, AngleTuningMode::IdealSimulation, &seeds, d))
-            .collect();
-        assert_eq!(queue, queue2);
-        assert_eq!(
-            schedule_sessions_queued(2, &sessions, &queue2).makespan_min(),
-            queued.makespan_min()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "queue wait")]
-    fn queue_vector_length_must_match() {
-        schedule_sessions_queued(2, &[], &[1.0]);
-    }
 
     #[test]
     fn drr_equal_weights_round_robin() {
@@ -706,59 +308,5 @@ mod tests {
     fn drr_rejects_zero_weight() {
         let mut q: DrrQueue<()> = DrrQueue::new(1.0);
         q.register("a", 0);
-    }
-
-    #[test]
-    fn fair_schedule_matches_fifo_throughput_and_interleaves() {
-        // One heavy client (4 sessions) vs two light ones (1 each), all
-        // on device 0. Fairness cannot change the makespan (the device
-        // serializes either way) but must reorder completions so the
-        // light clients finish inside the first rotation instead of
-        // behind the heavy backlog.
-        let mut sessions = vec![
-            session("heavy", 0, 10.0),
-            session("heavy", 0, 10.0),
-            session("heavy", 0, 10.0),
-            session("heavy", 0, 10.0),
-        ];
-        sessions.push(session("light-a", 0, 10.0));
-        sessions.push(session("light-b", 0, 10.0));
-        let queue = [5.0];
-        let fifo = schedule_sessions_queued(1, &sessions, &queue);
-        let fair = schedule_sessions_fair(1, &sessions, &[], &queue);
-        assert_eq!(fair.schedule.makespan_min(), fifo.makespan_min());
-        assert_eq!(
-            fair.schedule.sessions_per_hour(),
-            fifo.sessions_per_hour(),
-            "fairness never costs uniform throughput"
-        );
-        let order = &fair.completion_order[0];
-        assert_eq!(order.len(), 6);
-        // Every client completes within the first rotation (3 clients):
-        // the light tenants are not parked behind heavy's backlog.
-        assert!(order[..3].contains(&"light-a".to_string()));
-        assert!(order[..3].contains(&"light-b".to_string()));
-        assert_eq!(order.iter().filter(|c| *c == "heavy").count(), 4);
-    }
-
-    #[test]
-    fn fair_schedule_honours_weight_overrides() {
-        let sessions: Vec<TuningSession> = (0..8)
-            .map(|i| session(if i % 2 == 0 { "gold" } else { "econ" }, 0, 1.0))
-            .collect();
-        let fair = schedule_sessions_fair(1, &sessions, &[("gold".to_string(), 3)], &[0.0]);
-        // First rotation: gold's weight-3 burst, then econ's single slot.
-        assert_eq!(
-            fair.completion_order[0][..4],
-            ["gold", "gold", "gold", "econ"].map(String::from)
-        );
-    }
-
-    #[test]
-    fn fair_schedule_empty_devices_are_defined() {
-        let fair = schedule_sessions_fair(2, &[session("c", 1, 4.0)], &[], &[9.0, 2.0]);
-        assert_eq!(fair.completion_order[0], Vec::<String>::new());
-        assert_eq!(fair.completion_order[1], vec!["c".to_string()]);
-        assert_eq!(fair.schedule.makespan_min(), 6.0);
     }
 }

@@ -24,12 +24,8 @@
 //! * [`persist`] — restart survival: a handwritten byte [`persist::Codec`],
 //!   a versioned snapshot + append-only journal, and
 //!   [`persist::DurableStore`] tying both to a sharded store.
-//! * [`fleet`] — deterministic contention scheduling: N clients' tuning
-//!   sessions draining over D serializing devices (optionally behind
-//!   per-device queue waits), reported as makespan, machine minutes, and
-//!   sessions/hour — plus [`fleet::DrrQueue`], the deficit-round-robin
-//!   weighted fair queueing policy the live daemon and the offline
-//!   [`fleet::schedule_sessions_fair`] model share.
+//! * [`fleet`] — [`fleet::DrrQueue`], the deficit-round-robin weighted
+//!   fair queueing policy the live daemon arbitrates each device with.
 //! * [`json`] — the handwritten JSON document builder the structured
 //!   reports (`metrics_report()` dumps, the scenario-matrix grid) render
 //!   through, with the key-path flattening golden-schema tests pin.
@@ -55,9 +51,7 @@
 //!
 //! ```
 //! use vaqem_runtime::{
-//!     cache::ConfigStore,
-//!     fleet::{schedule_sessions, TuningSession},
-//!     AngleTuningMode, BatchDispatch, CostModel, WorkloadProfile,
+//!     cache::ConfigStore, AngleTuningMode, BatchDispatch, CostModel, WorkloadProfile,
 //! };
 //!
 //! let model = CostModel::ibm_cloud_2021();
@@ -76,18 +70,6 @@
 //! let cold = model.em_tuning_minutes_batched(&profile, &dispatch);
 //! let warm = model.em_tuning_minutes_warm(&profile, &dispatch, 1.0, 4);
 //! assert!(warm < cold);
-//!
-//! // A two-device fleet drains two cold clients and two warm ones.
-//! let sessions: Vec<TuningSession> = (0..4)
-//!     .map(|i| TuningSession {
-//!         client: format!("client-{i}"),
-//!         device: i % 2,
-//!         minutes: if i < 2 { cold } else { warm },
-//!     })
-//!     .collect();
-//! let timeline = schedule_sessions(2, &sessions);
-//! assert_eq!(timeline.sessions, 4);
-//! assert!(timeline.makespan_min() < 2.0 * cold);
 //!
 //! // The store that produces those warm hits.
 //! let mut store: ConfigStore<u64, usize> = ConfigStore::new(1024);
@@ -115,10 +97,7 @@ pub use cache::{CacheMetrics, ConfigStore};
 pub use cost::{
     AngleTuningMode, BatchDispatch, CostModel, ExecutionTimeBreakdown, WorkloadProfile,
 };
-pub use fleet::{
-    round_robin_device, schedule_sessions, schedule_sessions_fair, schedule_sessions_queued,
-    DrrLaneSnapshot, DrrQueue, FairFleetSchedule, FleetSchedule, TuningSession,
-};
+pub use fleet::{DrrLaneSnapshot, DrrQueue};
 pub use json::JsonValue;
 pub use latency::LatencyHistogram;
 pub use persist::{Codec, CompactionPolicy, DurableStore, RecoveryReport, ShipBatch, ShipCursor};

@@ -28,7 +28,8 @@
 //! lock already held (`try_lock` failed and the caller had to block).
 //! A healthy fleet layout — distinct devices on distinct shards, one
 //! tuning session per device at a time — shows zero cross-device
-//! contention, which the `extension_fleet_service` replay asserts.
+//! contention, which `tests/fleet_service.rs` and the fleet daemon's
+//! metrics test assert.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
@@ -144,7 +145,7 @@ impl<F: Hash + Eq + Clone, V> Shard<F, V> {
     /// `shard_metrics`, `export_entries`, `reset_metrics`): monitoring a
     /// live store must not register as client contention, or a dashboard
     /// poll racing a tuning session would break the zero-cross-device-
-    /// contention invariant the fleet replay asserts.
+    /// contention invariant the fleet daemon's tests assert.
     fn lock_quiet(&self) -> MutexGuard<'_, ConfigStore<F, V>> {
         self.store.lock().expect("shard lock poisoned")
     }

@@ -1,6 +1,6 @@
 //! Property tests for the fleet's deficit-round-robin arbitration
-//! (`vaqem_runtime::fleet::DrrQueue` — the policy both the live reactor
-//! and the offline `schedule_sessions_fair` model dispatch with).
+//! (`vaqem_runtime::fleet::DrrQueue` — the policy the live reactor
+//! dispatches each device with).
 //!
 //! The starvation-freedom bound, under **any arrival interleaving**: at
 //! every point in the dispatch sequence, a client that is currently
@@ -10,7 +10,6 @@
 //! fair share minus at most one session per device.
 
 use proptest::prelude::*;
-use vaqem_runtime::fleet::{schedule_sessions_fair, schedule_sessions_queued, TuningSession};
 use vaqem_runtime::DrrQueue;
 
 /// Replays an op sequence against a `DrrQueue` with `clients`
@@ -164,35 +163,5 @@ proptest! {
         for (i, &w) in weights.iter().enumerate() {
             prop_assert_eq!(served[i], w as usize * rounds);
         }
-    }
-
-    #[test]
-    fn offline_fair_schedule_never_loses_throughput_to_fifo(
-        minutes in proptest::collection::vec(1u32..40, 1..24),
-        devices in 1usize..4,
-        clients in 1usize..5,
-    ) {
-        // The fair schedule reorders who waits; devices serialize either
-        // way, so makespan and sessions/hour match FIFO exactly on any
-        // workload — fairness is free.
-        let sessions: Vec<TuningSession> = minutes
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| TuningSession {
-                client: format!("c{}", i % clients),
-                device: i % devices,
-                minutes: m as f64,
-            })
-            .collect();
-        let queue: Vec<f64> = (0..devices).map(|d| 10.0 + d as f64).collect();
-        let fifo = schedule_sessions_queued(devices, &sessions, &queue);
-        let fair = schedule_sessions_fair(devices, &sessions, &[], &queue);
-        prop_assert_eq!(&fair.schedule, &fifo);
-        prop_assert!(
-            fair.schedule.sessions_per_hour() >= fifo.sessions_per_hour() - 1e-12
-        );
-        // Completion order covers every session exactly once.
-        let total: usize = fair.completion_order.iter().map(|d| d.len()).sum();
-        prop_assert_eq!(total, sessions.len());
     }
 }

@@ -109,8 +109,7 @@ fn guard_accepted_warm_results_equal_cold_for_identical_fingerprints() {
 }
 
 /// Warm-start EM tuning is strictly cheaper than cold in priced machine
-/// minutes (the `extension_fleet_cache` headline), using the measured
-/// evaluation counts of a real warm replay.
+/// minutes, using the measured evaluation counts of a real warm replay.
 #[test]
 fn warm_tuning_is_strictly_cheaper_in_machine_minutes() {
     let problem = fleet_problem();
