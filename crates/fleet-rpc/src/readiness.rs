@@ -1,20 +1,21 @@
 //! OS readiness primitives for the pump thread, with no crate
 //! dependencies.
 //!
-//! The portable pump (`server::pump_loop`) discovers work by polling
-//! every socket nonblockingly and sleeping an adaptive backoff between
-//! passes — robust everywhere, but a quiet daemon still wakes hundreds
-//! of times a second and a busy one burns a syscall per idle socket per
-//! pass. On Linux the readiness pump asks the kernel instead: one
-//! `epoll` instance watches the listener, every connection, and a
-//! wakeup pipe, and the pump blocks until something is actually ready.
+//! The pump's portable scan source (`server::Readiness::Scan`)
+//! discovers work by polling every socket nonblockingly and sleeping an
+//! adaptive backoff between passes — robust everywhere, but a quiet
+//! daemon still wakes hundreds of times a second and a busy one burns a
+//! syscall per idle socket per pass. On Linux the epoll source asks the
+//! kernel instead: one `epoll` instance watches the listener, every
+//! connection, and a wakeup pipe, and the pump blocks until something
+//! is actually ready.
 //!
 //! This module is the thin `extern "C"` shim that makes that possible
 //! without a libc crate: the four epoll syscalls, a `clock_gettime`
 //! reader for the pump's own CPU time (the idle-cost evidence
 //! `BENCH_fleet.json` reports), and a safe [`linux::Epoll`] wrapper that
 //! owns the instance fd. Everything Linux-specific is gated so the
-//! crate still builds (and falls back to the polling pump) elsewhere.
+//! crate still builds (and falls back to the scan source) elsewhere.
 
 #[cfg(target_os = "linux")]
 pub(crate) mod linux {

@@ -19,18 +19,19 @@
 //! ```
 //!
 //! The pump owns every stream and does only byte work; the driver owns
-//! every byte's *meaning*. Two pump implementations share that
-//! contract:
+//! every byte's *meaning*. The pump runs one pass loop — accept, read,
+//! drain driver commands, write, close — and takes only the answer to
+//! "what should this pass visit?" from one of two readiness sources:
 //!
-//! * On Linux the **readiness pump** registers the listener, every
+//! * On Linux the **epoll source** registers the listener, every
 //!   connection, and a wakeup pipe with one `epoll` instance
 //!   (the `readiness` module) and blocks until the kernel reports work —
 //!   an idle daemon consumes (almost) no CPU, and write interest is
 //!   registered only while a connection owes bytes. The reactor rouses
 //!   a blocked pump through the wakeup pipe whenever it queues a
 //!   command.
-//! * Everywhere else (or with `VAQEM_RPC_PUMP=poll`) the **polling
-//!   pump** sweeps every socket nonblockingly and sleeps an adaptive
+//! * Everywhere else (or with `VAQEM_RPC_PUMP=poll`) the **scan
+//!   source** visits every socket nonblockingly and sleeps an adaptive
 //!   [`IdleBackoff`] between passes — fully portable, never blocked, no
 //!   wakeups needed.
 //!
@@ -71,6 +72,10 @@ use vaqem_runtime::wire::FrameReader;
 use vaqem_runtime::{IdleBackoff, ShipBatch};
 
 use crate::readiness;
+#[cfg(target_os = "linux")]
+use crate::readiness::linux::{
+    Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
+};
 use crate::wire::{check_preamble, preamble, Frame, PREAMBLE_LEN};
 
 /// Server tuning knobs. The defaults suit the load-generation harness;
@@ -254,7 +259,7 @@ type Gauges = Arc<Mutex<HashMap<u64, Arc<AtomicUsize>>>>;
 /// numbers ride every metrics report. `cpu_micros` holds the pump
 /// thread's *absolute* CPU-time reading (published once per pass):
 /// diffing two readings over a quiet window measures the pump's idle
-/// burn, which is the readiness pump's headline advantage.
+/// burn, which is the epoll source's headline advantage.
 #[derive(Debug, Default)]
 pub(crate) struct PumpStats {
     cpu_micros: AtomicU64,
@@ -263,7 +268,7 @@ pub(crate) struct PumpStats {
 }
 
 /// Rouses a pump blocked in `epoll_wait`: one byte down a nonblocking
-/// socketpair the pump watches. Disabled when the polling pump serves —
+/// socketpair the pump watches. Disabled when the scan source serves —
 /// it sleeps at most a few milliseconds, so nobody needs to rouse it
 /// and `wake()` becomes free.
 #[derive(Debug)]
@@ -637,7 +642,7 @@ struct ConnIo {
     gauge: Arc<AtomicUsize>,
     /// Close once `out` drains (the polite goodbye).
     close_after_flush: bool,
-    /// Whether the readiness pump currently has `EPOLLOUT` interest
+    /// Whether the epoll source currently has `EPOLLOUT` interest
     /// registered for this connection (only while bytes are owed).
     #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
     want_write: bool,
@@ -717,155 +722,13 @@ impl ConnIo {
 /// the next pass resumes it.)
 const READ_BUDGET_PER_PASS: usize = 256 << 10;
 
-/// First idle sleep of the polling pump after activity — the old fixed
+/// First idle sleep of the scan source after activity — the old fixed
 /// poll granularity.
 const PUMP_BACKOFF_FLOOR: Duration = Duration::from_micros(300);
-/// The polling pump's idle sleep cap: long enough to stop spinning,
+/// The scan source's idle sleep cap: long enough to stop spinning,
 /// short enough that a first frame after a quiet spell waits at most
 /// ~5ms.
 const PUMP_BACKOFF_CEILING: Duration = Duration::from_millis(5);
-
-/// The portable pump thread body: nonblocking accept/read/write over
-/// every connection, forwarding semantic events to the reactor and
-/// executing the driver's commands, with an adaptive [`IdleBackoff`]
-/// sleep between passes. Exits when told to [`PumpCommand::Stop`], when
-/// the driver side hangs up, or when the reactor is gone.
-fn pump_loop(
-    listener: RpcListener,
-    control: Receiver<PumpCommand>,
-    events: SocketEventSender,
-    gauges: Gauges,
-    stats: Arc<PumpStats>,
-    // Held so reactor-side wakeup writes never hit a closed pipe; this
-    // pump polls `control` on its own schedule and never reads it.
-    _wake_rx: UnixStream,
-) {
-    let mut conns: HashMap<u64, ConnIo> = HashMap::new();
-    let mut next_conn: u64 = 1;
-    let mut read_buf = vec![0u8; 64 << 10];
-    let mut hangups: Vec<u64> = Vec::new();
-    let mut backoff = IdleBackoff::new(PUMP_BACKOFF_FLOOR, PUMP_BACKOFF_CEILING);
-    loop {
-        let mut active = false;
-        // 1. Driver commands.
-        loop {
-            match control.try_recv() {
-                Ok(PumpCommand::Send { conn, bytes }) => {
-                    active = true;
-                    if let Some(io) = conns.get_mut(&conn) {
-                        io.queue(bytes);
-                    } else {
-                        // Connection already gone: the driver's gauge
-                        // increment must not leak — but the gauge map
-                        // entry is gone too, so nothing to undo.
-                    }
-                }
-                Ok(PumpCommand::Close { conn }) => {
-                    active = true;
-                    if let Some(io) = conns.get_mut(&conn) {
-                        io.close_after_flush = true;
-                    }
-                }
-                Ok(PumpCommand::CloseNow { conn }) => {
-                    active = true;
-                    if conns.contains_key(&conn) {
-                        hangups.push(conn);
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) | Ok(PumpCommand::Stop) => return,
-            }
-        }
-        // 2. New connections.
-        loop {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    active = true;
-                    let conn = next_conn;
-                    next_conn += 1;
-                    let gauge = Arc::new(AtomicUsize::new(0));
-                    gauges
-                        .lock()
-                        .expect("gauge registry healthy")
-                        .insert(conn, Arc::clone(&gauge));
-                    conns.insert(conn, ConnIo::new(stream, gauge));
-                    if !events.send(SocketEvent::Accepted { conn, peer }) {
-                        return; // reactor gone
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // Transient accept errors (peer reset mid-handshake):
-                // nothing to clean up, keep serving.
-                Err(_) => break,
-            }
-        }
-        // 3. Per-connection write, then read.
-        let ids: Vec<u64> = conns.keys().copied().collect();
-        for conn in ids {
-            let io = conns.get_mut(&conn).expect("collected above");
-            match io.flush_some() {
-                Ok(progressed) => active |= progressed,
-                Err(_) => {
-                    hangups.push(conn);
-                    continue;
-                }
-            }
-            if io.close_after_flush && io.out_bytes == 0 {
-                hangups.push(conn);
-                continue;
-            }
-            let mut read_total = 0usize;
-            loop {
-                if read_total >= READ_BUDGET_PER_PASS {
-                    break;
-                }
-                match io.stream.read(&mut read_buf) {
-                    Ok(0) => {
-                        hangups.push(conn);
-                        break;
-                    }
-                    Ok(n) => {
-                        active = true;
-                        read_total += n;
-                        if !events.send(SocketEvent::Readable {
-                            conn,
-                            bytes: read_buf[..n].to_vec(),
-                        }) {
-                            return; // reactor gone
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        hangups.push(conn);
-                        break;
-                    }
-                }
-            }
-        }
-        // 4. Closures (driver-ordered and peer-initiated alike).
-        for conn in hangups.drain(..) {
-            if conns.remove(&conn).is_some() {
-                gauges.lock().expect("gauge registry healthy").remove(&conn);
-                if !events.send(SocketEvent::HungUp { conn }) {
-                    return;
-                }
-            }
-        }
-        // 5. Self-observation, then adaptive idle backoff: 300µs
-        // responsiveness while traffic flows, doubling toward a 5ms
-        // doze across consecutive idle passes so a quiet daemon (or a
-        // replica pair of them) doesn't spin cores.
-        stats.passes.fetch_add(1, Ordering::Relaxed);
-        stats
-            .cpu_micros
-            .store(readiness::thread_cpu_micros(), Ordering::Relaxed);
-        if let Some(sleep) = backoff.after(active) {
-            std::thread::sleep(sleep);
-        }
-    }
-}
 
 /// Readiness token for the listener (connection ids count up from 1, so
 /// the top of the `u64` space is free).
@@ -874,44 +737,189 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 /// Readiness token for the reactor's wakeup pipe.
 #[cfg(target_os = "linux")]
 const TOKEN_WAKEUP: u64 = u64::MAX - 1;
-
-/// The readiness pump thread body: blocks in `epoll_wait` until the
-/// kernel reports an accept, readable bytes, writable room on a
-/// connection that owes bytes, or a reactor wakeup — then runs one
-/// pass of the same accept/read/write/close discipline as the polling
-/// pump. An idle daemon parks here and burns (almost) no CPU.
+/// Safety net: absent readiness and wakeups, the epoll source still runs
+/// a pass every 500ms — any lost-wakeup bug costs latency, never
+/// liveness.
 #[cfg(target_os = "linux")]
-fn epoll_pump_loop(
-    ep: readiness::linux::Epoll,
+const SAFETY_TIMEOUT_MS: i32 = 500;
+
+/// One thing a pump pass visits, in the order the pass visits them.
+#[derive(Clone, Copy)]
+#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+enum Ready {
+    /// The listener may hold connections to accept.
+    Listener,
+    /// The reactor wrote to the wakeup pipe.
+    Wakeup,
+    /// The connection may hold bytes to read (or sit at end of stream).
+    Readable(u64),
+    /// The kernel reported an error or hangup on the connection.
+    Broken(u64),
+}
+
+/// How the pump learns what each pass should visit. An enum rather than
+/// a trait: there are exactly two sources, and nothing outside this
+/// module adds one.
+enum Readiness {
+    /// Blocks in `epoll_wait` until the kernel reports an accept,
+    /// readable bytes, writable room on a connection that owes bytes, or
+    /// a reactor wakeup. An idle daemon parks here and burns (almost) no
+    /// CPU.
+    #[cfg(target_os = "linux")]
+    Epoll {
+        ep: Epoll,
+        /// The read end of the [`Waker`]'s socketpair.
+        wake_rx: UnixStream,
+        events: Vec<EpollEvent>,
+    },
+    /// Visits the listener and every connection nonblockingly each pass,
+    /// sleeping an adaptive [`IdleBackoff`] after passes that found no
+    /// work. Portable, never blocked, needs no wakeups.
+    Scan { backoff: IdleBackoff },
+}
+
+#[cfg_attr(not(target_os = "linux"), allow(unused_variables))]
+impl Readiness {
+    /// The epoll source when `want_epoll` and it sets up, else the scan.
+    /// The epoll instance is built and pre-registered here, so any setup
+    /// failure falls back to scanning instead of killing the server.
+    fn select(want_epoll: bool, listener: &RpcListener, wake_rx: UnixStream) -> Readiness {
+        #[cfg(target_os = "linux")]
+        if want_epoll {
+            let ep = Epoll::new().and_then(|ep| {
+                ep.add(listener.raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
+                ep.add(wake_rx.as_raw_fd(), EPOLLIN, TOKEN_WAKEUP)?;
+                Ok(ep)
+            });
+            if let Ok(ep) = ep {
+                return Readiness::Epoll {
+                    ep,
+                    wake_rx,
+                    events: vec![EpollEvent { events: 0, data: 0 }; 128],
+                };
+            }
+        }
+        Readiness::Scan {
+            backoff: IdleBackoff::new(PUMP_BACKOFF_FLOOR, PUMP_BACKOFF_CEILING),
+        }
+    }
+
+    /// Waits for the next pass and fills `ready` with what it visits.
+    /// `active` says whether the previous pass did any work.
+    fn wait(&mut self, active: bool, conns: &HashMap<u64, ConnIo>, ready: &mut Vec<Ready>) {
+        ready.clear();
+        match self {
+            #[cfg(target_os = "linux")]
+            Readiness::Epoll { ep, events, .. } => {
+                let n = ep.wait(events, SAFETY_TIMEOUT_MS).unwrap_or(0);
+                for ev in &events[..n] {
+                    // Copy out of the (possibly packed) event record.
+                    let (mask, token) = (ev.events, ev.data);
+                    ready.push(match token {
+                        TOKEN_LISTENER => Ready::Listener,
+                        TOKEN_WAKEUP => Ready::Wakeup,
+                        conn if mask & (EPOLLERR | EPOLLHUP) != 0 => Ready::Broken(conn),
+                        conn if mask & (EPOLLIN | EPOLLRDHUP) != 0 => Ready::Readable(conn),
+                        // Writable readiness needs no per-event handling:
+                        // the write sweep flushes every connection that
+                        // owes bytes.
+                        _ => continue,
+                    });
+                }
+            }
+            Readiness::Scan { backoff } => {
+                // 300µs responsiveness while traffic flows, doubling
+                // toward a 5ms doze across consecutive idle passes so a
+                // quiet daemon (or a replica pair of them) doesn't spin
+                // cores.
+                if let Some(sleep) = backoff.after(active) {
+                    std::thread::sleep(sleep);
+                }
+                ready.push(Ready::Listener);
+                ready.extend(conns.keys().map(|&conn| Ready::Readable(conn)));
+            }
+        }
+    }
+
+    /// Empties the wakeup pipe, so level-triggered readiness stops
+    /// reporting it.
+    fn drain_wakeup(&self) {
+        #[cfg(target_os = "linux")]
+        if let Readiness::Epoll { wake_rx, .. } = self {
+            let mut drain = [0u8; 256];
+            while matches!((&*wake_rx).read(&mut drain), Ok(n) if n > 0) {}
+        }
+    }
+
+    /// Watches a freshly accepted connection for reads and hangups.
+    fn register(&self, stream: &Stream, conn: u64) -> io::Result<()> {
+        #[cfg(target_os = "linux")]
+        if let Readiness::Epoll { ep, .. } = self {
+            return ep.add(stream.raw_fd(), EPOLLIN | EPOLLRDHUP, conn);
+        }
+        Ok(())
+    }
+
+    /// Keeps write interest on a connection only while it owes bytes,
+    /// so an idle connection never wakes the pump for writability.
+    fn sync_write_interest(&self, conn: u64, io: &mut ConnIo) -> io::Result<()> {
+        #[cfg(target_os = "linux")]
+        if let Readiness::Epoll { ep, .. } = self {
+            let want = io.out_bytes > 0;
+            if want != io.want_write {
+                let interest = EPOLLIN | EPOLLRDHUP | if want { EPOLLOUT } else { 0 };
+                ep.modify(io.stream.raw_fd(), interest, conn)?;
+                io.want_write = want;
+            }
+        }
+        Ok(())
+    }
+
+    /// Stops watching a connection that is closing.
+    fn deregister(&self, stream: &Stream) {
+        #[cfg(target_os = "linux")]
+        if let Readiness::Epoll { ep, .. } = self {
+            let _ = ep.delete(stream.raw_fd());
+        }
+    }
+}
+
+/// The pump thread body. Each pass waits on its [`Readiness`] source,
+/// then runs one accept/read/command/write/close discipline over what
+/// the source reports, forwarding semantic events to the reactor and
+/// executing the driver's commands. Exits when told to
+/// [`PumpCommand::Stop`], when the driver side hangs up, or when the
+/// reactor is gone.
+fn pump_loop(
+    mut source: Readiness,
     listener: RpcListener,
     control: Receiver<PumpCommand>,
     events: SocketEventSender,
     gauges: Gauges,
     stats: Arc<PumpStats>,
-    wake_rx: UnixStream,
 ) {
-    use readiness::linux::{EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-    // Safety net: absent readiness and wakeups, still run a pass every
-    // 500ms — any lost-wakeup bug costs latency, never liveness.
-    const SAFETY_TIMEOUT_MS: i32 = 500;
     let mut conns: HashMap<u64, ConnIo> = HashMap::new();
     let mut next_conn: u64 = 1;
     let mut read_buf = vec![0u8; 64 << 10];
     let mut hangups: Vec<u64> = Vec::new();
-    let mut evbuf = [EpollEvent { events: 0, data: 0 }; 128];
+    let mut ready: Vec<Ready> = Vec::new();
+    // Whether the last pass did any work: accepted, read, ran a command
+    // or flushed bytes. Only the scan source's backoff reads it.
+    let mut active = true;
     loop {
-        let ready = ep.wait(&mut evbuf, SAFETY_TIMEOUT_MS).unwrap_or(0);
+        source.wait(active, &conns, &mut ready);
         stats.passes.fetch_add(1, Ordering::Relaxed);
-        for ev in &evbuf[..ready] {
-            // Copy out of the (possibly packed) event record.
-            let (mask, token) = (ev.events, ev.data);
-            match token {
-                TOKEN_LISTENER => loop {
+        active = false;
+        // 1. What the source reported: accepts, wakeups, reads.
+        for &r in &ready {
+            match r {
+                Ready::Listener => loop {
                     match listener.accept() {
                         Ok((stream, peer)) => {
+                            active = true;
                             let conn = next_conn;
                             next_conn += 1;
-                            if ep.add(stream.raw_fd(), EPOLLIN | EPOLLRDHUP, conn).is_err() {
+                            if source.register(&stream, conn).is_err() {
                                 continue; // dropping the stream resets the peer
                             }
                             let gauge = Arc::new(AtomicUsize::new(0));
@@ -926,111 +934,111 @@ fn epoll_pump_loop(
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                        // Transient accept errors (peer reset mid-handshake):
+                        // nothing to clean up, keep serving.
                         Err(_) => break,
                     }
                 },
-                TOKEN_WAKEUP => {
+                Ready::Wakeup => {
                     stats.wakeups.fetch_add(1, Ordering::Relaxed);
-                    let mut drain = [0u8; 256];
-                    while matches!((&wake_rx).read(&mut drain), Ok(n) if n > 0) {}
+                    source.drain_wakeup();
                 }
-                conn => {
-                    if mask & (EPOLLERR | EPOLLHUP) != 0 {
-                        hangups.push(conn);
-                        continue;
-                    }
-                    if mask & (EPOLLIN | EPOLLRDHUP) != 0 {
-                        let Some(io) = conns.get_mut(&conn) else {
-                            continue; // raced a close within this pass
-                        };
-                        let mut read_total = 0usize;
-                        loop {
-                            if read_total >= READ_BUDGET_PER_PASS {
-                                break; // fd stays ready; next pass resumes
+                Ready::Broken(conn) => hangups.push(conn),
+                Ready::Readable(conn) => {
+                    let Some(io) = conns.get_mut(&conn) else {
+                        continue; // raced a close within this pass
+                    };
+                    let mut read_total = 0usize;
+                    // Past the budget the fd stays ready; the next pass
+                    // resumes it.
+                    while read_total < READ_BUDGET_PER_PASS {
+                        match io.stream.read(&mut read_buf) {
+                            Ok(0) => {
+                                hangups.push(conn);
+                                break;
                             }
-                            match io.stream.read(&mut read_buf) {
-                                Ok(0) => {
-                                    hangups.push(conn);
-                                    break;
+                            Ok(n) => {
+                                active = true;
+                                read_total += n;
+                                if !events.send(SocketEvent::Readable {
+                                    conn,
+                                    bytes: read_buf[..n].to_vec(),
+                                }) {
+                                    return; // reactor gone
                                 }
-                                Ok(n) => {
-                                    read_total += n;
-                                    if !events.send(SocketEvent::Readable {
-                                        conn,
-                                        bytes: read_buf[..n].to_vec(),
-                                    }) {
-                                        return; // reactor gone
-                                    }
-                                }
-                                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                                Err(_) => {
-                                    hangups.push(conn);
-                                    break;
-                                }
+                            }
+                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                            Err(_) => {
+                                hangups.push(conn);
+                                break;
                             }
                         }
                     }
-                    // Writable readiness needs no per-event handling:
-                    // the write sweep below flushes every connection
-                    // that owes bytes.
                 }
             }
         }
-        // Driver commands (the wakeup pipe guaranteed we woke for them).
+        // 2. Driver commands (under epoll, the wakeup pipe guaranteed
+        // we woke for them).
         loop {
-            match control.try_recv() {
-                Ok(PumpCommand::Send { conn, bytes }) => {
+            let cmd = match control.try_recv() {
+                Ok(cmd) => cmd,
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => return,
+            };
+            active = true;
+            match cmd {
+                PumpCommand::Send { conn, bytes } => {
+                    // A connection already gone dropped its gauge entry
+                    // too, so there is no increment to undo.
                     if let Some(io) = conns.get_mut(&conn) {
                         io.queue(bytes);
                     }
                 }
-                Ok(PumpCommand::Close { conn }) => {
+                PumpCommand::Close { conn } => {
                     if let Some(io) = conns.get_mut(&conn) {
                         io.close_after_flush = true;
                     }
                 }
-                Ok(PumpCommand::CloseNow { conn }) => {
+                PumpCommand::CloseNow { conn } => {
                     if conns.contains_key(&conn) {
                         hangups.push(conn);
                     }
                 }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) | Ok(PumpCommand::Stop) => return,
+                PumpCommand::Stop => return,
             }
         }
-        // Write sweep: flush what the kernel will take, then keep
-        // `EPOLLOUT` interest only on connections still owing bytes —
-        // an idle connection never wakes the pump for writability.
+        // 3. Write sweep: flush what the kernel will take, then keep
+        // write interest only on connections still owing bytes.
         for (&conn, io) in conns.iter_mut() {
-            if io.out_bytes > 0 && io.flush_some().is_err() {
-                hangups.push(conn);
-                continue;
+            if io.out_bytes > 0 {
+                match io.flush_some() {
+                    Ok(progressed) => active |= progressed,
+                    Err(_) => {
+                        hangups.push(conn);
+                        continue;
+                    }
+                }
             }
             if io.close_after_flush && io.out_bytes == 0 {
                 hangups.push(conn);
                 continue;
             }
-            let want = io.out_bytes > 0;
-            if want != io.want_write {
-                let interest = EPOLLIN | EPOLLRDHUP | if want { EPOLLOUT } else { 0 };
-                if ep.modify(io.stream.raw_fd(), interest, conn).is_ok() {
-                    io.want_write = want;
-                } else {
-                    hangups.push(conn);
-                }
+            if source.sync_write_interest(conn, io).is_err() {
+                hangups.push(conn);
             }
         }
-        // Closures (driver-ordered and peer-initiated alike).
+        // 4. Closures (driver-ordered and peer-initiated alike).
         for conn in hangups.drain(..) {
             if let Some(io) = conns.remove(&conn) {
-                let _ = ep.delete(io.stream.raw_fd());
+                source.deregister(&io.stream);
                 gauges.lock().expect("gauge registry healthy").remove(&conn);
                 if !events.send(SocketEvent::HungUp { conn }) {
                     return;
                 }
             }
         }
+        // 5. Self-observation.
         stats
             .cpu_micros
             .store(readiness::thread_cpu_micros(), Ordering::Relaxed);
@@ -1054,11 +1062,11 @@ impl RpcServer {
     /// admission, fairness, and quota path.
     ///
     /// On Linux the pump blocks in `epoll` readiness by default; set
-    /// `VAQEM_RPC_PUMP=poll` to force the portable adaptive-polling
-    /// pump (`VAQEM_RPC_PUMP=epoll` asks for readiness explicitly, and
-    /// falls back to polling where epoll is unavailable or fails to
-    /// set up). Both pumps speak the same `SocketEvent` interface; the
-    /// driver cannot tell them apart.
+    /// `VAQEM_RPC_PUMP=poll` to force the portable scan source with its
+    /// adaptive idle sleep (`VAQEM_RPC_PUMP=epoll` asks for readiness
+    /// explicitly, and falls back to scanning where epoll is unavailable
+    /// or fails to set up). Either way the same pass loop speaks the
+    /// same `SocketEvent` interface; the driver cannot tell them apart.
     ///
     /// # Errors
     ///
@@ -1087,30 +1095,10 @@ impl RpcServer {
             Ok("epoll") => true,
             _ => cfg!(target_os = "linux"),
         };
-        // Build (and pre-register) the epoll instance up front so any
-        // setup failure falls back to the polling pump instead of
-        // killing the server.
-        #[cfg(target_os = "linux")]
-        let epoll = if want_epoll {
-            readiness::linux::Epoll::new()
-                .and_then(|ep| {
-                    ep.add(listener.raw_fd(), readiness::linux::EPOLLIN, TOKEN_LISTENER)?;
-                    ep.add(wake_rx.as_raw_fd(), readiness::linux::EPOLLIN, TOKEN_WAKEUP)?;
-                    Ok(ep)
-                })
-                .ok()
-        } else {
-            None
-        };
-        #[cfg(not(target_os = "linux"))]
-        let epoll: Option<std::convert::Infallible> = {
-            let _ = want_epoll;
-            None
-        };
-
+        let source = Readiness::select(want_epoll, &listener, wake_rx);
         let waker = Arc::new(Waker {
             tx: wake_tx,
-            enabled: epoll.is_some(),
+            enabled: !matches!(source, Readiness::Scan { .. }),
         });
         let driver = ConnDriver {
             control: control.clone(),
@@ -1123,15 +1111,9 @@ impl RpcServer {
             encode_buf: Vec::new(),
         };
         let events = service.attach_socket_driver(Box::new(driver));
-        let pump = match epoll {
-            #[cfg(target_os = "linux")]
-            Some(ep) => std::thread::spawn(move || {
-                epoll_pump_loop(ep, listener, control_rx, events, gauges, stats, wake_rx)
-            }),
-            _ => std::thread::spawn(move || {
-                pump_loop(listener, control_rx, events, gauges, stats, wake_rx)
-            }),
-        };
+        let pump = std::thread::spawn(move || {
+            pump_loop(source, listener, control_rx, events, gauges, stats)
+        });
         Ok(RpcServer {
             control,
             waker,
@@ -1154,7 +1136,7 @@ impl RpcServer {
 
     fn stop_inner(&mut self) {
         let _ = self.control.send(PumpCommand::Stop);
-        // A readiness pump may be parked in epoll_wait; rouse it so the
+        // An epoll pump may be parked in epoll_wait; rouse it so the
         // stop is prompt rather than waiting out the safety timeout.
         self.waker.wake();
         if let Some(pump) = self.pump.take() {
