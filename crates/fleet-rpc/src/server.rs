@@ -782,7 +782,9 @@ enum Readiness {
 impl Readiness {
     /// The epoll source when `want_epoll` and it sets up, else the scan.
     /// The epoll instance is built and pre-registered here, so any setup
-    /// failure falls back to scanning instead of killing the server.
+    /// failure falls back to scanning instead of killing the server. The
+    /// scan source drops `wake_rx`: its [`Waker`] is disabled, so nothing
+    /// ever writes to the pipe.
     fn select(want_epoll: bool, listener: &RpcListener, wake_rx: UnixStream) -> Readiness {
         #[cfg(target_os = "linux")]
         if want_epoll {

@@ -254,8 +254,8 @@ pub enum SessionError {
         limit: usize,
     },
     /// The peer violated the wire protocol (e.g. submitted before
-    /// binding an identity with an open frame). Only RPC submissions
-    /// can see this.
+    /// binding an identity with an open frame, or pinned a device the
+    /// fleet lacks). Only RPC submissions can see this.
     Protocol(String),
 }
 
