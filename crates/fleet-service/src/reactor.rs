@@ -36,6 +36,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
@@ -957,7 +958,21 @@ pub(crate) fn worker_loop(
         // tuning traffic.
         let shard = shared.store.shard_of(&shared.devices[item.device].name);
         let before = shared.store.shard_metrics_of(shard).cache;
-        let mut result = run_session(&shared, &item);
+        // A panicking session still completes, with a typed error:
+        // otherwise its device stays busy for good and `shutdown()`
+        // waits on it forever.
+        let mut result = panic::catch_unwind(AssertUnwindSafe(|| run_session(&shared, &item)))
+            .unwrap_or_else(|payload| {
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string panic payload");
+                Err(SessionError::Tuning(format!(
+                    "on {}: session panicked: {msg}",
+                    shared.devices[item.device].name
+                )))
+            });
         let store_delta = shared
             .store
             .shard_metrics_of(shard)

@@ -27,6 +27,10 @@ use vaqem_runtime::{BatchDispatch, CostModel, WorkloadProfile};
 const NUM_QUBITS: usize = 3;
 
 fn device(name: &str, seed: u64) -> DeviceSpec {
+    sized_device(name, seed, NUM_QUBITS)
+}
+
+fn sized_device(name: &str, seed: u64, num_qubits: usize) -> DeviceSpec {
     let q = QubitNoise {
         t1_ns: 120_000.0,
         t2_ns: 90_000.0,
@@ -36,14 +40,14 @@ fn device(name: &str, seed: u64) -> DeviceSpec {
         readout_p10: 0.025,
         gate_error_1q: 1.5e-4,
     };
-    let coupling: Vec<(usize, usize)> = (0..NUM_QUBITS - 1).map(|i| (i, i + 1)).collect();
-    let mut noise = NoiseParameters::from_qubits(vec![q; NUM_QUBITS]);
+    let coupling: Vec<(usize, usize)> = (0..num_qubits - 1).map(|i| (i, i + 1)).collect();
+    let mut noise = NoiseParameters::from_qubits(vec![q; num_qubits]);
     for &(a, b) in &coupling {
         noise.set_zz(a, b, 1.0e-5);
     }
     let model = DeviceModel::new(
         name,
-        NUM_QUBITS,
+        num_qubits,
         coupling,
         DurationModel::ibm_default(),
         noise,
@@ -317,6 +321,42 @@ fn tuning_errors_reach_the_client_and_free_the_device() {
         other => panic!("expected a typed tuning error, got {other:?}"),
     }
     let dd = submit(SessionKind::Dd).expect("the same device tunes again");
+    assert!(dd.misses > 0, "the DD session swept its windows");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(service.shutdown()));
+    (done_rx.recv_timeout(wait).expect("shutdown returns")).expect("checkpoint");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_panicking_session_reaches_the_client_and_frees_the_device() {
+    // A 2-qubit device beside the 3-qubit problem: selecting the
+    // problem's qubits from the device's noise panics inside the
+    // session. Each submit must still get a typed error, the other
+    // device must keep serving, and shutdown() must return.
+    let dir = temp_dir("session-panic");
+    let devices = vec![
+        sized_device("fleet-small", 4242, 2),
+        device("fleet-west", 4242),
+    ];
+    let service = FleetService::open(config(&dir), devices, problem(), SeedStream::new(4242))
+        .expect("service opens");
+    let wait = std::time::Duration::from_secs(60);
+    let submit = |device| {
+        let rx = service.submit(request("c0", 1.0, Some(device)));
+        rx.recv_timeout(wait).expect("the worker answers")
+    };
+    for attempt in 0..2 {
+        match submit(0) {
+            Err(SessionError::Tuning(message)) => assert!(
+                message.starts_with("on fleet-small: session panicked: ")
+                    && message.contains("out of range"),
+                "attempt {attempt}: {message}"
+            ),
+            other => panic!("attempt {attempt}: expected a typed tuning error, got {other:?}"),
+        }
+    }
+    let dd = submit(1).expect("the other device tunes");
     assert!(dd.misses > 0, "the DD session swept its windows");
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || done_tx.send(service.shutdown()));
