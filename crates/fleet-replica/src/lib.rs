@@ -15,7 +15,7 @@
 //!   Record replay goes through the follower's *own* journaled mutation
 //!   paths, so the follower's on-disk state is always openable — which
 //!   is exactly what promotion does.
-//! - **Failover** ([`Follower`]): the poll loop that drives a live
+//! - **Failover** ([`Follower`]): the sync loop that drives a live
 //!   follower process, notices leader death (EOF on the replication
 //!   connection), and [`Follower::promote`]s — reopening the replicated
 //!   store as a fresh [`FleetService`] and taking over the leader's
@@ -26,9 +26,13 @@
 //! progress beyond a per-connection watermark: the follower's
 //! `JournalAck{cursor}` both acknowledges durability up to `cursor`
 //! (releasing the leader's gated replies) and requests the next batch.
-//! A follower always starts from its *own* durable cursor — a fresh
-//! follower acks `(0, 0)`, which never matches a live journal and so
-//! provokes a snapshot bootstrap.
+//! It is a long poll: the leader holds an ack that finds the follower
+//! caught up until its next group commit moves the journal, and answers
+//! it with an empty batch if a heartbeat (about 100 ms) passes first.
+//! So the follower never sleeps, and a reply waits on the follower's
+//! apply, not on its next poll. A follower always starts from its *own*
+//! durable cursor — a fresh follower acks `(0, 0)`, which never matches
+//! a live journal and so provokes a snapshot bootstrap.
 
 #![deny(missing_docs)]
 
@@ -153,7 +157,7 @@ where
     }
 }
 
-/// How a [`Follower`] connects, stores, and paces.
+/// How a [`Follower`] connects and stores.
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
     /// The leader's socket address.
@@ -165,28 +169,23 @@ pub struct ReplicaConfig {
     pub shards: usize,
     /// Per-shard capacity, as above.
     pub capacity_per_shard: usize,
-    /// Poll sleep after a sync that shipped nothing new; doubles up to
-    /// `poll_ceiling` while idle, resets on progress.
-    pub poll_floor: Duration,
-    /// Idle poll-sleep ceiling.
-    pub poll_ceiling: Duration,
     /// Read timeout on the replication connection. A SIGKILLed leader
-    /// yields EOF immediately, but a wedged one only trips this.
+    /// yields EOF immediately, but a wedged one only trips this. It
+    /// must exceed the leader's heartbeat (about 100 ms): an idle
+    /// leader answers a caught-up sync only when the heartbeat falls
+    /// due, and a shorter timeout would read that as leader death.
     pub read_timeout: Option<Duration>,
 }
 
 impl ReplicaConfig {
-    /// A config with the pacing defaults (1ms floor, 10ms ceiling, 5s
-    /// read timeout); geometry should be overridden to match the
-    /// leader.
+    /// A config with a 5 s read timeout; geometry should be overridden
+    /// to match the leader.
     pub fn new(leader: FailoverTarget, store_dir: PathBuf) -> Self {
         ReplicaConfig {
             leader,
             store_dir,
             shards: 4,
             capacity_per_shard: 128,
-            poll_floor: Duration::from_millis(1),
-            poll_ceiling: Duration::from_millis(10),
             read_timeout: Some(Duration::from_secs(5)),
         }
     }
@@ -269,6 +268,11 @@ impl Follower {
     /// whatever the leader ships. Returns `true` if the batch advanced
     /// the cursor (i.e. something new arrived).
     ///
+    /// A follower that is behind gets its batch at once. A caught-up
+    /// one blocks until the leader's journal moves, or for up to one
+    /// leader heartbeat (about 100 ms) before an empty batch returns
+    /// `false`.
+    ///
     /// # Errors
     ///
     /// Connection failures (how leader death surfaces) or malformed
@@ -278,20 +282,14 @@ impl Follower {
         self.applier.apply(&batch)
     }
 
-    /// Syncs until the stop flag is raised or the leader dies, pacing
-    /// idle polls with the adaptive floor→ceiling backoff from the
-    /// config.
+    /// Syncs until the stop flag is raised or the leader dies. Each
+    /// sync is a long poll the leader answers when it has something to
+    /// ship or a heartbeat falls due, so the loop never sleeps and sees
+    /// the flag within one heartbeat.
     pub fn run(&mut self, stop: &AtomicBool) -> FollowerExit {
-        let mut backoff =
-            vaqem_runtime::IdleBackoff::new(self.config.poll_floor, self.config.poll_ceiling);
         while !stop.load(Ordering::Relaxed) {
-            match self.sync_once() {
-                Ok(progressed) => {
-                    if let Some(pause) = backoff.after(progressed) {
-                        std::thread::sleep(pause);
-                    }
-                }
-                Err(e) => return FollowerExit::LeaderDied(e),
+            if let Err(e) = self.sync_once() {
+                return FollowerExit::LeaderDied(e);
             }
         }
         FollowerExit::Stopped

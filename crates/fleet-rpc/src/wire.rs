@@ -22,7 +22,9 @@
 //! durable [`ShipCursor`]); the leader answers with
 //! [`Frame::JournalShip`], whose payload is the byte-exact journal
 //! slice (or snapshot body) `DurableStore::ship_since` produced — the
-//! disk, wire, and replication formats are one discipline.
+//! disk, wire, and replication formats are one discipline. An ack at
+//! the leader's own cursor is a long poll: the answer waits for the
+//! journal to move, or comes empty after a heartbeat.
 
 use vaqem_fleet_service::{RpcMetricsReport, SessionError, SessionOutcome, SessionRequest};
 use vaqem_runtime::persist::Codec;

@@ -34,12 +34,14 @@
 //! by pool size (at most one in-flight session per device, at most
 //! `workers` fleet-wide).
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use vaqem_device::drift::EpochFeed;
 use vaqem_runtime::cache::CacheMetrics;
@@ -53,6 +55,12 @@ use crate::fairness::DeviceArbiter;
 use crate::quota::{quota_epoch, QuotaBook, QuotaUsage};
 use crate::scheduler;
 use crate::socket::{DriverAction, RpcMetricsReport, SocketDriver, SocketEvent};
+
+/// How long a caught-up follower's ack is held before the reactor
+/// answers it with an empty batch. It keeps a quiet leader visibly
+/// alive well inside a follower's read timeout, and bounds how long a
+/// follower takes to notice its stop flag.
+const HEARTBEAT: Duration = Duration::from_millis(100);
 
 /// Where a session's outcome (or typed rejection) is delivered.
 pub(crate) enum Reply {
@@ -497,6 +505,11 @@ struct Reactor {
     /// Replication followers by connection id → the durable cursor each
     /// last acked (monotone max — reordered acks cannot regress it).
     followers: HashMap<u64, ShipCursor>,
+    /// Followers whose ack found them caught up, by connection id → when
+    /// the ack was parked. The commit boundary answers each once the
+    /// journal moves past its cursor, or with an empty batch after one
+    /// [`HEARTBEAT`].
+    parked: HashMap<u64, Instant>,
     /// Replies held until the follower watermark (min acked cursor)
     /// covers the store cursor sampled at their completion. Cursors are
     /// monotone in completion order, so only the front can release.
@@ -569,6 +582,7 @@ impl Reactor {
                         }
                         DriverAction::ReplicaGone { conn } => {
                             self.followers.remove(&conn);
+                            self.parked.remove(&conn);
                             // Last follower gone: degrade to
                             // single-process durability — everything
                             // journaled locally is as durable as it gets.
@@ -596,7 +610,10 @@ impl Reactor {
 
     /// Records a follower's durable cursor (monotone max — duplicate and
     /// reordered acks are no-ops), releases every gated reply the new
-    /// follower watermark covers, and ships the follower its next batch.
+    /// follower watermark covers, and ships the follower its next batch
+    /// — or, when it is already caught up, parks the ack for the commit
+    /// boundary (a long poll). A second ack on a parked connection is
+    /// answered at once, so every ack still gets exactly one batch.
     fn handle_replica_ack(&mut self, conn: u64, cursor: ShipCursor) {
         let entry = self.followers.entry(conn).or_default();
         if cursor > *entry {
@@ -604,11 +621,43 @@ impl Reactor {
         }
         let acked = *entry;
         self.release_covered();
+        match self.parked.entry(conn) {
+            Entry::Vacant(slot) if acked == self.shared.store.ship_cursor() => {
+                slot.insert(Instant::now());
+            }
+            _ => self.ship(conn, acked),
+        }
+    }
+
+    /// Sends a follower everything past `acked` (an empty batch at
+    /// `acked` when nothing is new).
+    fn ship(&mut self, conn: u64, acked: ShipCursor) {
         if let Ok(batch) = self.shared.store.ship_since(acked) {
             self.counters.journal_ships += 1;
             if let Some(driver) = self.driver.as_mut() {
                 driver.on_ship(conn, &batch);
             }
+        }
+    }
+
+    /// Answers the parked followers that are due: those the journal has
+    /// moved past get their next batch, and those parked for a full
+    /// [`HEARTBEAT`] get an empty one.
+    fn answer_parked(&mut self) {
+        if self.parked.is_empty() {
+            return;
+        }
+        let head = self.shared.store.ship_cursor();
+        let now = Instant::now();
+        let due: Vec<u64> = self
+            .parked
+            .iter()
+            .filter(|&(conn, &since)| self.followers[conn] != head || now - since >= HEARTBEAT)
+            .map(|(&conn, _)| conn)
+            .collect();
+        for conn in due {
+            self.parked.remove(&conn);
+            self.ship(conn, self.followers[&conn]);
         }
     }
 
@@ -635,9 +684,10 @@ impl Reactor {
 
     /// The group-commit boundary, run once per event-loop drain: flush
     /// every journal record buffered while the burst of events was
-    /// handled, then release the replies the flush (and follower
-    /// watermark) now covers. One `write + flush` pays for the whole
-    /// burst instead of one per mutation.
+    /// handled, release the replies the flush (and follower watermark)
+    /// now covers, and answer the parked followers that are due. One
+    /// `write + flush` pays for the whole burst instead of one per
+    /// mutation, and a follower hears of the batch the moment it lands.
     fn commit_batch(&mut self) {
         if self.shared.store.flush_journal().is_ok() {
             self.release_covered();
@@ -652,6 +702,7 @@ impl Reactor {
                 self.answer(reply, result);
             }
         }
+        self.answer_parked();
     }
 
     /// Delivers a session's conclusion wherever the submitter awaits it:
@@ -910,6 +961,7 @@ pub(crate) fn reactor_loop(
         draining: false,
         driver: None,
         followers: HashMap::new(),
+        parked: HashMap::new(),
         gated: VecDeque::new(),
         shared: Arc::clone(&shared),
     };
@@ -930,9 +982,19 @@ pub(crate) fn reactor_loop(
                     if reactor.draining && reactor.idle() {
                         break;
                     }
-                    match events.recv() {
+                    // Only a parked follower needs the reactor to wake
+                    // without an event: when the longest-parked one's
+                    // heartbeat falls due.
+                    let next = match reactor.parked.values().min() {
+                        Some(&since) => events.recv_timeout(
+                            (since + HEARTBEAT).saturating_duration_since(Instant::now()),
+                        ),
+                        None => events.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                    };
+                    match next {
                         Ok(event) => event,
-                        Err(_) => break,
+                        Err(RecvTimeoutError::Timeout) => continue,
+                        Err(RecvTimeoutError::Disconnected) => break,
                     }
                 }
             },

@@ -91,8 +91,10 @@ pub enum DriverAction {
     /// `JournalAck` frame). The reactor records the cursor, releases any
     /// session replies it now covers, produces the next shipment from
     /// the durable store, and hands it back through
-    /// [`SocketDriver::on_ship`]. The first ack on a connection
-    /// subscribes it as a follower.
+    /// [`SocketDriver::on_ship`]. A follower that is already caught up
+    /// gets its shipment at the next group commit that moves the
+    /// journal, or an empty one after a heartbeat. The first ack on a
+    /// connection subscribes it as a follower.
     ReplicaAck {
         /// Connection the ack arrived on.
         conn: u64,

@@ -1,21 +1,22 @@
 //! Adaptive idle backoff for polling loops.
 //!
-//! Two loops in the fleet poll for work they cannot block on: the RPC
-//! front-end's portable fallback pump (nonblocking accept/read/write
-//! over every connection) and the replication follower's journal-sync
-//! loop. Both face the same tension — a fixed short sleep burns a
+//! One loop in the fleet polls for work it cannot block on: the RPC
+//! front-end's portable scan pump (nonblocking accept/read/write over
+//! every connection). It faces a tension — a fixed short sleep burns a
 //! measurable fraction of a core on a quiet daemon, a fixed long sleep
 //! adds latency to the first byte after a quiet spell. [`IdleBackoff`]
-//! resolves it the same way for both: sleep starts at a floor, doubles
-//! per consecutive idle pass up to a ceiling, and snaps back to the
-//! floor the moment any pass does work. An active loop keeps the
-//! floor's responsiveness; an idle one converges to the ceiling's doze.
+//! resolves it: sleep starts at a floor, doubles per consecutive idle
+//! pass up to a ceiling, and snaps back to the floor the moment any
+//! pass does work. An active loop keeps the floor's responsiveness; an
+//! idle one converges to the ceiling's doze. (The replication follower
+//! needs no backoff: the leader holds its caught-up syncs as long
+//! polls.)
 
 use std::time::Duration;
 
 /// Adaptive idle sleep: floor-to-ceiling exponential backoff that
-/// resets on activity. See the module docs for why both the fallback
-/// RPC pump and the follower poll loop share this.
+/// resets on activity. See the module docs for why the scan pump
+/// paces on this.
 #[derive(Debug, Clone)]
 pub struct IdleBackoff {
     floor: Duration,

@@ -37,8 +37,8 @@
 //!   log-bucketed histogram the load generator reads p50/p95/p99
 //!   session latencies from.
 //! * [`backoff`] — [`backoff::IdleBackoff`], the adaptive idle sleep
-//!   shared by the RPC pump's scan source and the replication
-//!   follower's poll loop (floor-to-ceiling doubling, reset on activity).
+//!   the RPC pump's scan source paces on (floor-to-ceiling doubling,
+//!   reset on activity).
 //! * [`ring`] — [`ring::HashRing`], consistent-hash device ownership
 //!   for the multi-process replicated fleet: the same FNV-1a routing
 //!   discipline as [`store::ShardedStore`], lifted from shards within a
