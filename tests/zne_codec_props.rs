@@ -143,6 +143,53 @@ proptest! {
     }
 }
 
+/// The format-version-2 value encodings, byte for byte. The round-trip
+/// properties above pass for any self-consistent codec; these pins make
+/// a refactor that moves the on-disk format fail.
+#[test]
+fn v2_store_bytes_are_pinned() {
+    let cases = [
+        (
+            StoredChoice::Composed(ComposedChoice {
+                gate_positions: vec![0.25, 1.0],
+                dd_sequence: Some(DdSequence::Xy8),
+                dd_repetitions: vec![3, 0],
+                zne: Some(ZneConfig::new(vec![0, 2], Extrapolation::Exponential)),
+                objective: -1.5,
+            }),
+            "0102000000000000000000d03f000000000000f03f0103020000000300000000000000\
+             010200000000020100000000000000f8bf",
+        ),
+        (
+            StoredChoice::Composed(ComposedChoice {
+                gate_positions: vec![],
+                dd_sequence: None,
+                dd_repetitions: vec![],
+                zne: Some(ZneConfig::new(
+                    vec![0, 1, 2],
+                    Extrapolation::Richardson { order: 2 },
+                )),
+                objective: 0.5,
+            }),
+            "0100000000000000000001030000000001020002000000000000e03f",
+        ),
+        (
+            StoredChoice::Window(CachedChoice {
+                fraction_of_max: 0.5,
+                value: 4.0,
+                objective: -0.25,
+            }),
+            "00000000000000e03f0000000000001040000000000000d0bf",
+        ),
+    ];
+    for (choice, pinned) in cases {
+        let mut buf = Vec::new();
+        choice.encode(&mut buf);
+        let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, pinned, "{choice:?}");
+    }
+}
+
 /// Bytes of a format-version-1 snapshot: magic + version 1 + entries of
 /// `(device, epoch, fingerprint, bare CachedChoice)` — exactly what the
 /// pre-ZNE store wrote.
