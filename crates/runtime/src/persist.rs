@@ -14,10 +14,20 @@
 //! * **Journal** (`store.journal`): every mutation since the last
 //!   checkpoint, appended as a length-prefixed record. Recovery loads the
 //!   snapshot, then replays the journal in order; a torn tail (crash
-//!   mid-append) is detected by the length prefix and ignored.
+//!   mid-append) is detected by the length prefix and truncated away.
 //!
 //! Both files carry a 4-byte magic and a `u32` version; an unknown magic
 //! or version fails recovery loudly rather than misparsing.
+//!
+//! # One path per step
+//!
+//! Each journal step has one implementation, shared by local mutations,
+//! recovery and replication: `create_journal` writes a fresh journal
+//! header (open and checkpoint), `JournalWriter::flush_buffered` is the
+//! only code that writes records to the file, `decode_records` is the
+//! only framed-record decoder (open's replay and
+//! [`DurableStore::apply_ship`]), and `JournalRecord::apply` is the only
+//! place a record becomes a store mutation.
 //!
 //! # Locking
 //!
@@ -264,6 +274,19 @@ fn decode_entries<F: Codec, V: Codec>(mut input: &[u8]) -> io::Result<Vec<(Strin
     Ok(entries)
 }
 
+/// Inserts decoded snapshot entries in order, which reproduces each
+/// shard's LRU order, and returns how many there were.
+fn insert_entries<F: Hash + Eq + Clone, V>(
+    store: &ShardedStore<F, V>,
+    entries: Vec<(String, u64, F, V)>,
+) -> usize {
+    let count = entries.len();
+    for (device, epoch, fp, value) in entries {
+        store.insert(&device, epoch, fp, value);
+    }
+    count
+}
+
 /// One journaled mutation.
 #[derive(Debug, Clone, PartialEq)]
 enum JournalRecord<F, V> {
@@ -357,18 +380,75 @@ impl<F: Codec, V: Codec> JournalRecord<F, V> {
     }
 }
 
+impl<F: Hash + Eq + Clone, V> JournalRecord<F, V> {
+    /// Applies this mutation to `store` and returns how many entries it
+    /// changed; `0` marks a no-op.
+    fn apply(self, store: &ShardedStore<F, V>) -> usize {
+        match self {
+            JournalRecord::Insert {
+                device,
+                epoch,
+                fingerprint,
+                value,
+            } => {
+                store.insert(&device, epoch, fingerprint, value);
+                1
+            }
+            JournalRecord::Remove {
+                device,
+                epoch,
+                fingerprint,
+            } => usize::from(store.remove(&device, epoch, &fingerprint)),
+            JournalRecord::InvalidateBefore { device, epoch } => {
+                store.invalidate_before(&device, epoch)
+            }
+            JournalRecord::InvalidateAllBefore { epoch } => store.invalidate_all_before(epoch),
+        }
+    }
+}
+
+/// Decodes `u32`-framed journal records off the front of `input`,
+/// stopping at the first torn or malformed one: that record and
+/// everything after it stay in `input`, so an empty `input` afterwards
+/// means every byte was a well-formed record.
+fn decode_records<F: Codec, V: Codec>(input: &mut &[u8], version: u32) -> Vec<JournalRecord<F, V>> {
+    let mut records = Vec::new();
+    loop {
+        let mut rest = *input;
+        let record = u32::decode(&mut rest)
+            .and_then(|len| take(&mut rest, len as usize))
+            .and_then(|payload| JournalRecord::decode_payload(payload, version));
+        let Some(record) = record else {
+            return records;
+        };
+        records.push(record);
+        *input = rest;
+    }
+}
+
 /// Length of the journal file header (magic + `u32` version).
 const JOURNAL_HEADER_LEN: u64 = 8;
 
+/// Creates (or truncates) the journal file at `path` holding only a
+/// current-version header; records are written after it.
+fn create_journal(path: &Path) -> io::Result<File> {
+    let mut file = File::create(path)?;
+    file.write_all(&JOURNAL_MAGIC)?;
+    file.write_all(&FORMAT_VERSION.to_le_bytes())?;
+    file.flush()?;
+    Ok(file)
+}
+
 /// The append side of the journal.
 ///
-/// Two write disciplines share this struct. **Per-record** (`append`):
-/// every record hits the file immediately — one write syscall per
-/// mutation, the follower/standalone default. **Group commit**
-/// (`buffer` + `flush_buffered`): records accumulate in `buf` and reach
-/// the file in one write per batch — the leader reactor flushes once
-/// per event-loop drain and gates its replies on the flush, so
-/// *acknowledged ⇒ on disk* holds with far fewer syscalls.
+/// Every journaled record is framed into `buf` and reaches the file
+/// through [`JournalWriter::flush_buffered`], the only code that writes
+/// journal records, in one write per flush. When it runs is the store's
+/// commit discipline. A **per-record** store (the follower/standalone
+/// default) flushes before each mutating call returns. Under **group
+/// commit** the leader reactor flushes once per event-loop drain and
+/// gates its replies on the flush, so *acknowledged ⇒ on disk* holds
+/// with far fewer syscalls.
 ///
 /// `bytes` is the **durable** file length and therefore the replication
 /// ship offset: it advances only when bytes actually reach the file,
@@ -388,32 +468,30 @@ struct JournalWriter {
 }
 
 impl JournalWriter {
-    fn frame_into(payload: &[u8], out: &mut Vec<u8>) {
-        (payload.len() as u32).encode(out);
-        out.extend_from_slice(payload);
+    /// A writer over `file`, which already holds `records` records in
+    /// `bytes` bytes (header included).
+    fn new(file: File, records: u64, bytes: u64) -> Self {
+        JournalWriter {
+            file,
+            records,
+            bytes,
+            buf: Vec::new(),
+            buf_records: 0,
+        }
     }
 
-    fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        let mut framed = Vec::with_capacity(payload.len() + 4);
-        Self::frame_into(payload, &mut framed);
-        self.file.write_all(&framed)?;
-        self.file.flush()?;
-        self.records += 1;
-        self.bytes += framed.len() as u64;
-        Ok(())
-    }
-
-    /// Queues one record for the next [`JournalWriter::flush_buffered`];
-    /// cannot fail — I/O errors surface at flush time.
+    /// Queues one framed record for the next
+    /// [`JournalWriter::flush_buffered`]; cannot fail — I/O errors
+    /// surface at flush time.
     fn buffer(&mut self, payload: &[u8]) {
-        Self::frame_into(payload, &mut self.buf);
+        (payload.len() as u32).encode(&mut self.buf);
+        self.buf.extend_from_slice(payload);
         self.buf_records += 1;
     }
 
     /// Writes every buffered record in one syscall. On error the batch
-    /// is dropped (the in-memory store stays ahead of the journal,
-    /// exactly like a failed per-record append) and the durable length
-    /// is left untouched.
+    /// is dropped (the in-memory store stays ahead of the journal) and
+    /// the durable length is left untouched.
     fn flush_buffered(&mut self) -> io::Result<()> {
         if self.buf.is_empty() {
             return Ok(());
@@ -574,10 +652,10 @@ pub struct DurableStore<F, V> {
     /// every checkpoint. Only ever written under the journal lock — the
     /// atomic is for lock-free reads in metrics paths.
     generation: AtomicU64,
-    /// Group-commit mode: mutations buffer their journal records and a
-    /// caller (the leader reactor) flushes once per batch via
-    /// [`DurableStore::flush_journal`]. Off by default — follower and
-    /// standalone stores keep the per-record flush discipline.
+    /// Group-commit mode: mutations leave their journal records buffered
+    /// and a caller (the leader reactor) flushes once per batch via
+    /// [`DurableStore::flush_journal`]. Off by default: each mutating
+    /// call then flushes its own records before it returns.
     group_commit: AtomicBool,
 }
 
@@ -602,21 +680,14 @@ where
 
         let snapshot_path = dir.join(SNAPSHOT_FILE);
         if snapshot_path.exists() {
-            let mut bytes = Vec::new();
-            File::open(&snapshot_path)?.read_to_end(&mut bytes)?;
-            let entries = decode_entries::<F, V>(&bytes)?;
-            recovery.snapshot_entries = entries.len();
-            for (device, epoch, fp, value) in entries {
-                store.insert(&device, epoch, fp, value);
-            }
+            let bytes = std::fs::read(&snapshot_path)?;
+            recovery.snapshot_entries = insert_entries(&store, decode_entries(&bytes)?);
         }
 
         let journal_path = dir.join(JOURNAL_FILE);
         let mut journal_upgraded = false;
-        let mut journal_bytes = JOURNAL_HEADER_LEN;
-        if journal_path.exists() {
-            let mut bytes = Vec::new();
-            File::open(&journal_path)?.read_to_end(&mut bytes)?;
+        let journal = if journal_path.exists() {
+            let bytes = std::fs::read(&journal_path)?;
             let mut input = bytes.as_slice();
             let version = check_header(&mut input, JOURNAL_MAGIC, "journal header")?;
             // An old-format journal is replayed, then rewritten at the
@@ -624,77 +695,33 @@ where
             // current encoding, which must never land behind a header
             // declaring the old one.
             journal_upgraded = version < FORMAT_VERSION;
-            // Bytes of well-formed journal prefix (header + valid records):
-            // a torn tail is truncated to this length before reopening for
-            // append, so post-recovery records never land behind garbage
-            // (which the next open's replay would discard).
-            let mut valid_len = bytes.len() - input.len();
-            loop {
-                if input.is_empty() {
-                    break;
-                }
-                let remaining_before = input.len();
-                let framed = (|| {
-                    let len = u32::decode(&mut input)? as usize;
-                    let payload = take(&mut input, len)?;
-                    JournalRecord::<F, V>::decode_payload(payload, version)
-                })();
-                let Some(record) = framed else {
-                    // Torn tail from a crash mid-append: the well-formed
-                    // prefix is the durable history; stop here.
-                    recovery.journal_truncated = true;
-                    break;
-                };
-                valid_len += remaining_before - input.len();
-                recovery.journal_records += 1;
-                match record {
-                    JournalRecord::Insert {
-                        device,
-                        epoch,
-                        fingerprint,
-                        value,
-                    } => store.insert(&device, epoch, fingerprint, value),
-                    JournalRecord::Remove {
-                        device,
-                        epoch,
-                        fingerprint,
-                    } => {
-                        store.remove(&device, epoch, &fingerprint);
-                    }
-                    JournalRecord::InvalidateBefore { device, epoch } => {
-                        store.invalidate_before(&device, epoch);
-                    }
-                    JournalRecord::InvalidateAllBefore { epoch } => {
-                        store.invalidate_all_before(epoch);
-                    }
-                }
+            let records = decode_records::<F, V>(&mut input, version);
+            recovery.journal_records = records.len();
+            for record in records {
+                record.apply(&store);
             }
-            if recovery.journal_truncated {
+            // What the decoder left is a torn tail from a crash
+            // mid-append: the well-formed prefix is the durable history.
+            // The tail is truncated away before reopening for append, so
+            // post-recovery records never land behind garbage (which the
+            // next open's replay would discard).
+            let valid_len = (bytes.len() - input.len()) as u64;
+            if !input.is_empty() {
+                recovery.journal_truncated = true;
                 let file = OpenOptions::new().write(true).open(&journal_path)?;
-                file.set_len(valid_len as u64)?;
+                file.set_len(valid_len)?;
                 file.sync_all()?;
             }
-            journal_bytes = valid_len as u64;
+            let file = OpenOptions::new().append(true).open(&journal_path)?;
+            JournalWriter::new(file, recovery.journal_records as u64, valid_len)
         } else {
-            let mut file = File::create(&journal_path)?;
-            file.write_all(&JOURNAL_MAGIC)?;
-            let mut v = Vec::new();
-            FORMAT_VERSION.encode(&mut v);
-            file.write_all(&v)?;
-            file.flush()?;
-        }
+            JournalWriter::new(create_journal(&journal_path)?, 0, JOURNAL_HEADER_LEN)
+        };
 
-        let file = OpenOptions::new().append(true).open(&journal_path)?;
         store.reset_metrics();
         let opened = DurableStore {
             store,
-            journal: Mutex::new(JournalWriter {
-                file,
-                records: recovery.journal_records as u64,
-                bytes: journal_bytes,
-                buf: Vec::new(),
-                buf_records: 0,
-            }),
+            journal: Mutex::new(journal),
             dir: dir.to_path_buf(),
             recovery,
             journal_write_errors: AtomicU64::new(0),
@@ -715,7 +742,7 @@ where
         self.recovery
     }
 
-    /// Journal appends that failed with an I/O error since open. The
+    /// Journal writes that failed with an I/O error since open. The
     /// in-memory store stays correct when this is non-zero, but
     /// durability of those mutations is lost; a daemon should checkpoint
     /// and alert.
@@ -752,8 +779,7 @@ where
     /// # Errors
     ///
     /// Journal write failures (also counted in
-    /// [`DurableStore::journal_write_errors`]; the batch is dropped,
-    /// like a failed per-record append).
+    /// [`DurableStore::journal_write_errors`]; the batch is dropped).
     pub fn flush_journal(&self) -> io::Result<()> {
         let mut journal = self.journal.lock().expect("journal lock");
         let result = journal.flush_buffered();
@@ -776,28 +802,39 @@ where
         }
     }
 
-    /// Applies a mutation and appends its record — but only when `apply`
-    /// reports it was effectful, so no-op removals/invalidations (a guard
-    /// discarding an already-evicted seed, a fresh epoch with nothing
-    /// stale) don't bloat the journal and slow every future replay.
+    /// Applies `record` to the store and buffers it in `journal`, but
+    /// only when it changed something, so no-op removals/invalidations
+    /// (a guard discarding an already-evicted seed, a fresh epoch with
+    /// nothing stale) don't bloat the journal and slow every future
+    /// replay. Returns the entries changed.
     ///
-    /// Journal lock first, shard lock second (inside `apply`): journal
-    /// order always matches store mutation order.
-    fn journaled(
-        &self,
-        record: JournalRecord<F, V>,
-        apply: impl FnOnce(&ShardedStore<F, V>) -> bool,
-    ) {
-        let mut journal = self.journal.lock().expect("journal lock");
-        if apply(&self.store) {
-            if self.group_commit.load(Ordering::Relaxed) {
-                // Buffering cannot fail; I/O errors surface (and are
-                // counted) at the batch flush.
-                journal.buffer(&record.encode_payload());
-            } else if journal.append(&record.encode_payload()).is_err() {
-                self.journal_write_errors.fetch_add(1, Ordering::Relaxed);
-            }
+    /// The caller holds the journal lock and the store takes its shard
+    /// lock inside: journal order always matches store mutation order.
+    fn apply_locked(&self, journal: &mut JournalWriter, record: JournalRecord<F, V>) -> usize {
+        let payload = record.encode_payload();
+        let changed = record.apply(&self.store);
+        if changed > 0 {
+            journal.buffer(&payload);
         }
+        changed
+    }
+
+    /// Ends a mutating call: a per-record store writes what
+    /// [`Self::apply_locked`] buffered before the call returns; under
+    /// group commit the bytes wait for [`Self::flush_journal`].
+    fn settle(&self, journal: &mut JournalWriter) {
+        if !self.group_commit.load(Ordering::Relaxed) && journal.flush_buffered().is_err() {
+            self.journal_write_errors.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// One journaled mutation under one journal-lock hold; returns the
+    /// entries changed.
+    fn journaled(&self, record: JournalRecord<F, V>) -> usize {
+        let mut journal = self.journal.lock().expect("journal lock");
+        let changed = self.apply_locked(&mut journal, record);
+        self.settle(&mut journal);
+        changed
     }
 
     /// Looks up a fingerprint — shard lock only, never journaled.
@@ -807,62 +844,35 @@ where
 
     /// Inserts an entry and journals the mutation.
     pub fn insert(&self, device: &str, epoch: u64, fingerprint: F, value: V) {
-        self.journaled(
-            JournalRecord::Insert {
-                device: device.to_string(),
-                epoch,
-                fingerprint: fingerprint.clone(),
-                value: value.clone(),
-            },
-            |s| {
-                s.insert(device, epoch, fingerprint, value);
-                true
-            },
-        );
+        self.journaled(JournalRecord::Insert {
+            device: device.to_string(),
+            epoch,
+            fingerprint,
+            value,
+        });
     }
 
     /// Removes one entry and journals the mutation.
     pub fn remove(&self, device: &str, epoch: u64, fingerprint: &F) -> bool {
-        let mut existed = false;
-        self.journaled(
-            JournalRecord::Remove {
-                device: device.to_string(),
-                epoch,
-                fingerprint: fingerprint.clone(),
-            },
-            |s| {
-                existed = s.remove(device, epoch, fingerprint);
-                existed
-            },
-        );
-        existed
+        self.journaled(JournalRecord::Remove {
+            device: device.to_string(),
+            epoch,
+            fingerprint: fingerprint.clone(),
+        }) > 0
     }
 
     /// Drops a device's stale-epoch entries and journals the event.
     pub fn invalidate_before(&self, device: &str, epoch: u64) -> usize {
-        let mut dropped = 0;
-        self.journaled(
-            JournalRecord::InvalidateBefore {
-                device: device.to_string(),
-                epoch,
-            },
-            |s| {
-                dropped = s.invalidate_before(device, epoch);
-                dropped > 0
-            },
-        );
-        dropped
+        self.journaled(JournalRecord::InvalidateBefore {
+            device: device.to_string(),
+            epoch,
+        })
     }
 
     /// Fleet-wide drift broadcast: drops stale-epoch entries on every
     /// shard and journals the event.
     pub fn invalidate_all_before(&self, epoch: u64) -> usize {
-        let mut dropped = 0;
-        self.journaled(JournalRecord::InvalidateAllBefore { epoch }, |s| {
-            dropped = s.invalidate_all_before(epoch);
-            dropped > 0
-        });
-        dropped
+        self.journaled(JournalRecord::InvalidateAllBefore { epoch })
     }
 
     /// Writes a fresh snapshot atomically (temp file + rename) and
@@ -882,13 +892,7 @@ where
             file.sync_all()?;
         }
         std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
-        let journal_path = self.dir.join(JOURNAL_FILE);
-        let mut file = File::create(&journal_path)?;
-        file.write_all(&JOURNAL_MAGIC)?;
-        let mut v = Vec::new();
-        FORMAT_VERSION.encode(&mut v);
-        file.write_all(&v)?;
-        file.flush()?;
+        let file = create_journal(&self.dir.join(JOURNAL_FILE))?;
         // Replacing the writer also discards any group-commit buffer:
         // the buffered records were applied to the in-memory store
         // before they were buffered, so the snapshot just written
@@ -896,13 +900,7 @@ where
         // *earlier*, and replies gated on a pre-checkpoint
         // `pending_cursor` release via the generation bump
         // (lexicographic `covers`).
-        *journal = JournalWriter {
-            file,
-            records: 0,
-            bytes: JOURNAL_HEADER_LEN,
-            buf: Vec::new(),
-            buf_records: 0,
-        };
+        *journal = JournalWriter::new(file, 0, JOURNAL_HEADER_LEN);
         // New journal incarnation: replication cursors into the old file
         // are dead, so followers behind them get a snapshot bootstrap.
         self.generation.fetch_add(1, Ordering::Relaxed);
@@ -969,69 +967,42 @@ where
     ///
     /// Snapshot shipments replace the whole store contents and
     /// checkpoint immediately, so the follower's own on-disk state is a
-    /// faithful restart point. Record shipments replay each journal
-    /// record through the store's own journaled mutation paths — a
-    /// follower's local journal therefore re-records everything it
+    /// faithful restart point. Record shipments apply all-or-nothing:
+    /// the whole payload is decoded first, then every record goes
+    /// through the path local mutations take, under one journal-lock
+    /// hold, and the batch reaches the follower's journal in one write.
+    /// A follower's local journal therefore re-records everything it
     /// applies, and promotion is a plain [`DurableStore::open`] of the
     /// follower's directory.
     ///
     /// # Errors
     ///
-    /// `InvalidData` when the payload is torn or malformed (a follower
-    /// should re-ack `ShipCursor::default()` to force a snapshot
-    /// resync); checkpoint I/O errors on the snapshot path.
+    /// `InvalidData` when the payload is torn or malformed, before any
+    /// of it is applied (a follower should re-ack `ShipCursor::default()`
+    /// to force a snapshot resync); checkpoint I/O errors on the
+    /// snapshot path.
     pub fn apply_ship(&self, batch: &ShipBatch) -> io::Result<usize> {
         if batch.snapshot {
             let entries = decode_entries::<F, V>(&batch.payload)?;
-            let count = entries.len();
             self.store.clear_all();
-            for (device, epoch, fp, value) in entries {
-                self.store.insert(&device, epoch, fp, value);
-            }
+            let count = insert_entries(&self.store, entries);
             // Compact immediately: the follower's snapshot now equals
             // the leader's shipped state and its journal is empty.
             self.checkpoint()?;
-            Ok(count)
-        } else {
-            let mut input = batch.payload.as_slice();
-            let mut applied = 0usize;
-            while !input.is_empty() {
-                let record = (|| {
-                    let len = u32::decode(&mut input)? as usize;
-                    let payload = take(&mut input, len)?;
-                    JournalRecord::<F, V>::decode_payload(payload, FORMAT_VERSION)
-                })();
-                let Some(record) = record else {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "torn or malformed shipped journal record",
-                    ));
-                };
-                match record {
-                    JournalRecord::Insert {
-                        device,
-                        epoch,
-                        fingerprint,
-                        value,
-                    } => self.insert(&device, epoch, fingerprint, value),
-                    JournalRecord::Remove {
-                        device,
-                        epoch,
-                        fingerprint,
-                    } => {
-                        self.remove(&device, epoch, &fingerprint);
-                    }
-                    JournalRecord::InvalidateBefore { device, epoch } => {
-                        self.invalidate_before(&device, epoch);
-                    }
-                    JournalRecord::InvalidateAllBefore { epoch } => {
-                        self.invalidate_all_before(epoch);
-                    }
-                }
-                applied += 1;
-            }
-            Ok(applied)
+            return Ok(count);
         }
+        let mut input = batch.payload.as_slice();
+        let records = decode_records::<F, V>(&mut input, FORMAT_VERSION);
+        if !input.is_empty() {
+            return Err(bad_data("torn or malformed shipped journal record"));
+        }
+        let applied = records.len();
+        let mut journal = self.journal.lock().expect("journal lock");
+        for record in records {
+            self.apply_locked(&mut journal, record);
+        }
+        self.settle(&mut journal);
+        Ok(applied)
     }
 
     /// Checkpoints if (and only if) `policy` says the journal has grown

@@ -292,7 +292,8 @@ proptest! {
 
 /// The torn-payload half of the truncation property, pinned: a records
 /// batch whose payload loses its last byte is refused with
-/// `InvalidData` and does not advance the cursor.
+/// `InvalidData`, does not advance the cursor, and applies none of its
+/// records, in memory or in the follower's journal.
 #[test]
 fn torn_payload_is_refused_with_a_typed_error() {
     let leader_dir = temp_dir("torn-pin-lead");
@@ -314,6 +315,10 @@ fn torn_payload_is_refused_with_a_typed_error() {
     let err = follower.apply(&batch).expect_err("torn payload refused");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert_eq!(follower.cursor(), synced, "cursor did not advance");
+    assert_eq!(follower.store().len(), 0, "the intact first record too");
+    drop(follower);
+    let reopened = Store::open(&follower_dir, 2, 64).expect("follower reopens");
+    assert_eq!(reopened.len(), 0, "nothing of the batch was journaled");
 
     let _ = std::fs::remove_dir_all(&leader_dir);
     let _ = std::fs::remove_dir_all(&follower_dir);
