@@ -416,10 +416,14 @@ pub enum StoredChoice {
 // The byte encodings that let `vaqem_runtime::persist::DurableStore`
 // carry fingerprints and choices across process restarts. They live here
 // (not in the runtime crate) because of the orphan rule: core owns the
-// types. `DdSequence` belongs to vaqem-mitigation, so its tag is encoded
-// inline rather than via a foreign `Codec` impl.
+// types. `DdSequence` and `ZneConfig` belong to vaqem-mitigation, so
+// they are encoded by the four public functions below rather than by
+// foreign `Codec` impls; the fleet's RPC wire encodes them through the
+// same functions.
 
-fn dd_sequence_tag(seq: DdSequence) -> u8 {
+/// The one byte encoding of a [`DdSequence`], shared by the config
+/// store and the RPC wire: `Xx = 0`, `Yy = 1`, `Xy4 = 2`, `Xy8 = 3`.
+pub fn dd_sequence_tag(seq: DdSequence) -> u8 {
     match seq {
         DdSequence::Xx => 0,
         DdSequence::Yy => 1,
@@ -428,7 +432,8 @@ fn dd_sequence_tag(seq: DdSequence) -> u8 {
     }
 }
 
-fn dd_sequence_from_tag(tag: u8) -> Option<DdSequence> {
+/// Inverse of [`dd_sequence_tag`]; `None` for an unknown tag.
+pub fn dd_sequence_from_tag(tag: u8) -> Option<DdSequence> {
     Some(match tag {
         0 => DdSequence::Xx,
         1 => DdSequence::Yy,
@@ -467,49 +472,33 @@ impl Codec for TuningMode {
     }
 }
 
-// `ZneConfig` belongs to vaqem-mitigation and `Codec` to vaqem-runtime,
-// so (like `DdSequence` above) its encoding lives inline here rather
-// than as a foreign trait impl.
-
-fn extrapolation_tag(e: Extrapolation) -> (u8, u8) {
-    match e {
+/// The one byte encoding of a [`ZneConfig`], shared by the config store
+/// and the RPC wire: the fold counts as a `u32`-counted `Vec<u8>`, then
+/// an extrapolation tag byte (`0` = Richardson, `1` = exponential) and
+/// an order byte (the Richardson order; `0` after the exponential tag).
+pub fn encode_zne(zne: &ZneConfig, out: &mut Vec<u8>) {
+    zne.folds.encode(out);
+    let (tag, order) = match zne.extrapolation {
         Extrapolation::Richardson { order } => (0, order),
         Extrapolation::Exponential => (1, 0),
-    }
-}
-
-fn encode_zne(zne: &ZneConfig, out: &mut Vec<u8>) {
-    (zne.folds.len() as u32).encode(out);
-    out.extend_from_slice(&zne.folds);
-    let (tag, order) = extrapolation_tag(zne.extrapolation);
+    };
     out.push(tag);
     out.push(order);
 }
 
-fn decode_zne(input: &mut &[u8]) -> Option<ZneConfig> {
-    let len = u32::decode(input)? as usize;
-    let folds = vaqem_runtime::persist::take(input, len)?.to_vec();
-    let extrapolation = match u8::decode(input)? {
-        0 => Extrapolation::Richardson {
-            order: u8::decode(input)?,
-        },
-        1 => {
-            let _ = u8::decode(input)?;
-            Extrapolation::Exponential
-        }
+/// Inverse of [`encode_zne`]. `None` on truncated input, an unknown tag,
+/// or folds that break the [`ZneConfig::new`] invariant (at least two,
+/// all distinct), so corrupt or hostile bytes fail the decode instead of
+/// yielding a protocol that panics at extrapolation time.
+pub fn decode_zne(input: &mut &[u8]) -> Option<ZneConfig> {
+    let folds = Vec::<u8>::decode(input)?;
+    let extrapolation = match (u8::decode(input)?, u8::decode(input)?) {
+        (0, order) => Extrapolation::Richardson { order },
+        (1, _) => Extrapolation::Exponential,
         _ => return None,
     };
-    // Enforce the full ZneConfig invariant here so malformed persisted
-    // bytes fail the decode cleanly (Codec contract) instead of producing
-    // a protocol that panics at extrapolation time: ≥ 2 scales, all
-    // distinct.
-    if folds.len() < 2 {
+    if folds.len() < 2 || (1..folds.len()).any(|i| folds[..i].contains(&folds[i])) {
         return None;
-    }
-    for (i, a) in folds.iter().enumerate() {
-        if folds[..i].contains(a) {
-            return None;
-        }
     }
     Some(ZneConfig {
         folds,
@@ -519,21 +508,9 @@ fn decode_zne(input: &mut &[u8]) -> Option<ZneConfig> {
 
 impl Codec for ComposedChoice {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.gate_positions.len() as u32).encode(out);
-        for p in &self.gate_positions {
-            p.encode(out);
-        }
-        match self.dd_sequence {
-            None => out.push(0),
-            Some(seq) => {
-                out.push(1);
-                out.push(dd_sequence_tag(seq));
-            }
-        }
-        (self.dd_repetitions.len() as u32).encode(out);
-        for r in &self.dd_repetitions {
-            r.encode(out);
-        }
+        self.gate_positions.encode(out);
+        self.dd_sequence.map(dd_sequence_tag).encode(out);
+        self.dd_repetitions.encode(out);
         match &self.zne {
             None => out.push(0),
             Some(z) => {
@@ -545,21 +522,12 @@ impl Codec for ComposedChoice {
     }
 
     fn decode(input: &mut &[u8]) -> Option<Self> {
-        let n = u32::decode(input)? as usize;
-        let mut gate_positions = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            gate_positions.push(f64::decode(input)?);
-        }
-        let dd_sequence = match u8::decode(input)? {
-            0 => None,
-            1 => Some(dd_sequence_from_tag(u8::decode(input)?)?),
-            _ => return None,
+        let gate_positions = Vec::<f64>::decode(input)?;
+        let dd_sequence = match Option::<u8>::decode(input)? {
+            None => None,
+            Some(tag) => Some(dd_sequence_from_tag(tag)?),
         };
-        let n = u32::decode(input)? as usize;
-        let mut dd_repetitions = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            dd_repetitions.push(u32::decode(input)?);
-        }
+        let dd_repetitions = Vec::<u32>::decode(input)?;
         let zne = match u8::decode(input)? {
             0 => None,
             1 => Some(decode_zne(input)?),

@@ -36,8 +36,10 @@ pub const MAGIC: [u8; 4] = *b"VQRP";
 /// Protocol version carried in the preamble; bumped on any frame-format
 /// change. Version 2 widened `MetricsReply` with the pump
 /// self-observation counters (`pump_cpu_micros`, `pump_passes`,
-/// `pump_wakeups`).
-pub const VERSION: u32 = 2;
+/// `pump_wakeups`). Version 3 encodes an outcome's ZNE protocol with the
+/// config store's codec, which adds an order byte after the exponential
+/// extrapolation tag.
+pub const VERSION: u32 = 3;
 
 /// Bytes of the connection preamble (magic + version).
 pub const PREAMBLE_LEN: usize = 8;

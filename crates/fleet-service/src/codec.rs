@@ -11,15 +11,14 @@
 //!
 //! The mitigation types inside an outcome ([`MitigationConfig`],
 //! `DdSequence`, `ZneConfig`) are foreign to this crate *and* to the
-//! runtime crate, so they are encoded through private helper functions
-//! rather than `Codec` impls (the orphan rule). The `DdSequence` tag
-//! values match the core crate's store encoding (`Xx=0, Yy=1, Xy4=2,
-//! Xy8=3`), so a config read off the wire and a config read from the
-//! journal agree byte for byte.
+//! runtime crate, so they are encoded through helper functions rather
+//! than `Codec` impls (the orphan rule). The DD sequence and ZNE protocol
+//! go through the core crate's store codec functions
+//! ([`dd_sequence_tag`], [`encode_zne`] and their inverses), so the wire
+//! and the journal write these types with the same bytes.
 
+use vaqem::window_tuner::{dd_sequence_from_tag, dd_sequence_tag, decode_zne, encode_zne};
 use vaqem_mitigation::combined::MitigationConfig;
-use vaqem_mitigation::dd::DdSequence;
-use vaqem_mitigation::zne::{Extrapolation, ZneConfig};
 use vaqem_runtime::persist::Codec;
 
 use crate::daemon::{SessionError, SessionKind, SessionOutcome, SessionRequest};
@@ -69,72 +68,10 @@ impl Codec for SessionRequest {
     }
 }
 
-fn encode_dd_sequence(seq: DdSequence, out: &mut Vec<u8>) {
-    let tag: u8 = match seq {
-        DdSequence::Xx => 0,
-        DdSequence::Yy => 1,
-        DdSequence::Xy4 => 2,
-        DdSequence::Xy8 => 3,
-    };
-    tag.encode(out);
-}
-
-fn decode_dd_sequence(input: &mut &[u8]) -> Option<DdSequence> {
-    Some(match u8::decode(input)? {
-        0 => DdSequence::Xx,
-        1 => DdSequence::Yy,
-        2 => DdSequence::Xy4,
-        3 => DdSequence::Xy8,
-        _ => return None,
-    })
-}
-
-fn encode_zne(zne: &ZneConfig, out: &mut Vec<u8>) {
-    zne.folds.encode(out);
-    match zne.extrapolation {
-        Extrapolation::Richardson { order } => {
-            0u8.encode(out);
-            order.encode(out);
-        }
-        Extrapolation::Exponential => 1u8.encode(out),
-    }
-}
-
-fn decode_zne(input: &mut &[u8]) -> Option<ZneConfig> {
-    let folds = Vec::<u8>::decode(input)?;
-    // Re-validate the `ZneConfig::new` invariant rather than panic on a
-    // corrupt or hostile stream: ≥ 2 distinct fold counts.
-    if folds.len() < 2 {
-        return None;
-    }
-    for (i, f) in folds.iter().enumerate() {
-        if folds[..i].contains(f) {
-            return None;
-        }
-    }
-    let extrapolation = match u8::decode(input)? {
-        0 => Extrapolation::Richardson {
-            order: u8::decode(input)?,
-        },
-        1 => Extrapolation::Exponential,
-        _ => return None,
-    };
-    Some(ZneConfig {
-        folds,
-        extrapolation,
-    })
-}
-
 fn encode_mitigation(config: &MitigationConfig, out: &mut Vec<u8>) {
     config.gate_positions.encode(out);
     config.dd_repetitions.encode(out);
-    match config.dd_sequence {
-        None => 0u8.encode(out),
-        Some(seq) => {
-            1u8.encode(out);
-            encode_dd_sequence(seq, out);
-        }
-    }
+    config.dd_sequence.map(dd_sequence_tag).encode(out);
     match &config.zne {
         None => 0u8.encode(out),
         Some(zne) => {
@@ -147,10 +84,9 @@ fn encode_mitigation(config: &MitigationConfig, out: &mut Vec<u8>) {
 fn decode_mitigation(input: &mut &[u8]) -> Option<MitigationConfig> {
     let gate_positions = Vec::<f64>::decode(input)?;
     let dd_repetitions = Vec::<usize>::decode(input)?;
-    let dd_sequence = match u8::decode(input)? {
-        0 => None,
-        1 => Some(decode_dd_sequence(input)?),
-        _ => return None,
+    let dd_sequence = match Option::<u8>::decode(input)? {
+        None => None,
+        Some(tag) => Some(dd_sequence_from_tag(tag)?),
     };
     let zne = match u8::decode(input)? {
         0 => None,
@@ -285,6 +221,8 @@ impl Codec for SessionError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vaqem_mitigation::dd::DdSequence;
+    use vaqem_mitigation::zne::{Extrapolation, ZneConfig};
 
     fn roundtrip<T: Codec + PartialEq + std::fmt::Debug>(value: &T) {
         let mut bytes = Vec::new();
@@ -336,45 +274,42 @@ mod tests {
 
     #[test]
     fn outcome_with_full_mitigation_roundtrips() {
-        let outcome = SessionOutcome {
-            client: "c0".into(),
-            device: 1,
-            device_name: "ibmq_test".into(),
-            epoch: 4,
-            hits: 10,
-            misses: 3,
-            guard_rejected: false,
-            evaluations: 96,
-            minutes: 12.75,
-            invalidated: 1,
-            sequence: 42,
-            config: MitigationConfig {
-                gate_positions: vec![0.0, 0.5, 1.0],
-                dd_repetitions: vec![2, 0, 4],
-                dd_sequence: Some(DdSequence::Xy4),
-                zne: Some(ZneConfig::new(
-                    vec![0, 1, 2],
-                    Extrapolation::Richardson { order: 2 },
-                )),
-            },
-        };
-        let mut bytes = Vec::new();
-        outcome.encode(&mut bytes);
-        let back = SessionOutcome::decode(&mut bytes.as_slice()).unwrap();
-        assert_eq!(back.client, outcome.client);
-        assert_eq!(back.sequence, outcome.sequence);
-        assert_eq!(back.config, outcome.config);
-        assert_eq!(back.minutes, outcome.minutes);
-    }
-
-    #[test]
-    fn corrupt_zne_fold_sets_decode_to_none_not_panic() {
-        // A duplicate fold set violates the ZneConfig invariant; the
-        // decoder must refuse it instead of panicking in `new`.
-        let mut bytes = Vec::new();
-        vec![1u8, 1u8].encode(&mut bytes);
-        1u8.encode(&mut bytes); // Exponential
-        assert!(decode_zne(&mut bytes.as_slice()).is_none());
+        for extrapolation in [
+            Extrapolation::Richardson { order: 2 },
+            Extrapolation::Exponential,
+        ] {
+            let zne = ZneConfig::new(vec![0, 1, 2], extrapolation);
+            let outcome = SessionOutcome {
+                client: "c0".into(),
+                device: 1,
+                device_name: "ibmq_test".into(),
+                epoch: 4,
+                hits: 10,
+                misses: 3,
+                guard_rejected: false,
+                evaluations: 96,
+                minutes: 12.75,
+                invalidated: 1,
+                sequence: 42,
+                config: MitigationConfig {
+                    gate_positions: vec![0.0, 0.5, 1.0],
+                    dd_repetitions: vec![2, 0, 4],
+                    dd_sequence: Some(DdSequence::Xy4),
+                    zne: Some(zne.clone()),
+                },
+            };
+            let mut bytes = Vec::new();
+            outcome.encode(&mut bytes);
+            // The ZNE protocol closes the outcome, in the store's bytes.
+            let mut store_bytes = vec![1u8];
+            encode_zne(&zne, &mut store_bytes);
+            assert!(bytes.ends_with(&store_bytes), "{extrapolation:?}");
+            let back = SessionOutcome::decode(&mut bytes.as_slice()).unwrap();
+            assert_eq!(back.client, outcome.client);
+            assert_eq!(back.sequence, outcome.sequence);
+            assert_eq!(back.config, outcome.config);
+            assert_eq!(back.minutes, outcome.minutes);
+        }
     }
 
     #[test]
