@@ -77,7 +77,7 @@ use std::time::{Duration, Instant};
 
 use vaqem_bench::rpcload;
 use vaqem_fleet_rpc::client::RpcClient;
-use vaqem_fleet_rpc::{FailoverClient, FailoverTarget, ReconnectPolicy};
+use vaqem_fleet_rpc::{FailoverClient, FailoverTarget};
 use vaqem_fleet_service::SessionError;
 use vaqem_mathkit::rng::root_seed_from_env;
 use vaqem_runtime::latency::LatencyHistogram;
@@ -334,11 +334,7 @@ fn run_failover_tenant(
     const SESSION_CAP: u64 = 500;
 
     let mut stats = FailoverStats::default();
-    let mut client = match FailoverClient::connect(
-        target,
-        &format!("failover-{index}"),
-        ReconnectPolicy::default(),
-    ) {
+    let mut client = match FailoverClient::connect(target, &format!("failover-{index}")) {
         Ok(client) => client,
         Err(_) => {
             stats.errors += 1;

@@ -28,7 +28,7 @@ use std::time::Duration;
 use vaqem_bench::rpcload;
 use vaqem_fleet_replica::{Follower, FollowerExit, ReplicaConfig};
 use vaqem_fleet_rpc::server::{RpcListener, RpcServerConfig};
-use vaqem_fleet_rpc::{FailoverClient, FailoverTarget, ReconnectPolicy};
+use vaqem_fleet_rpc::{FailoverClient, FailoverTarget};
 use vaqem_fleet_service::FleetService;
 use vaqem_mathkit::rng::SeedStream;
 
@@ -185,12 +185,8 @@ fn sigkilled_leader_fails_over_to_follower_with_no_lost_acknowledged_publishes()
     // is gated on the follower's durable ack, so once it returns, every
     // entry it published is replicated — acknowledged means durable on
     // both sides.
-    let mut client = FailoverClient::connect(
-        FailoverTarget::Unix(sock.clone()),
-        "c0",
-        ReconnectPolicy::default(),
-    )
-    .expect("client connects to leader");
+    let mut client = FailoverClient::connect(FailoverTarget::Unix(sock.clone()), "c0")
+        .expect("client connects to leader");
     client
         .set_read_timeout(Some(Duration::from_secs(120)))
         .expect("timeout set");

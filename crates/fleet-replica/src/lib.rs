@@ -169,27 +169,27 @@ pub struct ReplicaConfig {
     pub shards: usize,
     /// Per-shard capacity, as above.
     pub capacity_per_shard: usize,
-    /// Read timeout on the replication connection. A SIGKILLed leader
-    /// yields EOF immediately, but a wedged one only trips this. It
-    /// must exceed the leader's heartbeat (about 100 ms): an idle
-    /// leader answers a caught-up sync only when the heartbeat falls
-    /// due, and a shorter timeout would read that as leader death.
-    pub read_timeout: Option<Duration>,
 }
 
 impl ReplicaConfig {
-    /// A config with a 5 s read timeout; geometry should be overridden
-    /// to match the leader.
+    /// A config with default geometry, which should be overridden to
+    /// match the leader.
     pub fn new(leader: FailoverTarget, store_dir: PathBuf) -> Self {
         ReplicaConfig {
             leader,
             store_dir,
             shards: 4,
             capacity_per_shard: 128,
-            read_timeout: Some(Duration::from_secs(5)),
         }
     }
 }
+
+/// Read timeout on the replication connection. A SIGKILLed leader
+/// yields EOF immediately, but a wedged one only trips this. It must
+/// exceed the leader's heartbeat (about 100 ms): an idle leader answers
+/// a caught-up sync only when the heartbeat falls due, and a shorter
+/// timeout would read that as leader death.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Why [`Follower::run`] returned.
 #[derive(Debug)]
@@ -249,7 +249,7 @@ impl Follower {
             FailoverTarget::Tcp(addr) => RpcClient::connect_tcp(addr.as_str())?,
             FailoverTarget::Unix(path) => RpcClient::connect_unix(path)?,
         };
-        client.set_read_timeout(config.read_timeout)?;
+        client.set_read_timeout(Some(READ_TIMEOUT))?;
         Ok(client)
     }
 

@@ -45,31 +45,17 @@ impl FailoverTarget {
     }
 }
 
-/// How hard a [`FailoverClient`] tries to get back: up to `attempts`
-/// connection attempts per outage, sleeping `initial_backoff` before
-/// the second and doubling up to `max_backoff` between later ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReconnectPolicy {
-    /// Connection attempts per outage before giving up.
-    pub attempts: u32,
-    /// Sleep before the second attempt (the first is immediate).
-    pub initial_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
+/// Connection attempts per outage before giving up. With the backoff
+/// below (the first attempt immediate, then 10ms doubling to 500ms)
+/// this rides out the couple of seconds a follower needs to notice the
+/// death, replay its journal, and take over the socket, with margin.
+const RECONNECT_ATTEMPTS: u32 = 40;
 
-impl Default for ReconnectPolicy {
-    /// 40 attempts, 10ms doubling to 500ms — rides out the couple of
-    /// seconds a follower needs to notice the death, replay its
-    /// journal, and take over the socket, with margin.
-    fn default() -> Self {
-        ReconnectPolicy {
-            attempts: 40,
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
-        }
-    }
-}
+/// Sleep before the second attempt (the first is immediate).
+const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Backoff ceiling.
+const MAX_BACKOFF: Duration = Duration::from_millis(500);
 
 /// An [`RpcClient`] that survives its server: reconnects with backoff
 /// and resubmits in-flight sessions under their original tokens. See
@@ -77,7 +63,6 @@ impl Default for ReconnectPolicy {
 pub struct FailoverClient {
     target: FailoverTarget,
     identity: String,
-    policy: ReconnectPolicy,
     client: Option<RpcClient>,
     next_token: u64,
     /// Sessions submitted and not yet answered — the resubmission set.
@@ -89,20 +74,15 @@ pub struct FailoverClient {
 }
 
 impl FailoverClient {
-    /// Connects (retrying per `policy`) and binds `identity`.
+    /// Connects (retrying with backoff) and binds `identity`.
     ///
     /// # Errors
     ///
-    /// When every connection attempt in the policy budget fails.
-    pub fn connect(
-        target: FailoverTarget,
-        identity: &str,
-        policy: ReconnectPolicy,
-    ) -> io::Result<Self> {
+    /// When every connection attempt fails.
+    pub fn connect(target: FailoverTarget, identity: &str) -> io::Result<Self> {
         let mut client = FailoverClient {
             target,
             identity: identity.to_string(),
-            policy,
             client: None,
             next_token: 1,
             in_flight: HashMap::new(),
@@ -178,12 +158,12 @@ impl FailoverClient {
 
     /// Runs `op` against a live connection, reconnecting (and
     /// resubmitting in-flight sessions) on connection failure. Bounded:
-    /// at most `policy.attempts` failure→reconnect cycles per call.
+    /// at most `RECONNECT_ATTEMPTS` failure→reconnect cycles per call.
     fn with_client<T>(
         &mut self,
         mut op: impl FnMut(&mut RpcClient) -> io::Result<T>,
     ) -> io::Result<T> {
-        for _ in 0..self.policy.attempts.max(1) {
+        for _ in 0..RECONNECT_ATTEMPTS {
             if self.client.is_none() {
                 self.reconnect()?;
             }
@@ -227,12 +207,12 @@ impl FailoverClient {
         }
         // Results already harvested need no resubmission.
         self.in_flight.retain(|t, _| !self.results.contains_key(t));
-        let mut backoff = self.policy.initial_backoff;
+        let mut backoff = INITIAL_BACKOFF;
         let mut last_err: io::Error = io::ErrorKind::NotConnected.into();
-        for attempt in 0..self.policy.attempts.max(1) {
+        for attempt in 0..RECONNECT_ATTEMPTS {
             if attempt > 0 {
                 std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(self.policy.max_backoff);
+                backoff = (backoff * 2).min(MAX_BACKOFF);
             }
             match self.try_connect() {
                 Ok(client) => {
@@ -246,8 +226,7 @@ impl FailoverClient {
         Err(io::Error::new(
             io::ErrorKind::ConnectionRefused,
             format!(
-                "failover: no server at target after {} attempts: {last_err}",
-                self.policy.attempts.max(1)
+                "failover: no server at target after {RECONNECT_ATTEMPTS} attempts: {last_err}"
             ),
         ))
     }

@@ -48,6 +48,6 @@ pub mod server;
 pub mod wire;
 
 pub use client::RpcClient;
-pub use failover::{FailoverClient, FailoverTarget, ReconnectPolicy};
+pub use failover::{FailoverClient, FailoverTarget};
 pub use server::{RpcListener, RpcServer, RpcServerConfig};
 pub use wire::{check_preamble, preamble, Frame, PreambleError, MAGIC, PREAMBLE_LEN, VERSION};

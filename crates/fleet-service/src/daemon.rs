@@ -121,7 +121,7 @@ pub enum SessionKind {
 }
 
 /// Multi-tenancy policy: worker pool bound, fairness weights, quotas,
-/// and the self-compaction cadence. The default is the "no policy"
+/// and the self-compaction policy. The default is the "no policy"
 /// fleet — unlimited equal-weight tenants, a pool of one worker per
 /// device, auto-compaction at the store's default journal bound — which
 /// behaves like the pre-reactor daemon.
@@ -140,12 +140,9 @@ pub struct TenancyConfig {
     /// Length of the machine-minute budget accounting window, in the
     /// request clock's hours.
     pub quota_epoch_hours: f64,
-    /// When checkpoint ticks compact the journal into a snapshot.
+    /// When checkpoint ticks (one after every completion) compact the
+    /// journal into a snapshot.
     pub compaction: CompactionPolicy,
-    /// Completions per checkpoint tick (the tick then applies
-    /// `compaction`). Higher values check less often; the journal bound
-    /// is still respected to within one tick's worth of sessions.
-    pub checkpoint_tick_completions: u64,
 }
 
 impl Default for TenancyConfig {
@@ -157,7 +154,6 @@ impl Default for TenancyConfig {
             quotas: Vec::new(),
             quota_epoch_hours: 24.0,
             compaction: CompactionPolicy::default(),
-            checkpoint_tick_completions: 1,
         }
     }
 }

@@ -98,7 +98,7 @@ pub(crate) enum Event {
         epoch: u64,
     },
     /// Time to consider auto-compaction (reactor-internal, scheduled
-    /// every `checkpoint_tick_completions` completions).
+    /// after every completion).
     CheckpointTick,
     /// A metrics snapshot was requested.
     Metrics(Sender<FleetMetricsReport>),
@@ -498,7 +498,6 @@ struct Reactor {
     worker_txs: Vec<Sender<WorkItem>>,
     free_workers: Vec<usize>,
     counters: EventCounters,
-    completions_since_tick: u64,
     draining: bool,
     /// The attached transport protocol driver, if any.
     driver: Option<Box<dyn SocketDriver>>,
@@ -790,11 +789,7 @@ impl Reactor {
             .store
             .attribute_client(&report.client, &report.store_delta);
         self.free_workers.push(report.worker);
-        self.completions_since_tick += 1;
-        if self.completions_since_tick >= self.shared.config.tenancy.checkpoint_tick_completions {
-            self.completions_since_tick = 0;
-            self.queue.push_back(Event::CheckpointTick);
-        }
+        self.queue.push_back(Event::CheckpointTick);
         // Accounting settled above; only now does the submitter hear —
         // and never before this session's store mutations are durable.
         // The gate point is the store's *pending* cursor (buffered
@@ -957,7 +952,6 @@ pub(crate) fn reactor_loop(
         free_workers: (0..worker_txs.len()).rev().collect(),
         worker_txs,
         counters: EventCounters::default(),
-        completions_since_tick: 0,
         draining: false,
         driver: None,
         followers: HashMap::new(),

@@ -520,7 +520,6 @@ fn checkpoint_ticks_auto_compact_the_journal() {
     // window per session, so a cold round journals ~one insert per
     // device).
     config.tenancy.compaction = CompactionPolicy::after_records(1);
-    config.tenancy.checkpoint_tick_completions = 1;
     let service = FleetService::open(
         config,
         vec![device("fleet-east", seed), device("fleet-west", seed)],
