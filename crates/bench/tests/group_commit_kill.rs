@@ -133,8 +133,9 @@ fn sigkill_at_the_ack_loses_no_acknowledged_publish_and_tolerates_a_torn_batch()
     let sock = std::env::temp_dir().join(format!("vaqem-gckill-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&sock);
 
-    // The daemon under test: a real child process, group commit on by
-    // default (no VAQEM_JOURNAL_MODE override).
+    // The daemon under test: a real child process. It inherits
+    // VAQEM_JOURNAL_MODE, so it runs group commit (the default) unless
+    // the test run sets per_record.
     let mut daemon = std::process::Command::new(env!("CARGO_BIN_EXE_fleetd"))
         .arg("--unix")
         .arg(&sock)
