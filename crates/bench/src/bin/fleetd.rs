@@ -209,8 +209,10 @@ fn wait_for(stop: &AtomicBool) {
 
 fn serve_until_stopped(service: FleetService, server: RpcServer, stop: &AtomicBool) {
     wait_for(stop);
-    server.stop();
+    // Read the report first: stopping the server detaches its driver,
+    // and the RPC counters go with it.
     let report = service.metrics_report();
+    server.stop();
     println!("{report}");
     service.shutdown().expect("checkpoint");
     println!("fleetd: graceful shutdown complete");

@@ -16,16 +16,17 @@
 //! socket — `width` workers, `width` windowed devices, the light sweep
 //! tuner — and drives one closed-loop client per worker through it
 //! twice: once in the
-//! **current** configuration (readiness pump + journal group commit)
+//! **current** configuration (epoll readiness + journal group commit)
 //! and once in the **legacy** one (`VAQEM_RPC_PUMP=poll` +
-//! `VAQEM_JOURNAL_MODE=per_record`, the pre-campaign behavior). Each
-//! point records sessions/hour (total and per core), the pump's CPU
-//! fraction under load, and — from a quiet window after the load — the
-//! pump's *idle* CPU fraction. The curves land in `BENCH_fleet.json`
+//! `VAQEM_JOURNAL_MODE=per_record`, the pre-campaign polling and flush
+//! discipline). Each point records sessions/hour (total and per core),
+//! the serving thread's CPU fraction under load (the `pump_*` keys:
+//! socket I/O runs on the reactor thread), and — from a quiet window
+//! after the load — its *idle* CPU fraction. The curves land in `BENCH_fleet.json`
 //! (or `--out`/`$BENCH_FLEET_OUT`). In-binary gates: zero errors
 //! everywhere; in full mode, ≥1.3x sessions/hour for current-vs-legacy
-//! at the widest point and (on Linux) lower idle pump CPU for the
-//! readiness pump than the polling fallback; and when
+//! at the widest point and (on Linux) lower idle CPU for the epoll
+//! source than the scan fallback; and when
 //! `$BENCH_FLEET_BASELINE` names the committed `BENCH_fleet.json` (the
 //! CI smoke does), the run's best width ratio must stay within 25% of
 //! the committed `gate_improvement_ratio` — current-vs-legacy ratios
@@ -632,8 +633,8 @@ fn run_sweep_point(
     let target = Target::Unix(socket);
 
     // One closed-loop client per worker: each round trip crosses the
-    // pump twice, so the serving stack's per-hop latency — not queueing
-    // depth — is what the sessions/hour curve measures.
+    // serving thread twice, so the serving stack's per-hop latency — not
+    // queueing depth — is what the sessions/hour curve measures.
     let stop = Arc::new(AtomicBool::new(false));
     let clients = width;
     let started = Instant::now();
@@ -657,10 +658,10 @@ fn run_sweep_point(
     }
     let elapsed = started.elapsed();
 
-    // Pump CPU under load (cumulative since serve), then the idle
-    // window: with no traffic, the readiness pump blocks in the kernel
-    // while the polling fallback keeps taking backoff-paced passes —
-    // the delta between two quiet metrics fetches is the idle burn.
+    // Serving-thread CPU under load (cumulative), then the idle window:
+    // with no traffic, the epoll source blocks in the kernel while the
+    // scan source keeps taking backoff-paced passes — the delta between
+    // two quiet metrics fetches is the idle burn.
     let mut probe = target.connect_patiently();
     probe
         .set_read_timeout(Some(Duration::from_secs(600)))
@@ -695,14 +696,19 @@ fn run_sweep_point(
     }
 }
 
+/// The host's core count, recorded in every report.
+fn machine_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(2)
+}
+
 /// The `--sweep-cores` mode: per-core scaling curves for the current
-/// configuration against the legacy (polling pump, per-record flush)
+/// configuration against the legacy (scan source, per-record flush)
 /// one, with in-binary gates. See the module docs.
 fn run_sweep(args: &Args) {
     let seed = root_seed_from_env(DEFAULT_ROOT_SEED);
-    let max_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2);
+    let max_cores = machine_cores();
     let widths: Vec<usize> = if args.quick {
         vec![1, 2]
     } else {
@@ -752,7 +758,7 @@ fn run_sweep(args: &Args) {
 
     // The gate point: the widest width that still fits in physical
     // cores. Beyond that the comparison stops isolating the serving
-    // stack — an oversubscribed polling pump's backoff sleeps double as
+    // stack — an oversubscribed scan source's backoff sleeps double as
     // involuntary yields to the starved workers, flattering legacy.
     let gate_idx = rows
         .iter()
@@ -962,6 +968,7 @@ fn main() {
                 ("target", JsonValue::Str(args.target().label())),
                 ("quick", JsonValue::Bool(args.quick)),
                 ("seed", JsonValue::Int(seed as i128)),
+                ("machine_cores", JsonValue::Int(machine_cores() as i128)),
             ]),
         ),
         ("latency", quantiles_json(&hist)),

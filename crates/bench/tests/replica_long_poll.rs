@@ -17,12 +17,14 @@
 //!   heartbeat, never in a tight loop, and returns `Stopped` within a
 //!   second of its stop flag;
 //! - (e) a parked follower still gets its heartbeats while the leader
-//!   handles only events that journal nothing.
+//!   handles only events that journal nothing;
+//! - (f) stopping the server forgets its followers, so a later
+//!   in-process reply is not held for an ack that can never come.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -68,22 +70,27 @@ fn open_windowed(dir: &Path, seed: u64) -> FleetService {
 
 /// A seed whose cold session the guard accepts, so that it publishes (a
 /// rejected session journals nothing). Scanned, as in
-/// `failover_replay.rs`: rejection under shot noise is legitimate.
+/// `failover_replay.rs`: rejection under shot noise is legitimate. The
+/// scan runs once per binary, so tests running in parallel never share
+/// its directories.
 fn publishing_seed() -> u64 {
-    (5150..5214)
-        .find(|&seed| {
-            let dir = temp_dir(&format!("scan-{seed}"));
-            let service = open_windowed(&dir, seed);
-            let cold = service
-                .submit(rpcload::windowed_request(1.0))
-                .recv()
-                .expect("worker alive")
-                .expect("tuning ok");
-            service.halt();
-            let _ = std::fs::remove_dir_all(&dir);
-            !cold.guard_rejected && cold.misses > 0
-        })
-        .expect("no seed in 5150..5214 lets the cold guard accept")
+    static SEED: OnceLock<u64> = OnceLock::new();
+    *SEED.get_or_init(|| {
+        (5150..5214)
+            .find(|&seed| {
+                let dir = temp_dir(&format!("scan-{seed}"));
+                let service = open_windowed(&dir, seed);
+                let cold = service
+                    .submit(rpcload::windowed_request(1.0))
+                    .recv()
+                    .expect("worker alive")
+                    .expect("tuning ok");
+                service.halt();
+                let _ = std::fs::remove_dir_all(&dir);
+                !cold.guard_rejected && cold.misses > 0
+            })
+            .expect("no seed in 5150..5214 lets the cold guard accept")
+    })
 }
 
 impl Leader {
@@ -290,4 +297,28 @@ fn heartbeats_flow_while_the_leader_handles_events_that_journal_nothing() {
         "a heartbeat carries the follower's cursor"
     );
     leader.stop();
+}
+
+#[test]
+fn a_stopped_server_stops_gating_replies_on_its_followers() {
+    let leader = Leader::start("stopped", publishing_seed());
+    let (ack, ships) = raw_follower(&leader);
+    bootstrap(&leader, &ack, &ships);
+    let Leader {
+        dir,
+        service,
+        server,
+        ..
+    } = leader;
+
+    // (f) The follower's connection dies with the server. A publishing
+    // session's reply must not wait for that follower's ack.
+    server.stop();
+    service
+        .submit(rpcload::windowed_request(1.0))
+        .recv_timeout(SESSION_BOUND)
+        .expect("(f) the stopped server's follower still gates the reply")
+        .expect("tuning ok");
+    service.shutdown().expect("checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,13 +13,13 @@
 //!
 //! - [`wire`] — the frame grammar: preamble (magic + version), tag
 //!   bytes, bodies. Pure data, no I/O.
-//! - [`server`] — a nonblocking socket **pump thread** (raw
-//!   accept/read/write, per-connection outbound buffers) feeding
-//!   `SocketEvent`s into the reactor, where a `SocketDriver` owns all
+//! - [`server`] — the `SocketDriver` the reactor thread runs: it owns
+//!   the listener and every connection, does the nonblocking
+//!   accept/read/write in the reactor's readiness wait, and keeps all
 //!   protocol state. Slow readers hit a soft bound (typed `Overloaded`
-//!   rejection) and then a hard bound (forced close); either way the
-//!   reactor thread never blocks on a socket, so one stuck peer cannot
-//!   stall other tenants.
+//!   rejection) and then a hard bound (forced close); either way no
+//!   socket call ever blocks the reactor thread, so one stuck peer
+//!   cannot stall other tenants.
 //! - [`client`] — a small blocking client used by the `loadgen`
 //!   harness and the integration tests.
 //!

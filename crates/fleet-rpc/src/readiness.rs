@@ -1,18 +1,18 @@
-//! OS readiness primitives for the pump thread, with no crate
+//! OS readiness primitives for the reactor's socket wait, with no crate
 //! dependencies.
 //!
-//! The pump's portable scan source (`server::Readiness::Scan`)
-//! discovers work by polling every socket nonblockingly and sleeping an
-//! adaptive backoff between passes — robust everywhere, but a quiet
-//! daemon still wakes hundreds of times a second and a busy one burns a
-//! syscall per idle socket per pass. On Linux the epoll source asks the
-//! kernel instead: one `epoll` instance watches the listener, every
-//! connection, and a wakeup pipe, and the pump blocks until something
-//! is actually ready.
+//! The portable scan source (`server::Readiness::Scan`) discovers work
+//! by polling every socket nonblockingly and sleeping an adaptive
+//! backoff between passes — robust everywhere, but a quiet daemon still
+//! wakes hundreds of times a second and a busy one burns a syscall per
+//! idle socket per pass. On Linux the epoll source asks the kernel
+//! instead: one `epoll` instance watches the listener, every
+//! connection, and a wakeup pipe, and the reactor thread blocks until
+//! something is actually ready.
 //!
 //! This module is the thin `extern "C"` shim that makes that possible
 //! without a libc crate: the four epoll syscalls, a `clock_gettime`
-//! reader for the pump's own CPU time (the idle-cost evidence
+//! reader for the serving thread's own CPU time (the idle-cost evidence
 //! `BENCH_fleet.json` reports), and a safe [`linux::Epoll`] wrapper that
 //! owns the instance fd. Everything Linux-specific is gated so the
 //! crate still builds (and falls back to the scan source) elsewhere.
@@ -26,8 +26,8 @@ pub(crate) mod linux {
     /// pending accept).
     pub(crate) const EPOLLIN: u32 = 0x001;
     /// Writable readiness — registered only while a connection has
-    /// outbound bytes pending, so an idle connection never spins the
-    /// pump.
+    /// outbound bytes pending, so an idle connection never wakes the
+    /// wait.
     pub(crate) const EPOLLOUT: u32 = 0x004;
     /// Error condition (always reported, no need to register).
     pub(crate) const EPOLLERR: u32 = 0x008;
@@ -52,7 +52,7 @@ pub(crate) mod linux {
     #[derive(Clone, Copy)]
     pub(crate) struct EpollEvent {
         pub(crate) events: u32,
-        /// The caller's token, returned verbatim (the pump stores
+        /// The caller's token, returned verbatim (the driver stores
         /// connection ids here).
         pub(crate) data: u64,
     }
@@ -73,10 +73,11 @@ pub(crate) mod linux {
 
     /// CPU time consumed by the *calling thread*, in microseconds.
     ///
-    /// The pump publishes this each pass: a blocked `epoll_wait`
-    /// accrues none, so the gap between two readings over a quiet
-    /// window is exactly the pump's idle burn — the number the scaling
-    /// benchmark compares across pump implementations.
+    /// The driver reads it on the reactor thread for every metrics
+    /// report: a blocked `epoll_wait` accrues none, so the gap between
+    /// two readings over a quiet window is exactly the serving thread's
+    /// idle burn — the number the scaling benchmark compares across
+    /// readiness sources.
     pub(crate) fn thread_cpu_micros() -> u64 {
         let mut ts = Timespec {
             tv_sec: 0,
@@ -247,6 +248,6 @@ pub(crate) mod fallback {
 
 #[cfg(not(target_os = "linux"))]
 pub(crate) use fallback::thread_cpu_micros;
-/// The pump's CPU-time reader, resolved per platform.
+/// The serving thread's CPU-time reader, resolved per platform.
 #[cfg(target_os = "linux")]
 pub(crate) use linux::thread_cpu_micros;

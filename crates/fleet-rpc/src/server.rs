@@ -1,53 +1,53 @@
-//! The serving side: a socket pump feeding the reactor, and the
-//! [`SocketDriver`] implementation that speaks VQRP on the reactor
-//! thread.
+//! The serving side: the [`SocketDriver`] that runs VQRP's socket I/O
+//! and protocol on the reactor thread.
 //!
 //! ```text
-//!   TCP / Unix listener           reactor thread (fleet-service)
-//!         │ accept                      ▲
-//!         ▼                             │ SocketEvent::{Accepted,
-//!   ┌──── pump thread ────┐             │   Readable, HungUp}
-//!   │ epoll readiness or  ├─────────────┘
-//!   │ nonblocking polling;│◀────────────┐
-//!   │ per-conn write queue│  PumpCommand│::{Send, Close, …} + wakeup
-//!   └─────────────────────┘             │
-//!                              ┌────────┴─────────┐
-//!                              │   ConnDriver     │  (runs inside the
-//!                              │ framing, identity│   reactor loop)
-//!                              │ quota/overload   │
-//!                              └──────────────────┘
+//!   TCP / Unix listener ─┐
+//!   connections ─────────┤  readiness: epoll, or a paced scan
+//!                        ▼
+//!   ┌──────── reactor thread (fleet-service) ─────────────┐
+//!   │ ConnDriver::poll: write ─ close ─ wait ─ accept ─   │
+//!   │   read ≤256 KiB/conn ─ decode in place              │
+//!   │ per connection: framing, identity, outbound queue,  │
+//!   │   pending-out count (soft/hard bounds)              │
+//!   │ actions ──▶ admission · DRR · quotas · replication  │
+//!   │ results ──▶ on_result/on_metrics/on_ship ──▶ queue  │
+//!   └─────────────────────────────────────────────────────┘
+//!      ▲ waker: submit, worker completions, metrics, stop
 //! ```
 //!
-//! The pump owns every stream and does only byte work; the driver owns
-//! every byte's *meaning*. The pump runs one pass loop — accept, read,
-//! drain driver commands, write, close — and takes only the answer to
-//! "what should this pass visit?" from one of two readiness sources:
+//! The driver owns every stream and every byte's meaning. While it is
+//! attached, the reactor waits for work in [`SocketDriver::poll`], which
+//! runs one pass — write what earlier calls queued, close what is due,
+//! wait, then accept, read and decode — and takes only the answer to
+//! "how does this pass wait, and what does it visit?" from one of two
+//! readiness sources:
 //!
 //! * On Linux the **epoll source** registers the listener, every
 //!   connection, and a wakeup pipe with one `epoll` instance
-//!   (the `readiness` module) and blocks until the kernel reports work —
-//!   an idle daemon consumes (almost) no CPU, and write interest is
-//!   registered only while a connection owes bytes. The reactor rouses
-//!   a blocked pump through the wakeup pipe whenever it queues a
-//!   command.
+//!   (the `readiness` module) and blocks until the kernel reports work
+//!   or another thread sends the reactor an event — every such sender
+//!   calls the driver's waker, one byte down the pipe. An idle daemon
+//!   consumes (almost) no CPU, and write interest is registered only
+//!   while a connection owes bytes.
 //! * Everywhere else (or with `VAQEM_RPC_PUMP=poll`) the **scan
 //!   source** visits every socket nonblockingly and sleeps an adaptive
-//!   [`IdleBackoff`] between passes — fully portable, never blocked, no
-//!   wakeups needed.
+//!   [`IdleBackoff`] (capped by the poll's timeout) between passes that
+//!   found no work — fully portable, and its waker does nothing, so
+//!   events other threads send wait out the sleep.
 //!
 //! Outbound frames queue per connection as owned chunks and leave
 //! through a single vectored write per pass, so a burst of replies
 //! costs one syscall instead of one per frame.
 //!
-//! Backpressure flows through shared per-connection gauges of pending
-//! outbound bytes: the driver increments when it queues a frame, the
-//! pump decrements as bytes reach the kernel. A submission arriving
-//! while the gauge is past the **soft bound** is rejected with the
-//! typed `SessionError::Overloaded`; a result that would be queued past
-//! the **hard bound** closes the connection instead — a reader too slow
-//! to drain even rejections cannot grow server memory without bound,
-//! and other tenants never notice (the reactor thread never blocks on a
-//! socket).
+//! Backpressure is a plain per-connection count of pending outbound
+//! bytes, raised when the driver queues a frame and lowered as writes
+//! reach the kernel. A submission arriving while the count is past the
+//! **soft bound** is rejected with the typed `SessionError::Overloaded`;
+//! a result that would be queued past the **hard bound** closes the
+//! connection instead — a reader too slow to drain even rejections
+//! cannot grow server memory without bound, and other tenants never
+//! notice (no socket call ever blocks the reactor thread).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -56,16 +56,12 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
-use vaqem_fleet_service::reactor::SocketEventSender;
 use vaqem_fleet_service::{
-    DriverAction, FleetMetricsReport, FleetService, RpcMetricsReport, SessionError, SessionResult,
-    SocketDriver, SocketEvent,
+    DriverAction, DriverHandle, FleetMetricsReport, FleetService, RpcMetricsReport, SessionError,
+    SessionResult, SocketDriver,
 };
 use vaqem_runtime::persist::Codec;
 use vaqem_runtime::wire::FrameReader;
@@ -168,20 +164,20 @@ impl RpcListener {
         }
     }
 
-    fn accept(&self) -> io::Result<(Stream, String)> {
+    fn accept(&self) -> io::Result<Stream> {
         match self {
             RpcListener::Tcp(l) => {
-                let (s, peer) = l.accept()?;
+                let (s, _) = l.accept()?;
                 s.set_nonblocking(true)?;
                 // Frames are small and latency-sensitive; never batch
                 // them behind Nagle.
                 let _ = s.set_nodelay(true);
-                Ok((Stream::Tcp(s), peer.to_string()))
+                Ok(Stream::Tcp(s))
             }
             RpcListener::Unix(l) => {
                 let (s, _) = l.accept()?;
                 s.set_nonblocking(true)?;
-                Ok((Stream::Unix(s), "unix-peer".into()))
+                Ok(Stream::Unix(s))
             }
         }
     }
@@ -237,59 +233,15 @@ impl Write for Stream {
     }
 }
 
-/// What the driver asks the pump to do.
-pub(crate) enum PumpCommand {
-    /// Queue bytes toward a connection (already counted on its gauge).
-    Send { conn: u64, bytes: Vec<u8> },
-    /// Close a connection once its outbound buffer has flushed (the
-    /// polite goodbye after a `ShutdownAck`).
-    Close { conn: u64 },
-    /// Close a connection immediately, discarding queued bytes (the
-    /// overload hard bound, or a protocol violation).
-    CloseNow { conn: u64 },
-    /// Stop serving: close everything and exit the pump thread.
-    Stop,
-}
+/// Most chunks a single vectored write gathers. Past this the syscall's
+/// iovec setup cost outweighs the coalescing win; the flush loop just
+/// issues another write.
+const MAX_WRITE_SLICES: usize = 32;
 
-/// Pending-outbound gauges, shared between driver (adds) and pump
-/// (subtracts); keyed by connection id.
-type Gauges = Arc<Mutex<HashMap<u64, Arc<AtomicUsize>>>>;
-
-/// The pump thread's self-observation, shared with the driver so the
-/// numbers ride every metrics report. `cpu_micros` holds the pump
-/// thread's *absolute* CPU-time reading (published once per pass):
-/// diffing two readings over a quiet window measures the pump's idle
-/// burn, which is the epoll source's headline advantage.
-#[derive(Debug, Default)]
-pub(crate) struct PumpStats {
-    cpu_micros: AtomicU64,
-    passes: AtomicU64,
-    wakeups: AtomicU64,
-}
-
-/// Rouses a pump blocked in `epoll_wait`: one byte down a nonblocking
-/// socketpair the pump watches. Disabled when the scan source serves —
-/// it sleeps at most a few milliseconds, so nobody needs to rouse it
-/// and `wake()` becomes free.
-#[derive(Debug)]
-pub(crate) struct Waker {
-    tx: UnixStream,
-    enabled: bool,
-}
-
-impl Waker {
-    fn wake(&self) {
-        if self.enabled {
-            // A full pipe or torn pump means the pump is already due to
-            // wake (or gone); either way the error is not actionable.
-            let _ = (&self.tx).write(&[1u8]);
-        }
-    }
-}
-
-/// Per-connection protocol state, owned by the driver on the reactor
-/// thread.
-struct ConnState {
+/// One connection: its stream, its protocol state and its outbound
+/// queue, all owned by the driver on the reactor thread.
+struct Conn {
+    stream: Stream,
     /// Identity bound by the open frame; submissions before it are
     /// protocol errors.
     client: Option<String>,
@@ -297,64 +249,318 @@ struct ConnState {
     reader: FrameReader,
     /// Client preamble bytes still owed before framing starts.
     preamble_buf: Vec<u8>,
-    /// This connection's pending-outbound gauge.
-    gauge: Arc<AtomicUsize>,
     /// Submissions forwarded to the reactor and not yet answered.
     in_flight: u64,
     /// Results (outcomes or errors) delivered on this connection.
     completed: u64,
     /// Whether this connection subscribed as a replication follower (it
-    /// sent at least one `JournalAck`); its hang-up must tell the
-    /// reactor to drop the follower's cursor.
+    /// sent at least one `JournalAck`); its close must tell the reactor
+    /// to drop the follower's cursor.
     replica: bool,
+    /// Outbound frames, one owned chunk each (queued without copying —
+    /// the driver's encode buffer clone is the only allocation).
+    out: VecDeque<Vec<u8>>,
+    /// Flushed prefix of the front chunk.
+    front_pos: usize,
+    /// Total unflushed bytes across `out`: the backpressure count the
+    /// soft and hard bounds read.
+    out_bytes: usize,
+    /// Close once `out` drains (the polite goodbye after `Shutdown`).
+    close_after_flush: bool,
+    /// Close at the next pass's close sweep (hang-up, I/O error,
+    /// protocol violation, hard bound, or a flushed goodbye).
+    close_now: bool,
+    /// Whether the epoll source currently has `EPOLLOUT` interest
+    /// registered for this connection (only while bytes are owed).
+    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+    want_write: bool,
 }
 
-/// The VQRP protocol driver: implements
-/// [`SocketDriver`] over the pump's raw events. Constructed by
-/// [`RpcServer::serve`]; never used directly.
+impl Conn {
+    fn new(stream: Stream, max_frame_bytes: usize) -> Conn {
+        Conn {
+            stream,
+            client: None,
+            reader: FrameReader::new(max_frame_bytes),
+            preamble_buf: Vec::with_capacity(PREAMBLE_LEN),
+            in_flight: 0,
+            completed: 0,
+            replica: false,
+            out: VecDeque::new(),
+            front_pos: 0,
+            out_bytes: 0,
+            close_after_flush: false,
+            close_now: false,
+            want_write: false,
+        }
+    }
+
+    fn queue(&mut self, bytes: Vec<u8>) {
+        if bytes.is_empty() {
+            return;
+        }
+        self.out_bytes += bytes.len();
+        self.out.push_back(bytes);
+    }
+
+    /// Writes what the kernel will take, coalescing queued chunks into
+    /// vectored writes. `Ok(true)` = made progress.
+    fn flush_some(&mut self) -> io::Result<bool> {
+        let mut progressed = false;
+        while self.out_bytes > 0 {
+            let wrote = {
+                let mut slices: Vec<IoSlice<'_>> =
+                    Vec::with_capacity(self.out.len().min(MAX_WRITE_SLICES));
+                for (i, chunk) in self.out.iter().enumerate() {
+                    if i == MAX_WRITE_SLICES {
+                        break;
+                    }
+                    let start = if i == 0 { self.front_pos } else { 0 };
+                    slices.push(IoSlice::new(&chunk[start..]));
+                }
+                self.stream.write_vectored(&slices)
+            };
+            match wrote {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(mut n) => {
+                    self.out_bytes -= n;
+                    progressed = true;
+                    // Retire fully-written chunks; a partial write
+                    // leaves its offset in `front_pos`.
+                    while n > 0 {
+                        let front_left =
+                            self.out.front().expect("accounted bytes").len() - self.front_pos;
+                        if n >= front_left {
+                            n -= front_left;
+                            self.out.pop_front();
+                            self.front_pos = 0;
+                        } else {
+                            self.front_pos += n;
+                            n = 0;
+                        }
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(progressed)
+    }
+}
+
+/// How much one connection may read per pass — keeps one firehose peer
+/// from starving the rest of the loop. (Level-triggered readiness makes
+/// this fair for free: an fd with leftover data stays ready, so the
+/// next pass resumes it.)
+const READ_BUDGET_PER_PASS: usize = 256 << 10;
+
+/// First idle sleep of the scan source after activity — the old fixed
+/// poll granularity.
+const PUMP_BACKOFF_FLOOR: Duration = Duration::from_micros(300);
+/// The scan source's idle sleep cap: long enough to stop spinning,
+/// short enough that a first frame after a quiet spell waits at most
+/// ~5ms.
+const PUMP_BACKOFF_CEILING: Duration = Duration::from_millis(5);
+
+/// What a pass visits for the listener (connection ids count up from
+/// 1, so the top of the `u64` space is free).
+const LISTENER: u64 = u64::MAX;
+/// Readiness token for the wakeup pipe.
+#[cfg(target_os = "linux")]
+const TOKEN_WAKEUP: u64 = u64::MAX - 1;
+
+/// What rouses a blocked poll (see [`SocketDriver::waker`]).
+type Waker = Arc<dyn Fn() + Send + Sync>;
+
+/// How a pass waits and what it visits. An enum rather than a trait:
+/// there are exactly two sources, and nothing outside this module adds
+/// one.
+enum Readiness {
+    /// Blocks in `epoll_wait` until the kernel reports an accept,
+    /// readable bytes, writable room on a connection that owes bytes, or
+    /// a wakeup. An idle daemon parks here and burns (almost) no CPU.
+    #[cfg(target_os = "linux")]
+    Epoll {
+        ep: Epoll,
+        /// The read end of the waker's socketpair.
+        wake_rx: UnixStream,
+        events: Vec<EpollEvent>,
+    },
+    /// Visits the listener and every connection nonblockingly each pass,
+    /// sleeping an adaptive [`IdleBackoff`] after passes that found no
+    /// work. Portable, and needs no wakeups.
+    Scan { backoff: IdleBackoff },
+}
+
+#[cfg_attr(not(target_os = "linux"), allow(unused_variables))]
+impl Readiness {
+    /// The epoll source and its waker when `want_epoll` and it sets up,
+    /// else the scan source and a waker that does nothing. The epoll
+    /// instance and the wakeup pipe are built and pre-registered here,
+    /// so any setup failure falls back to scanning instead of refusing
+    /// to serve.
+    fn select(want_epoll: bool, listener: &RpcListener) -> (Readiness, Waker) {
+        #[cfg(target_os = "linux")]
+        if want_epoll {
+            let setup = || -> io::Result<_> {
+                let (wake_tx, wake_rx) = UnixStream::pair()?;
+                wake_tx.set_nonblocking(true)?;
+                wake_rx.set_nonblocking(true)?;
+                let ep = Epoll::new()?;
+                ep.add(listener.raw_fd(), EPOLLIN, LISTENER)?;
+                ep.add(wake_rx.as_raw_fd(), EPOLLIN, TOKEN_WAKEUP)?;
+                Ok((ep, wake_tx, wake_rx))
+            };
+            if let Ok((ep, wake_tx, wake_rx)) = setup() {
+                let source = Readiness::Epoll {
+                    ep,
+                    wake_rx,
+                    events: vec![EpollEvent { events: 0, data: 0 }; 128],
+                };
+                // A full pipe means the poll is already due to wake; a
+                // torn one means the driver is gone. Neither needs action.
+                let waker: Waker = Arc::new(move || {
+                    let _ = (&wake_tx).write(&[1u8]);
+                });
+                return (source, waker);
+            }
+        }
+        let source = Readiness::Scan {
+            backoff: IdleBackoff::new(PUMP_BACKOFF_FLOOR, PUMP_BACKOFF_CEILING),
+        };
+        (source, Arc::new(|| {}))
+    }
+
+    /// Waits at most `timeout` and fills `ready` with what the pass
+    /// visits: [`LISTENER`] or a connection id. `active` says whether
+    /// the pass so far, or the one before it, did any work. Returns
+    /// whether the wakeup pipe roused the wait.
+    fn wait(
+        &mut self,
+        timeout: Duration,
+        active: bool,
+        conns: &HashMap<u64, Conn>,
+        ready: &mut Vec<u64>,
+    ) -> bool {
+        ready.clear();
+        match self {
+            #[cfg(target_os = "linux")]
+            Readiness::Epoll {
+                ep,
+                wake_rx,
+                events,
+            } => {
+                // Round up, so a heartbeat due in 300 µs is not a busy
+                // loop of zero-millisecond waits.
+                let timeout_ms = timeout.as_micros().div_ceil(1_000).min(i32::MAX as u128) as i32;
+                let n = ep.wait(events, timeout_ms).unwrap_or(0);
+                let mut woken = false;
+                for ev in &events[..n] {
+                    // Copy out of the (possibly packed) event record.
+                    let (mask, token) = (ev.events, ev.data);
+                    if token == TOKEN_WAKEUP {
+                        // One read empties the pipe; if wakers outran it,
+                        // the level-triggered wait reports it again.
+                        woken = true;
+                        let _ = (&*wake_rx).read(&mut [0u8; 256]);
+                    } else if mask & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
+                        // An error or hang-up surfaces as a failed or
+                        // empty read. Writable readiness alone needs no
+                        // visit: the next pass's write sweep flushes
+                        // every connection that owes bytes.
+                        ready.push(token);
+                    }
+                }
+                woken
+            }
+            Readiness::Scan { backoff } => {
+                // 300µs responsiveness while traffic flows, doubling
+                // toward a 5ms doze across consecutive idle passes so a
+                // quiet daemon (or a replica pair of them) doesn't spin
+                // cores.
+                if let Some(sleep) = backoff.after(active) {
+                    std::thread::sleep(sleep.min(timeout));
+                }
+                ready.push(LISTENER);
+                ready.extend(conns.keys());
+                false
+            }
+        }
+    }
+
+    /// Watches a freshly accepted connection for reads and hangups.
+    fn register(&self, stream: &Stream, conn: u64) -> io::Result<()> {
+        #[cfg(target_os = "linux")]
+        if let Readiness::Epoll { ep, .. } = self {
+            return ep.add(stream.raw_fd(), EPOLLIN | EPOLLRDHUP, conn);
+        }
+        Ok(())
+    }
+
+    /// Keeps write interest on a connection only while it owes bytes,
+    /// so an idle connection never wakes the poll for writability.
+    fn sync_write_interest(&self, id: u64, conn: &mut Conn) -> io::Result<()> {
+        #[cfg(target_os = "linux")]
+        if let Readiness::Epoll { ep, .. } = self {
+            let want = conn.out_bytes > 0;
+            if want != conn.want_write {
+                let interest = EPOLLIN | EPOLLRDHUP | if want { EPOLLOUT } else { 0 };
+                ep.modify(conn.stream.raw_fd(), interest, id)?;
+                conn.want_write = want;
+            }
+        }
+        Ok(())
+    }
+
+    /// Stops watching a connection that is closing.
+    fn deregister(&self, stream: &Stream) {
+        #[cfg(target_os = "linux")]
+        if let Readiness::Epoll { ep, .. } = self {
+            let _ = ep.delete(stream.raw_fd());
+        }
+    }
+}
+
+/// The VQRP [`SocketDriver`]: the listener, every connection and the
+/// readiness source. Constructed by [`RpcServer::serve`]; never used
+/// directly.
 struct ConnDriver {
-    control: Sender<PumpCommand>,
-    waker: Arc<Waker>,
-    gauges: Gauges,
+    listener: RpcListener,
+    source: Readiness,
+    waker: Waker,
     config: RpcServerConfig,
-    conns: HashMap<u64, ConnState>,
+    conns: HashMap<u64, Conn>,
+    /// Next connection id; ids are never reused within a server's
+    /// lifetime.
+    next_conn: u64,
     counters: RpcMetricsReport,
-    pump_stats: Arc<PumpStats>,
+    /// Whether the last pass accepted or read anything (the scan
+    /// source's backoff reads it).
+    active: bool,
     /// Reusable frame-encoding scratch: length prefix + payload are
     /// built in place, then cloned once at exactly the framed size.
     encode_buf: Vec<u8>,
+    /// Reusable read buffer, decoded in place.
+    read_buf: Vec<u8>,
+    /// Reusable list of what a pass visits.
+    ready: Vec<u64>,
 }
 
 impl ConnDriver {
-    /// Sends one command to the pump and rouses it if it might be
-    /// blocked in `epoll_wait`.
-    fn command(&self, cmd: PumpCommand) {
-        let _ = self.control.send(cmd);
-        self.waker.wake();
-    }
-
-    fn send_bytes(&mut self, conn: u64, bytes: Vec<u8>) {
-        if let Some(state) = self.conns.get(&conn) {
-            let pending = state.gauge.fetch_add(bytes.len(), Ordering::Relaxed) + bytes.len();
-            self.counters.peak_pending_out_bytes =
-                self.counters.peak_pending_out_bytes.max(pending as u64);
-        }
-        self.command(PumpCommand::Send { conn, bytes });
-    }
-
-    /// Encodes and queues one frame; enforces the hard outbound bound
-    /// first (returns `false` when it closed the connection instead).
-    fn send_frame(&mut self, conn: u64, frame: &Frame) -> bool {
-        let Some(state) = self.conns.get(&conn) else {
-            return false; // connection already gone
+    /// Encodes and queues one frame, unless the connection is gone or
+    /// closing. Enforces the hard outbound bound first: past it, the
+    /// connection is marked for close instead.
+    fn send_frame(&mut self, id: u64, frame: &Frame) {
+        let Some(conn) = self.conns.get_mut(&id).filter(|c| !c.close_now) else {
+            return;
         };
-        let pending = state.gauge.load(Ordering::Relaxed);
-        if pending > self.config.hard_pending_out_bytes {
+        if conn.out_bytes > self.config.hard_pending_out_bytes {
             // The reader is too slow to drain even its rejections:
             // drop the connection rather than buffer without bound.
             self.counters.overload_closes += 1;
-            self.command(PumpCommand::CloseNow { conn });
-            return false;
+            conn.close_now = true;
+            return;
         }
         // Encode straight after a length-prefix placeholder and patch
         // the prefix in place: one exact-size allocation per frame,
@@ -366,34 +572,34 @@ impl ConnDriver {
         self.encode_buf[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
         self.counters.frames_out += 1;
         self.counters.bytes_out += payload_len as u64;
-        let framed = self.encode_buf.clone();
-        self.send_bytes(conn, framed);
-        true
+        conn.queue(self.encode_buf.clone());
+        let peak = &mut self.counters.peak_pending_out_bytes;
+        *peak = (*peak).max(conn.out_bytes as u64);
     }
 
     /// A peer broke the protocol (bad preamble, oversized or
     /// undecodable frame, reply tag on the inbound side): count it and
-    /// drop the connection.
-    fn decode_error(&mut self, conn: u64) {
+    /// mark the connection for close.
+    fn decode_error(&mut self, id: u64) {
         self.counters.decode_errors += 1;
-        self.command(PumpCommand::CloseNow { conn });
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.close_now = true;
+        }
     }
 
-    fn handle_frame(&mut self, conn: u64, frame: Frame, actions: &mut Vec<DriverAction>) {
+    fn handle_frame(&mut self, id: u64, frame: Frame, actions: &mut Vec<DriverAction>) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
         match frame {
             Frame::Open { client } => {
-                if let Some(state) = self.conns.get_mut(&conn) {
-                    state.client = Some(client.clone());
-                }
-                self.send_frame(conn, &Frame::OpenAck { client });
+                conn.client = Some(client.clone());
+                self.send_frame(id, &Frame::OpenAck { client });
             }
             Frame::Submit { token, mut request } => {
-                let Some(state) = self.conns.get(&conn) else {
-                    return;
-                };
-                let Some(identity) = state.client.clone() else {
+                let Some(identity) = conn.client.clone() else {
                     self.send_frame(
-                        conn,
+                        id,
                         &Frame::Error {
                             token,
                             error: SessionError::Protocol(
@@ -403,14 +609,14 @@ impl ConnDriver {
                     );
                     return;
                 };
-                let pending = state.gauge.load(Ordering::Relaxed);
+                let pending = conn.out_bytes;
                 if pending > self.config.soft_pending_out_bytes {
                     // Slow-reader backpressure: the typed rejection is
                     // itself small, so it still fits under the hard
                     // bound `send_frame` enforces.
                     self.counters.overload_rejections += 1;
                     self.send_frame(
-                        conn,
+                        id,
                         &Frame::Error {
                             token,
                             error: SessionError::Overloaded {
@@ -424,41 +630,32 @@ impl ConnDriver {
                 // Identity is connection-scoped: whatever the frame
                 // claimed, the session runs as the bound client.
                 request.client = identity;
-                if let Some(state) = self.conns.get_mut(&conn) {
-                    state.in_flight += 1;
-                }
+                conn.in_flight += 1;
                 actions.push(DriverAction::Submit {
-                    conn,
+                    conn: id,
                     token,
                     request,
                 });
             }
             Frame::Poll => {
-                let (in_flight, completed) = self
-                    .conns
-                    .get(&conn)
-                    .map(|s| (s.in_flight, s.completed))
-                    .unwrap_or((0, 0));
+                let (in_flight, completed) = (conn.in_flight, conn.completed);
                 self.send_frame(
-                    conn,
+                    id,
                     &Frame::PollReply {
                         in_flight,
                         completed,
                     },
                 );
             }
-            Frame::Metrics { token } => actions.push(DriverAction::Metrics { conn, token }),
+            Frame::Metrics { token } => actions.push(DriverAction::Metrics { conn: id, token }),
             Frame::JournalAck { cursor } => {
-                if let Some(state) = self.conns.get_mut(&conn) {
-                    state.replica = true;
-                }
-                actions.push(DriverAction::ReplicaAck { conn, cursor });
+                conn.replica = true;
+                actions.push(DriverAction::ReplicaAck { conn: id, cursor });
             }
             Frame::Shutdown => {
-                self.send_frame(conn, &Frame::ShutdownAck);
-                // Close after the ack flushes; the HungUp the pump
-                // reports back cleans up this connection's state.
-                self.command(PumpCommand::Close { conn });
+                // Close once the ack has flushed.
+                conn.close_after_flush = true;
+                self.send_frame(id, &Frame::ShutdownAck);
             }
             // A reply tag on the server's inbound side is a protocol
             // violation.
@@ -468,41 +665,43 @@ impl ConnDriver {
             | Frame::PollReply { .. }
             | Frame::MetricsReply { .. }
             | Frame::ShutdownAck
-            | Frame::JournalShip { .. } => self.decode_error(conn),
+            | Frame::JournalShip { .. } => self.decode_error(id),
         }
     }
 
-    fn handle_readable(&mut self, conn: u64, bytes: Vec<u8>, actions: &mut Vec<DriverAction>) {
-        let Some(state) = self.conns.get_mut(&conn) else {
-            return; // raced a close; the stream is already gone
+    /// Decodes one read's bytes: the preamble first, then every whole
+    /// frame they complete.
+    fn handle_bytes(&mut self, id: u64, bytes: &[u8], actions: &mut Vec<DriverAction>) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
         };
-        let mut rest: &[u8] = &bytes;
+        let mut rest = bytes;
         // The connection owes its preamble before any framing.
-        if state.preamble_buf.len() < PREAMBLE_LEN {
-            let need = PREAMBLE_LEN - state.preamble_buf.len();
+        if conn.preamble_buf.len() < PREAMBLE_LEN {
+            let need = PREAMBLE_LEN - conn.preamble_buf.len();
             let take = need.min(rest.len());
-            state.preamble_buf.extend_from_slice(&rest[..take]);
+            conn.preamble_buf.extend_from_slice(&rest[..take]);
             rest = &rest[take..];
-            if state.preamble_buf.len() < PREAMBLE_LEN {
+            if conn.preamble_buf.len() < PREAMBLE_LEN {
                 return; // still torn
             }
             let fixed: [u8; PREAMBLE_LEN] =
-                state.preamble_buf.as_slice().try_into().expect("8 bytes");
+                conn.preamble_buf.as_slice().try_into().expect("8 bytes");
             if check_preamble(&fixed).is_err() {
-                self.decode_error(conn);
+                self.decode_error(id);
                 return;
             }
         }
-        state.reader.push(rest);
+        conn.reader.push(rest);
         loop {
-            let Some(state) = self.conns.get_mut(&conn) else {
+            let Some(conn) = self.conns.get_mut(&id).filter(|c| !c.close_now) else {
                 return;
             };
-            match state.reader.next_frame() {
+            match conn.reader.next_frame() {
                 Ok(None) => return,
                 Err(_) => {
                     // Oversized length prefix: hostile or corrupt peer.
-                    self.decode_error(conn);
+                    self.decode_error(id);
                     return;
                 }
                 Ok(Some(payload)) => {
@@ -512,9 +711,9 @@ impl ConnDriver {
                     match Frame::decode(&mut input) {
                         // Trailing garbage after a frame body is as
                         // corrupt as a torn one.
-                        Some(frame) if input.is_empty() => self.handle_frame(conn, frame, actions),
+                        Some(frame) if input.is_empty() => self.handle_frame(id, frame, actions),
                         _ => {
-                            self.decode_error(conn);
+                            self.decode_error(id);
                             return;
                         }
                     }
@@ -522,55 +721,130 @@ impl ConnDriver {
             }
         }
     }
+
+    /// Accepts every pending connection; returns how many.
+    fn accept_all(&mut self) -> u64 {
+        let mut accepted = 0;
+        loop {
+            match self.listener.accept() {
+                Ok(stream) => {
+                    let id = self.next_conn;
+                    self.next_conn += 1;
+                    if self.source.register(&stream, id).is_err() {
+                        continue; // dropping the stream resets the peer
+                    }
+                    accepted += 1;
+                    let mut conn = Conn::new(stream, self.config.max_frame_bytes);
+                    // The server announces itself first; the client may
+                    // already be pipelining its own preamble + frames.
+                    conn.queue(preamble().to_vec());
+                    let peak = &mut self.counters.peak_pending_out_bytes;
+                    *peak = (*peak).max(conn.out_bytes as u64);
+                    self.conns.insert(id, conn);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // Transient accept errors (peer reset mid-handshake):
+                // nothing to clean up, keep serving.
+                Err(_) => break,
+            }
+        }
+        self.counters.connections_accepted += accepted;
+        accepted
+    }
+
+    /// Reads a connection up to the per-pass budget, decoding each read
+    /// in place; returns how many reads returned bytes. End of stream
+    /// or an error marks the connection for close.
+    fn read_from(&mut self, id: u64, buf: &mut [u8], actions: &mut Vec<DriverAction>) -> u64 {
+        let (mut reads, mut total) = (0, 0);
+        // Past the budget the fd stays ready; the next pass resumes it.
+        while total < READ_BUDGET_PER_PASS {
+            let Some(conn) = self.conns.get_mut(&id).filter(|c| !c.close_now) else {
+                break;
+            };
+            match conn.stream.read(buf) {
+                Ok(0) => conn.close_now = true,
+                Ok(n) => {
+                    reads += 1;
+                    total += n;
+                    self.handle_bytes(id, &buf[..n], actions);
+                    continue;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => conn.close_now = true,
+            }
+            break;
+        }
+        reads
+    }
+
+    /// Closes every connection marked for close; returns how many. A
+    /// follower's close tells the reactor to drop its cursor.
+    fn close_marked(&mut self, actions: &mut Vec<DriverAction>) -> u64 {
+        let before = self.conns.len();
+        let source = &self.source;
+        self.conns.retain(|&id, conn| {
+            if !conn.close_now {
+                return true;
+            }
+            source.deregister(&conn.stream);
+            if conn.replica {
+                actions.push(DriverAction::ReplicaGone { conn: id });
+            }
+            false
+        });
+        let closed = (before - self.conns.len()) as u64;
+        self.counters.connections_closed += closed;
+        closed
+    }
 }
 
 impl SocketDriver for ConnDriver {
-    fn on_event(&mut self, event: SocketEvent) -> Vec<DriverAction> {
-        let mut actions = Vec::new();
-        match event {
-            SocketEvent::Accepted { conn, .. } => {
-                self.counters.connections_accepted += 1;
-                self.counters.connections_open += 1;
-                let gauge = self
-                    .gauges
-                    .lock()
-                    .expect("gauge registry healthy")
-                    .get(&conn)
-                    .cloned()
-                    .unwrap_or_default();
-                self.conns.insert(
-                    conn,
-                    ConnState {
-                        client: None,
-                        reader: FrameReader::new(self.config.max_frame_bytes),
-                        preamble_buf: Vec::with_capacity(PREAMBLE_LEN),
-                        gauge,
-                        in_flight: 0,
-                        completed: 0,
-                        replica: false,
-                    },
-                );
-                // The server announces itself first; the client may
-                // already be pipelining its own preamble + frames.
-                self.send_bytes(conn, preamble().to_vec());
-            }
-            SocketEvent::Readable { conn, bytes } => {
-                self.handle_readable(conn, bytes, &mut actions)
-            }
-            SocketEvent::HungUp { conn } => {
-                if let Some(state) = self.conns.remove(&conn) {
-                    self.counters.connections_open -= 1;
-                    self.counters.connections_closed += 1;
-                    if state.replica {
-                        actions.push(DriverAction::ReplicaGone { conn });
-                    }
+    fn poll(&mut self, timeout: Duration, actions: &mut Vec<DriverAction>) -> u64 {
+        self.counters.pump_passes += 1;
+        // 1. Write what earlier calls queued; a flushed goodbye or a
+        // failed write marks its connection for close.
+        let mut active = self.active;
+        for (&id, conn) in self.conns.iter_mut() {
+            if conn.out_bytes > 0 {
+                match conn.flush_some() {
+                    Ok(progressed) => active |= progressed,
+                    Err(_) => conn.close_now = true,
                 }
-                // In-flight sessions of this connection keep running;
-                // their results arrive at `on_result` and are dropped
-                // there (quiescence — no stalling, no dangling state).
+            }
+            if conn.close_after_flush && conn.out_bytes == 0 {
+                conn.close_now = true;
+            }
+            if !conn.close_now && self.source.sync_write_interest(id, conn).is_err() {
+                conn.close_now = true;
             }
         }
-        actions
+        // 2. Close what is marked: hang-ups and errors from the last
+        // pass, protocol violations and hard-bound closes since.
+        let closed = self.close_marked(actions);
+        // 3. Wait, then accept, read and decode what the source reports.
+        let mut ready = std::mem::take(&mut self.ready);
+        let mut buf = std::mem::take(&mut self.read_buf);
+        if self.source.wait(timeout, active, &self.conns, &mut ready) {
+            self.counters.pump_wakeups += 1;
+        }
+        let mut busy = 0;
+        for &token in &ready {
+            busy += match token {
+                LISTENER => self.accept_all(),
+                conn => self.read_from(conn, &mut buf, actions),
+            };
+        }
+        self.ready = ready;
+        self.read_buf = buf;
+        self.active = busy > 0;
+        closed + busy
+    }
+
+    fn waker(&self) -> Waker {
+        Arc::clone(&self.waker)
     }
 
     fn on_result(&mut self, conn: u64, token: u64, result: &SessionResult) {
@@ -615,465 +889,40 @@ impl SocketDriver for ConnDriver {
     }
 
     fn metrics(&self) -> RpcMetricsReport {
-        let mut report = self.counters;
-        report.pump_cpu_micros = self.pump_stats.cpu_micros.load(Ordering::Relaxed);
-        report.pump_passes = self.pump_stats.passes.load(Ordering::Relaxed);
-        report.pump_wakeups = self.pump_stats.wakeups.load(Ordering::Relaxed);
-        report
-    }
-}
-
-/// Most chunks a single vectored write gathers. Past this the syscall's
-/// iovec setup cost outweighs the coalescing win; the flush loop just
-/// issues another write.
-const MAX_WRITE_SLICES: usize = 32;
-
-/// One connection's I/O state, owned by the pump thread.
-struct ConnIo {
-    stream: Stream,
-    /// Outbound frames, one owned chunk each (queued without copying —
-    /// the driver's encode buffer clone is the only allocation).
-    out: VecDeque<Vec<u8>>,
-    /// Flushed prefix of the front chunk.
-    front_pos: usize,
-    /// Total unflushed bytes across `out` (the `out_pos == len` test of
-    /// the old flat buffer, kept as a counter).
-    out_bytes: usize,
-    gauge: Arc<AtomicUsize>,
-    /// Close once `out` drains (the polite goodbye).
-    close_after_flush: bool,
-    /// Whether the epoll source currently has `EPOLLOUT` interest
-    /// registered for this connection (only while bytes are owed).
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
-    want_write: bool,
-}
-
-impl ConnIo {
-    fn new(stream: Stream, gauge: Arc<AtomicUsize>) -> ConnIo {
-        ConnIo {
-            stream,
-            out: VecDeque::new(),
-            front_pos: 0,
-            out_bytes: 0,
-            gauge,
-            close_after_flush: false,
-            want_write: false,
-        }
-    }
-
-    fn queue(&mut self, bytes: Vec<u8>) {
-        if bytes.is_empty() {
-            return;
-        }
-        self.out_bytes += bytes.len();
-        self.out.push_back(bytes);
-    }
-
-    /// Writes what the kernel will take, coalescing queued chunks into
-    /// vectored writes. `Ok(true)` = made progress.
-    fn flush_some(&mut self) -> io::Result<bool> {
-        let mut progressed = false;
-        while self.out_bytes > 0 {
-            let wrote = {
-                let mut slices: Vec<IoSlice<'_>> =
-                    Vec::with_capacity(self.out.len().min(MAX_WRITE_SLICES));
-                for (i, chunk) in self.out.iter().enumerate() {
-                    if i == MAX_WRITE_SLICES {
-                        break;
-                    }
-                    let start = if i == 0 { self.front_pos } else { 0 };
-                    slices.push(IoSlice::new(&chunk[start..]));
-                }
-                self.stream.write_vectored(&slices)
-            };
-            match wrote {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(mut n) => {
-                    self.out_bytes -= n;
-                    self.gauge.fetch_sub(n, Ordering::Relaxed);
-                    progressed = true;
-                    // Retire fully-written chunks; a partial write
-                    // leaves its offset in `front_pos`.
-                    while n > 0 {
-                        let front_left =
-                            self.out.front().expect("accounted bytes").len() - self.front_pos;
-                        if n >= front_left {
-                            n -= front_left;
-                            self.out.pop_front();
-                            self.front_pos = 0;
-                        } else {
-                            self.front_pos += n;
-                            n = 0;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(progressed)
-    }
-}
-
-/// How much one connection may read per pump pass — keeps one firehose
-/// peer from starving the rest of the loop. (Level-triggered readiness
-/// makes this fair for free: an fd with leftover data stays ready, so
-/// the next pass resumes it.)
-const READ_BUDGET_PER_PASS: usize = 256 << 10;
-
-/// First idle sleep of the scan source after activity — the old fixed
-/// poll granularity.
-const PUMP_BACKOFF_FLOOR: Duration = Duration::from_micros(300);
-/// The scan source's idle sleep cap: long enough to stop spinning,
-/// short enough that a first frame after a quiet spell waits at most
-/// ~5ms.
-const PUMP_BACKOFF_CEILING: Duration = Duration::from_millis(5);
-
-/// Readiness token for the listener (connection ids count up from 1, so
-/// the top of the `u64` space is free).
-#[cfg(target_os = "linux")]
-const TOKEN_LISTENER: u64 = u64::MAX;
-/// Readiness token for the reactor's wakeup pipe.
-#[cfg(target_os = "linux")]
-const TOKEN_WAKEUP: u64 = u64::MAX - 1;
-/// Safety net: absent readiness and wakeups, the epoll source still runs
-/// a pass every 500ms — any lost-wakeup bug costs latency, never
-/// liveness.
-#[cfg(target_os = "linux")]
-const SAFETY_TIMEOUT_MS: i32 = 500;
-
-/// One thing a pump pass visits, in the order the pass visits them.
-#[derive(Clone, Copy)]
-#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
-enum Ready {
-    /// The listener may hold connections to accept.
-    Listener,
-    /// The reactor wrote to the wakeup pipe.
-    Wakeup,
-    /// The connection may hold bytes to read (or sit at end of stream).
-    Readable(u64),
-    /// The kernel reported an error or hangup on the connection.
-    Broken(u64),
-}
-
-/// How the pump learns what each pass should visit. An enum rather than
-/// a trait: there are exactly two sources, and nothing outside this
-/// module adds one.
-enum Readiness {
-    /// Blocks in `epoll_wait` until the kernel reports an accept,
-    /// readable bytes, writable room on a connection that owes bytes, or
-    /// a reactor wakeup. An idle daemon parks here and burns (almost) no
-    /// CPU.
-    #[cfg(target_os = "linux")]
-    Epoll {
-        ep: Epoll,
-        /// The read end of the [`Waker`]'s socketpair.
-        wake_rx: UnixStream,
-        events: Vec<EpollEvent>,
-    },
-    /// Visits the listener and every connection nonblockingly each pass,
-    /// sleeping an adaptive [`IdleBackoff`] after passes that found no
-    /// work. Portable, never blocked, needs no wakeups.
-    Scan { backoff: IdleBackoff },
-}
-
-#[cfg_attr(not(target_os = "linux"), allow(unused_variables))]
-impl Readiness {
-    /// The epoll source when `want_epoll` and it sets up, else the scan.
-    /// The epoll instance is built and pre-registered here, so any setup
-    /// failure falls back to scanning instead of killing the server. The
-    /// scan source drops `wake_rx`: its [`Waker`] is disabled, so nothing
-    /// ever writes to the pipe.
-    fn select(want_epoll: bool, listener: &RpcListener, wake_rx: UnixStream) -> Readiness {
-        #[cfg(target_os = "linux")]
-        if want_epoll {
-            let ep = Epoll::new().and_then(|ep| {
-                ep.add(listener.raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-                ep.add(wake_rx.as_raw_fd(), EPOLLIN, TOKEN_WAKEUP)?;
-                Ok(ep)
-            });
-            if let Ok(ep) = ep {
-                return Readiness::Epoll {
-                    ep,
-                    wake_rx,
-                    events: vec![EpollEvent { events: 0, data: 0 }; 128],
-                };
-            }
-        }
-        Readiness::Scan {
-            backoff: IdleBackoff::new(PUMP_BACKOFF_FLOOR, PUMP_BACKOFF_CEILING),
-        }
-    }
-
-    /// Waits for the next pass and fills `ready` with what it visits.
-    /// `active` says whether the previous pass did any work.
-    fn wait(&mut self, active: bool, conns: &HashMap<u64, ConnIo>, ready: &mut Vec<Ready>) {
-        ready.clear();
-        match self {
-            #[cfg(target_os = "linux")]
-            Readiness::Epoll { ep, events, .. } => {
-                let n = ep.wait(events, SAFETY_TIMEOUT_MS).unwrap_or(0);
-                for ev in &events[..n] {
-                    // Copy out of the (possibly packed) event record.
-                    let (mask, token) = (ev.events, ev.data);
-                    ready.push(match token {
-                        TOKEN_LISTENER => Ready::Listener,
-                        TOKEN_WAKEUP => Ready::Wakeup,
-                        conn if mask & (EPOLLERR | EPOLLHUP) != 0 => Ready::Broken(conn),
-                        conn if mask & (EPOLLIN | EPOLLRDHUP) != 0 => Ready::Readable(conn),
-                        // Writable readiness needs no per-event handling:
-                        // the write sweep flushes every connection that
-                        // owes bytes.
-                        _ => continue,
-                    });
-                }
-            }
-            Readiness::Scan { backoff } => {
-                // 300µs responsiveness while traffic flows, doubling
-                // toward a 5ms doze across consecutive idle passes so a
-                // quiet daemon (or a replica pair of them) doesn't spin
-                // cores.
-                if let Some(sleep) = backoff.after(active) {
-                    std::thread::sleep(sleep);
-                }
-                ready.push(Ready::Listener);
-                ready.extend(conns.keys().map(|&conn| Ready::Readable(conn)));
-            }
-        }
-    }
-
-    /// Empties the wakeup pipe, so level-triggered readiness stops
-    /// reporting it.
-    fn drain_wakeup(&self) {
-        #[cfg(target_os = "linux")]
-        if let Readiness::Epoll { wake_rx, .. } = self {
-            let mut drain = [0u8; 256];
-            while matches!((&*wake_rx).read(&mut drain), Ok(n) if n > 0) {}
-        }
-    }
-
-    /// Watches a freshly accepted connection for reads and hangups.
-    fn register(&self, stream: &Stream, conn: u64) -> io::Result<()> {
-        #[cfg(target_os = "linux")]
-        if let Readiness::Epoll { ep, .. } = self {
-            return ep.add(stream.raw_fd(), EPOLLIN | EPOLLRDHUP, conn);
-        }
-        Ok(())
-    }
-
-    /// Keeps write interest on a connection only while it owes bytes,
-    /// so an idle connection never wakes the pump for writability.
-    fn sync_write_interest(&self, conn: u64, io: &mut ConnIo) -> io::Result<()> {
-        #[cfg(target_os = "linux")]
-        if let Readiness::Epoll { ep, .. } = self {
-            let want = io.out_bytes > 0;
-            if want != io.want_write {
-                let interest = EPOLLIN | EPOLLRDHUP | if want { EPOLLOUT } else { 0 };
-                ep.modify(io.stream.raw_fd(), interest, conn)?;
-                io.want_write = want;
-            }
-        }
-        Ok(())
-    }
-
-    /// Stops watching a connection that is closing.
-    fn deregister(&self, stream: &Stream) {
-        #[cfg(target_os = "linux")]
-        if let Readiness::Epoll { ep, .. } = self {
-            let _ = ep.delete(stream.raw_fd());
+        RpcMetricsReport {
+            connections_open: self.conns.len() as u64,
+            // Called on the reactor thread, which runs every pass.
+            pump_cpu_micros: readiness::thread_cpu_micros(),
+            ..self.counters
         }
     }
 }
 
-/// The pump thread body. Each pass waits on its [`Readiness`] source,
-/// then runs one accept/read/command/write/close discipline over what
-/// the source reports, forwarding semantic events to the reactor and
-/// executing the driver's commands. Exits when told to
-/// [`PumpCommand::Stop`], when the driver side hangs up, or when the
-/// reactor is gone.
-fn pump_loop(
-    mut source: Readiness,
-    listener: RpcListener,
-    control: Receiver<PumpCommand>,
-    events: SocketEventSender,
-    gauges: Gauges,
-    stats: Arc<PumpStats>,
-) {
-    let mut conns: HashMap<u64, ConnIo> = HashMap::new();
-    let mut next_conn: u64 = 1;
-    let mut read_buf = vec![0u8; 64 << 10];
-    let mut hangups: Vec<u64> = Vec::new();
-    let mut ready: Vec<Ready> = Vec::new();
-    // Whether the last pass did any work: accepted, read, ran a command
-    // or flushed bytes. Only the scan source's backoff reads it.
-    let mut active = true;
-    loop {
-        source.wait(active, &conns, &mut ready);
-        stats.passes.fetch_add(1, Ordering::Relaxed);
-        active = false;
-        // 1. What the source reported: accepts, wakeups, reads.
-        for &r in &ready {
-            match r {
-                Ready::Listener => loop {
-                    match listener.accept() {
-                        Ok((stream, peer)) => {
-                            active = true;
-                            let conn = next_conn;
-                            next_conn += 1;
-                            if source.register(&stream, conn).is_err() {
-                                continue; // dropping the stream resets the peer
-                            }
-                            let gauge = Arc::new(AtomicUsize::new(0));
-                            gauges
-                                .lock()
-                                .expect("gauge registry healthy")
-                                .insert(conn, Arc::clone(&gauge));
-                            conns.insert(conn, ConnIo::new(stream, gauge));
-                            if !events.send(SocketEvent::Accepted { conn, peer }) {
-                                return; // reactor gone
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        // Transient accept errors (peer reset mid-handshake):
-                        // nothing to clean up, keep serving.
-                        Err(_) => break,
-                    }
-                },
-                Ready::Wakeup => {
-                    stats.wakeups.fetch_add(1, Ordering::Relaxed);
-                    source.drain_wakeup();
-                }
-                Ready::Broken(conn) => hangups.push(conn),
-                Ready::Readable(conn) => {
-                    let Some(io) = conns.get_mut(&conn) else {
-                        continue; // raced a close within this pass
-                    };
-                    let mut read_total = 0usize;
-                    // Past the budget the fd stays ready; the next pass
-                    // resumes it.
-                    while read_total < READ_BUDGET_PER_PASS {
-                        match io.stream.read(&mut read_buf) {
-                            Ok(0) => {
-                                hangups.push(conn);
-                                break;
-                            }
-                            Ok(n) => {
-                                active = true;
-                                read_total += n;
-                                if !events.send(SocketEvent::Readable {
-                                    conn,
-                                    bytes: read_buf[..n].to_vec(),
-                                }) {
-                                    return; // reactor gone
-                                }
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                            Err(_) => {
-                                hangups.push(conn);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // 2. Driver commands (under epoll, the wakeup pipe guaranteed
-        // we woke for them).
-        loop {
-            let cmd = match control.try_recv() {
-                Ok(cmd) => cmd,
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => return,
-            };
-            active = true;
-            match cmd {
-                PumpCommand::Send { conn, bytes } => {
-                    // A connection already gone dropped its gauge entry
-                    // too, so there is no increment to undo.
-                    if let Some(io) = conns.get_mut(&conn) {
-                        io.queue(bytes);
-                    }
-                }
-                PumpCommand::Close { conn } => {
-                    if let Some(io) = conns.get_mut(&conn) {
-                        io.close_after_flush = true;
-                    }
-                }
-                PumpCommand::CloseNow { conn } => {
-                    if conns.contains_key(&conn) {
-                        hangups.push(conn);
-                    }
-                }
-                PumpCommand::Stop => return,
-            }
-        }
-        // 3. Write sweep: flush what the kernel will take, then keep
-        // write interest only on connections still owing bytes.
-        for (&conn, io) in conns.iter_mut() {
-            if io.out_bytes > 0 {
-                match io.flush_some() {
-                    Ok(progressed) => active |= progressed,
-                    Err(_) => {
-                        hangups.push(conn);
-                        continue;
-                    }
-                }
-            }
-            if io.close_after_flush && io.out_bytes == 0 {
-                hangups.push(conn);
-                continue;
-            }
-            if source.sync_write_interest(conn, io).is_err() {
-                hangups.push(conn);
-            }
-        }
-        // 4. Closures (driver-ordered and peer-initiated alike).
-        for conn in hangups.drain(..) {
-            if let Some(io) = conns.remove(&conn) {
-                source.deregister(&io.stream);
-                gauges.lock().expect("gauge registry healthy").remove(&conn);
-                if !events.send(SocketEvent::HungUp { conn }) {
-                    return;
-                }
-            }
-        }
-        // 5. Self-observation.
-        stats
-            .cpu_micros
-            .store(readiness::thread_cpu_micros(), Ordering::Relaxed);
-    }
-}
-
-/// A serving RPC front-end: owns the pump thread. Dropping (or
-/// [`RpcServer::stop`]) closes every connection and unbinds.
+/// A serving RPC front-end: its driver's attachment to the service.
+/// Dropping it (or [`RpcServer::stop`]) detaches the driver, which
+/// closes every connection and the listener.
 #[derive(Debug)]
 pub struct RpcServer {
-    control: Sender<PumpCommand>,
-    waker: Arc<Waker>,
-    pump: Option<JoinHandle<()>>,
+    driver: Option<DriverHandle>,
     addr: String,
 }
 
 impl RpcServer {
-    /// Attaches a VQRP driver to `service`'s reactor and starts the
-    /// pump thread on `listener`. The service keeps working for
-    /// in-process callers exactly as before; remote sessions share its
-    /// admission, fairness, and quota path.
+    /// Attaches a VQRP driver for `listener` to `service`'s reactor. The
+    /// service keeps working for in-process callers exactly as before;
+    /// remote sessions share its admission, fairness, and quota path,
+    /// and their socket I/O runs on the reactor thread.
     ///
-    /// On Linux the pump blocks in `epoll` readiness by default; set
+    /// On Linux the reactor waits in `epoll` readiness by default; set
     /// `VAQEM_RPC_PUMP=poll` to force the portable scan source with its
     /// adaptive idle sleep (`VAQEM_RPC_PUMP=epoll` asks for readiness
     /// explicitly, and falls back to scanning where epoll is unavailable
-    /// or fails to set up). Either way the same pass loop speaks the
-    /// same `SocketEvent` interface; the driver cannot tell them apart.
+    /// or fails to set up). Either way the same pass speaks the same
+    /// protocol.
     ///
     /// # Errors
     ///
-    /// I/O errors switching the listener to nonblocking mode or
-    /// building the wakeup channel.
+    /// I/O errors switching the listener to nonblocking mode.
     pub fn serve(
         service: &FleetService,
         listener: RpcListener,
@@ -1085,41 +934,27 @@ impl RpcServer {
         );
         listener.set_nonblocking()?;
         let addr = listener.local_addr_string();
-        let (control, control_rx) = mpsc::channel();
-        let gauges: Gauges = Arc::new(Mutex::new(HashMap::new()));
-        let stats = Arc::new(PumpStats::default());
-        let (wake_tx, wake_rx) = UnixStream::pair()?;
-        wake_tx.set_nonblocking(true)?;
-        wake_rx.set_nonblocking(true)?;
-
         let want_epoll = match std::env::var("VAQEM_RPC_PUMP").as_deref() {
             Ok("poll") => false,
             Ok("epoll") => true,
             _ => cfg!(target_os = "linux"),
         };
-        let source = Readiness::select(want_epoll, &listener, wake_rx);
-        let waker = Arc::new(Waker {
-            tx: wake_tx,
-            enabled: !matches!(source, Readiness::Scan { .. }),
-        });
+        let (source, waker) = Readiness::select(want_epoll, &listener);
         let driver = ConnDriver {
-            control: control.clone(),
-            waker: Arc::clone(&waker),
-            gauges: Arc::clone(&gauges),
+            listener,
+            source,
+            waker,
             config,
             conns: HashMap::new(),
+            next_conn: 1,
             counters: RpcMetricsReport::default(),
-            pump_stats: Arc::clone(&stats),
+            active: false,
             encode_buf: Vec::new(),
+            read_buf: vec![0u8; 64 << 10],
+            ready: Vec::new(),
         };
-        let events = service.attach_socket_driver(Box::new(driver));
-        let pump = std::thread::spawn(move || {
-            pump_loop(source, listener, control_rx, events, gauges, stats)
-        });
         Ok(RpcServer {
-            control,
-            waker,
-            pump: Some(pump),
+            driver: Some(service.attach_socket_driver(Box::new(driver))),
             addr,
         })
     }
@@ -1129,27 +964,20 @@ impl RpcServer {
         &self.addr
     }
 
-    /// Stops serving: closes every connection, joins the pump thread.
+    /// Stops serving: detaches the driver and waits until the reactor
+    /// has dropped it, closing every connection and the listener.
     /// Sessions already dispatched keep running in the service; their
     /// results are dropped at delivery (the connections are gone).
-    pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        let _ = self.control.send(PumpCommand::Stop);
-        // An epoll pump may be parked in epoll_wait; rouse it so the
-        // stop is prompt rather than waiting out the safety timeout.
-        self.waker.wake();
-        if let Some(pump) = self.pump.take() {
-            let _ = pump.join();
-        }
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
 impl Drop for RpcServer {
     fn drop(&mut self) {
-        self.stop_inner();
+        if let Some(driver) = self.driver.take() {
+            driver.detach();
+        }
     }
 }
 
@@ -1179,20 +1007,17 @@ mod tests {
     fn conn_io_coalesces_chunks_into_vectored_writes() {
         let (a, mut b) = UnixStream::pair().unwrap();
         a.set_nonblocking(true).unwrap();
-        let gauge = Arc::new(AtomicUsize::new(0));
-        let mut io = ConnIo::new(Stream::Unix(a), Arc::clone(&gauge));
+        let mut conn = Conn::new(Stream::Unix(a), 1 << 20);
 
         let chunks: [&[u8]; 3] = [b"alpha", b"beta", b"gamma"];
         let total: usize = chunks.iter().map(|c| c.len()).sum();
-        gauge.fetch_add(total, Ordering::Relaxed);
         for c in chunks {
-            io.queue(c.to_vec());
+            conn.queue(c.to_vec());
         }
-        assert_eq!(io.out_bytes, total);
+        assert_eq!(conn.out_bytes, total);
 
-        assert!(io.flush_some().unwrap());
-        assert_eq!(io.out_bytes, 0, "small burst flushes in one pass");
-        assert_eq!(gauge.load(Ordering::Relaxed), 0, "gauge fully drained");
+        assert!(conn.flush_some().unwrap());
+        assert_eq!(conn.out_bytes, 0, "small burst flushes in one pass");
 
         let mut got = vec![0u8; total];
         b.read_exact(&mut got).unwrap();
@@ -1203,8 +1028,7 @@ mod tests {
     fn conn_io_flushes_bursts_wider_than_one_vectored_write() {
         let (a, mut b) = UnixStream::pair().unwrap();
         a.set_nonblocking(true).unwrap();
-        let gauge = Arc::new(AtomicUsize::new(0));
-        let mut io = ConnIo::new(Stream::Unix(a), Arc::clone(&gauge));
+        let mut conn = Conn::new(Stream::Unix(a), 1 << 20);
 
         // More chunks than MAX_WRITE_SLICES: the flush loop must issue
         // several vectored writes and retire chunks across them.
@@ -1213,13 +1037,12 @@ mod tests {
         for i in 0..count {
             let chunk = vec![(i % 251) as u8; 17];
             expect.extend_from_slice(&chunk);
-            io.queue(chunk);
+            conn.queue(chunk);
         }
-        gauge.fetch_add(expect.len(), Ordering::Relaxed);
+        assert_eq!(conn.out_bytes, expect.len());
 
-        assert!(io.flush_some().unwrap());
-        assert_eq!(io.out_bytes, 0);
-        assert_eq!(gauge.load(Ordering::Relaxed), 0);
+        assert!(conn.flush_some().unwrap());
+        assert_eq!(conn.out_bytes, 0);
 
         let mut got = vec![0u8; expect.len()];
         b.read_exact(&mut got).unwrap();
@@ -1230,9 +1053,9 @@ mod tests {
     fn conn_io_empty_queue_is_a_noop_flush() {
         let (a, _b) = UnixStream::pair().unwrap();
         a.set_nonblocking(true).unwrap();
-        let mut io = ConnIo::new(Stream::Unix(a), Arc::default());
-        io.queue(Vec::new()); // empty sends queue nothing
-        assert_eq!(io.out_bytes, 0);
-        assert!(!io.flush_some().unwrap(), "nothing to write");
+        let mut conn = Conn::new(Stream::Unix(a), 1 << 20);
+        conn.queue(Vec::new()); // empty sends queue nothing
+        assert_eq!(conn.out_bytes, 0);
+        assert!(!conn.flush_some().unwrap(), "nothing to write");
     }
 }

@@ -61,7 +61,7 @@
 use std::fmt;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
@@ -80,7 +80,7 @@ use vaqem_runtime::{BatchDispatch, CostModel, WorkloadProfile};
 use crate::fairness::FairnessConfig;
 use crate::quota::{ClientQuota, QuotaError};
 use crate::reactor::{
-    reactor_loop, worker_loop, Event, FleetMetricsReport, Reply, SocketEventSender, WorkItem,
+    reactor_loop, worker_loop, Event, FleetMetricsReport, Inbox, Reply, WorkItem,
 };
 use crate::scheduler;
 use crate::socket::SocketDriver;
@@ -298,7 +298,7 @@ pub(crate) struct ServiceShared {
 /// architecture.
 pub struct FleetService {
     shared: Arc<ServiceShared>,
-    events: mpsc::Sender<Event>,
+    inbox: Inbox,
     reactor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -360,22 +360,27 @@ impl FleetService {
             completed: AtomicUsize::new(0),
         });
         let (events, event_rx) = mpsc::channel();
+        let inbox = Inbox {
+            events,
+            waker: Arc::default(),
+        };
         let mut worker_txs = Vec::with_capacity(pool);
         let mut workers = Vec::with_capacity(pool);
         for _ in 0..pool {
             let (tx, rx) = mpsc::channel::<WorkItem>();
             worker_txs.push(tx);
             let shared = Arc::clone(&shared);
-            let events = events.clone();
-            workers.push(std::thread::spawn(move || worker_loop(shared, rx, events)));
+            let inbox = inbox.clone();
+            workers.push(std::thread::spawn(move || worker_loop(shared, rx, inbox)));
         }
         let reactor = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || reactor_loop(shared, event_rx, worker_txs))
+            let waker = Arc::clone(&inbox.waker);
+            std::thread::spawn(move || reactor_loop(shared, event_rx, waker, worker_txs))
         };
         Ok(FleetService {
             shared,
-            events,
+            inbox,
             reactor,
             workers,
         })
@@ -404,7 +409,7 @@ impl FleetService {
             assert!(d < self.shared.devices.len(), "device index out of range");
         }
         let (tx, rx) = mpsc::channel();
-        self.events
+        self.inbox
             .send(Event::Arrive {
                 request,
                 reply: Reply::Channel(tx),
@@ -413,24 +418,28 @@ impl FleetService {
         rx
     }
 
-    /// Attaches a transport protocol driver (see `crate::socket`) and
-    /// returns the [`crate::SocketEventSender`] its pump thread forwards
-    /// connection I/O through. The driver runs on the reactor thread,
-    /// so remote submissions share the in-process admission, fairness,
-    /// and quota path — and its counters appear in every subsequent
-    /// [`FleetService::metrics_report`].
+    /// Attaches a transport driver (see `crate::socket`): from the next
+    /// event on, the reactor thread runs the driver's socket I/O and
+    /// waits in its [`SocketDriver::poll`] instead of on the event
+    /// channel. Remote submissions share the in-process admission,
+    /// fairness, and quota path, and the driver's counters appear in
+    /// every subsequent [`FleetService::metrics_report`].
     ///
-    /// Attaching a second driver replaces the first (the events of the
-    /// first pump are then dropped by the new driver's bookkeeping).
+    /// Attaching a second driver drops the first, closing its sockets.
     ///
     /// # Panics
     ///
     /// Panics when called after shutdown began.
-    pub fn attach_socket_driver(&self, driver: Box<dyn SocketDriver>) -> SocketEventSender {
-        self.events
-            .send(Event::AttachDriver(driver))
+    pub fn attach_socket_driver(&self, driver: Box<dyn SocketDriver>) -> DriverHandle {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        self.inbox
+            .send(Event::AttachDriver(id, driver))
             .expect("reactor alive");
-        SocketEventSender::new(self.events.clone())
+        DriverHandle {
+            id,
+            inbox: self.inbox.clone(),
+        }
     }
 
     /// A structured dump of the live service: reactor event counters,
@@ -444,7 +453,7 @@ impl FleetService {
     /// Panics when the reactor is gone (after shutdown began).
     pub fn metrics_report(&self) -> FleetMetricsReport {
         let (tx, rx) = mpsc::channel();
-        self.events.send(Event::Metrics(tx)).expect("reactor alive");
+        self.inbox.send(Event::Metrics(tx)).expect("reactor alive");
         rx.recv().expect("reactor answers metrics")
     }
 
@@ -478,7 +487,7 @@ impl FleetService {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // The reactor drains every queue (completions included) before
         // exiting; dropping its worker senders then ends the pool.
-        let _ = self.events.send(Event::Shutdown);
+        let _ = self.inbox.send(Event::Shutdown);
         let _ = self.reactor.join();
         for w in self.workers {
             let _ = w.join();
@@ -506,6 +515,34 @@ impl FleetService {
     /// cell exercise this).
     pub fn halt(self) {
         let _ = self.stop();
+    }
+}
+
+/// A driver's attachment to a [`FleetService`], returned by
+/// [`FleetService::attach_socket_driver`].
+pub struct DriverHandle {
+    id: u64,
+    inbox: Inbox,
+}
+
+impl DriverHandle {
+    /// Detaches the driver and waits until the reactor has dropped it,
+    /// which closes its sockets and forgets its replication followers.
+    /// Leaves alone a driver that replaced this one, and returns at once
+    /// when the reactor is gone.
+    pub fn detach(self) {
+        let (done, dropped) = mpsc::channel();
+        if self.inbox.send(Event::DetachDriver(self.id, done)).is_ok() {
+            let _ = dropped.recv();
+        }
+    }
+}
+
+impl fmt::Debug for DriverHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DriverHandle")
+            .field("id", &self.id)
+            .finish()
     }
 }
 

@@ -117,10 +117,10 @@ pub mod scheduler;
 pub mod socket;
 
 pub use daemon::{
-    DeviceSpec, DurableMitigationStore, FleetService, FleetServiceConfig, SessionError,
-    SessionKind, SessionOutcome, SessionRequest, SessionResult, TenancyConfig,
+    DeviceSpec, DriverHandle, DurableMitigationStore, FleetService, FleetServiceConfig,
+    SessionError, SessionKind, SessionOutcome, SessionRequest, SessionResult, TenancyConfig,
 };
 pub use fairness::FairnessConfig;
 pub use quota::{ClientQuota, QuotaError, QuotaUsage};
-pub use reactor::{DeviceMetricsReport, EventCounters, FleetMetricsReport, SocketEventSender};
-pub use socket::{DriverAction, RpcMetricsReport, SocketDriver, SocketEvent};
+pub use reactor::{DeviceMetricsReport, EventCounters, FleetMetricsReport};
+pub use socket::{DriverAction, RpcMetricsReport, SocketDriver};

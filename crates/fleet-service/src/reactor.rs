@@ -23,10 +23,12 @@
 //! * `CheckpointTick` — ask the durable store to auto-compact under
 //!   the configured `CompactionPolicy` (see `vaqem_runtime::persist`).
 //!
-//! Handlers never block on anything but the event channel: tuning runs
-//! on the worker pool, and every mutation of scheduling state happens
-//! on the reactor thread — no admission lock, no per-device condvars,
-//! no lock-ordering rules beyond the store's own.
+//! Handlers never block: tuning runs on the worker pool, and every
+//! mutation of scheduling state happens on the reactor thread — no
+//! admission lock, no per-device condvars, no lock-ordering rules
+//! beyond the store's own. The reactor waits on its event channel, or,
+//! while a transport driver is attached, in the driver's readiness wait
+//! ([`SocketDriver::poll`]), which every event sender rouses.
 //!
 //! Dispatch policy: devices are scanned in index order; a free device
 //! with queued work takes the next session its `DeviceArbiter` picks
@@ -39,8 +41,8 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::Arc;
+use std::sync::mpsc::{Receiver, SendError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use vaqem_device::drift::EpochFeed;
@@ -54,13 +56,47 @@ use crate::daemon::{run_session, ServiceShared, SessionError, SessionRequest, Se
 use crate::fairness::DeviceArbiter;
 use crate::quota::{quota_epoch, QuotaBook, QuotaUsage};
 use crate::scheduler;
-use crate::socket::{DriverAction, RpcMetricsReport, SocketDriver, SocketEvent};
+use crate::socket::{DriverAction, RpcMetricsReport, SocketDriver};
 
 /// How long a caught-up follower's ack is held before the reactor
 /// answers it with an empty batch. It keeps a quiet leader visibly
 /// alive well inside a follower's read timeout, and bounds how long a
 /// follower takes to notice its stop flag.
 const HEARTBEAT: Duration = Duration::from_millis(100);
+
+/// The longest a driver poll waits when no heartbeat is due: a safety
+/// net, so a lost wakeup costs latency, never liveness.
+const SAFETY_WAIT: Duration = Duration::from_millis(500);
+
+/// Where the attached driver's waker is installed (empty while none is
+/// attached).
+pub(crate) type WakerSlot = Arc<Mutex<Option<Arc<dyn Fn() + Send + Sync>>>>;
+
+/// The reactor's event channel as the other threads see it: every
+/// cross-thread send rouses the reactor in case it waits in a driver's
+/// poll.
+#[derive(Clone)]
+pub(crate) struct Inbox {
+    pub events: Sender<Event>,
+    pub waker: WakerSlot,
+}
+
+impl Inbox {
+    /// Sends `event`, then calls the installed waker. Waking *after* the
+    /// send means an event sent before a driver's waker was installed
+    /// is already queued when the reactor first polls.
+    pub fn send(&self, event: Event) -> Result<(), SendError<Event>> {
+        self.events.send(event)?;
+        // Panic-free, since `RpcServer`'s drop sends through here: the
+        // slot is only ever assigned whole, so a poisoned one is valid.
+        let slot = self.waker.lock();
+        let waker = slot.unwrap_or_else(PoisonError::into_inner).clone();
+        if let Some(wake) = waker {
+            wake();
+        }
+        Ok(())
+    }
+}
 
 /// Where a session's outcome (or typed rejection) is delivered.
 pub(crate) enum Reply {
@@ -83,11 +119,12 @@ pub(crate) enum Event {
     /// A worker finished a session (boxed: the report carries the
     /// full outcome and store delta, far larger than the other arms).
     Complete(Box<CompletionReport>),
-    /// The pump thread observed connection I/O; handled by the attached
-    /// [`SocketDriver`] (dropped when none is attached).
-    Socket(SocketEvent),
-    /// A transport front-end attached its protocol driver.
-    AttachDriver(Box<dyn SocketDriver>),
+    /// A transport front-end attached its driver under an id, replacing
+    /// (and dropping) any earlier one.
+    AttachDriver(u64, Box<dyn SocketDriver>),
+    /// Drop the driver if it is still the one attached under this id,
+    /// then answer the channel.
+    DetachDriver(u64, Sender<()>),
     /// A device crossed a recalibration boundary (reactor-internal:
     /// recorded at the observing arrival, applied at the device's next
     /// dispatch).
@@ -160,8 +197,8 @@ pub struct EventCounters {
     pub compaction_errors: u64,
     /// Submissions rejected by quota with a typed error.
     pub quota_rejections: u64,
-    /// Socket events (accept/read/hang-up) folded into the queue by the
-    /// RPC pump thread (0 without an attached front-end).
+    /// Socket accepts, reads and hang-ups the attached driver's polls
+    /// handled (0 without an attached front-end).
     pub socket_events: u64,
     /// Journal shipments produced for replication followers (0 without
     /// a subscribed follower).
@@ -499,8 +536,10 @@ struct Reactor {
     free_workers: Vec<usize>,
     counters: EventCounters,
     draining: bool,
-    /// The attached transport protocol driver, if any.
-    driver: Option<Box<dyn SocketDriver>>,
+    /// The attached transport driver and its attachment id, if any.
+    driver: Option<(u64, Box<dyn SocketDriver>)>,
+    /// Where the attached driver's waker is installed for the senders.
+    waker: WakerSlot,
     /// Replication followers by connection id → the durable cursor each
     /// last acked (monotone max — reordered acks cannot regress it).
     followers: HashMap<u64, ShipCursor>,
@@ -557,40 +596,17 @@ impl Reactor {
             Event::Metrics(tx) => {
                 let _ = tx.send(self.report());
             }
-            Event::Socket(ev) => {
-                self.counters.socket_events += 1;
-                let actions = match self.driver.as_mut() {
-                    Some(driver) => driver.on_event(ev),
-                    None => Vec::new(),
-                };
-                for action in actions {
-                    match action {
-                        DriverAction::Submit {
-                            conn,
-                            token,
-                            request,
-                        } => self.handle_arrive(request, Reply::Rpc { conn, token }),
-                        DriverAction::Metrics { conn, token } => {
-                            let report = self.report();
-                            if let Some(driver) = self.driver.as_mut() {
-                                driver.on_metrics(conn, token, &report);
-                            }
-                        }
-                        DriverAction::ReplicaAck { conn, cursor } => {
-                            self.handle_replica_ack(conn, cursor);
-                        }
-                        DriverAction::ReplicaGone { conn } => {
-                            self.followers.remove(&conn);
-                            self.parked.remove(&conn);
-                            // Last follower gone: degrade to
-                            // single-process durability — everything
-                            // journaled locally is as durable as it gets.
-                            self.release_covered();
-                        }
-                    }
-                }
+            Event::AttachDriver(id, driver) => {
+                self.drop_driver();
+                *self.waker.lock().expect("waker slot healthy") = Some(driver.waker());
+                self.driver = Some((id, driver));
             }
-            Event::AttachDriver(driver) => self.driver = Some(driver),
+            Event::DetachDriver(id, done) => {
+                if matches!(self.driver, Some((attached, _)) if attached == id) {
+                    self.drop_driver();
+                }
+                let _ = done.send(());
+            }
             Event::Shutdown => {
                 self.draining = true;
                 // Flush any buffered journal tail first — the gated
@@ -605,6 +621,54 @@ impl Reactor {
                 }
             }
         }
+    }
+
+    /// One pass of the attached driver: its socket I/O, waiting at most
+    /// `timeout`, then the actions the pass decoded.
+    fn poll_driver(&mut self, timeout: Duration) {
+        let Some((_, driver)) = self.driver.as_mut() else {
+            return;
+        };
+        let mut actions = Vec::new();
+        self.counters.socket_events += driver.poll(timeout, &mut actions);
+        for action in actions {
+            match action {
+                DriverAction::Submit {
+                    conn,
+                    token,
+                    request,
+                } => self.handle_arrive(request, Reply::Rpc { conn, token }),
+                DriverAction::Metrics { conn, token } => {
+                    let report = self.report();
+                    if let Some((_, driver)) = self.driver.as_mut() {
+                        driver.on_metrics(conn, token, &report);
+                    }
+                }
+                DriverAction::ReplicaAck { conn, cursor } => {
+                    self.handle_replica_ack(conn, cursor);
+                }
+                DriverAction::ReplicaGone { conn } => {
+                    self.followers.remove(&conn);
+                    self.parked.remove(&conn);
+                    // Last follower gone: degrade to single-process
+                    // durability — everything journaled locally is as
+                    // durable as it gets.
+                    self.release_covered();
+                }
+            }
+        }
+    }
+
+    /// Drops the attached driver, which closes its listener and every
+    /// connection. Its followers went with their connections and can
+    /// never ack again, so they are forgotten and the replies they
+    /// gated release, exactly as on `ReplicaGone`.
+    fn drop_driver(&mut self) {
+        self.driver = None;
+        *self.waker.lock().expect("waker slot healthy") = None;
+        self.followers.clear();
+        self.parked.clear();
+        self.release_covered();
     }
 
     /// Records a follower's durable cursor (monotone max — duplicate and
@@ -633,7 +697,7 @@ impl Reactor {
     fn ship(&mut self, conn: u64, acked: ShipCursor) {
         if let Ok(batch) = self.shared.store.ship_since(acked) {
             self.counters.journal_ships += 1;
-            if let Some(driver) = self.driver.as_mut() {
+            if let Some((_, driver)) = self.driver.as_mut() {
                 driver.on_ship(conn, &batch);
             }
         }
@@ -714,7 +778,7 @@ impl Reactor {
                 let _ = tx.send(result);
             }
             Reply::Rpc { conn, token } => {
-                if let Some(driver) = self.driver.as_mut() {
+                if let Some((_, driver)) = self.driver.as_mut() {
                     driver.on_result(conn, token, &result);
                 }
             }
@@ -886,45 +950,19 @@ impl Reactor {
             rpc: self
                 .driver
                 .as_ref()
-                .map(|d| d.metrics())
+                .map(|(_, d)| d.metrics())
                 .unwrap_or_default(),
         }
     }
 }
 
-/// The handle a transport pump thread forwards its observations
-/// through: an opaque wrapper over the reactor's event channel that
-/// admits only socket events.
-#[derive(Clone)]
-pub struct SocketEventSender {
-    events: Sender<Event>,
-}
-
-impl SocketEventSender {
-    pub(crate) fn new(events: Sender<Event>) -> Self {
-        SocketEventSender { events }
-    }
-
-    /// Folds one socket event into the reactor's unified queue. Returns
-    /// `false` when the reactor is gone (service shut down) — the pump
-    /// should exit.
-    pub fn send(&self, event: SocketEvent) -> bool {
-        self.events.send(Event::Socket(event)).is_ok()
-    }
-}
-
-impl fmt::Debug for SocketEventSender {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("SocketEventSender")
-    }
-}
-
 /// The reactor thread body: drains the unified event queue until
 /// shutdown *and* quiescence, then drops the worker senders (which ends
-/// the worker loops).
+/// the worker loops) and the driver (which closes its sockets).
 pub(crate) fn reactor_loop(
     shared: Arc<ServiceShared>,
     events: Receiver<Event>,
+    waker: WakerSlot,
     worker_txs: Vec<Sender<WorkItem>>,
 ) {
     let tenancy = &shared.config.tenancy;
@@ -954,6 +992,7 @@ pub(crate) fn reactor_loop(
         counters: EventCounters::default(),
         draining: false,
         driver: None,
+        waker,
         followers: HashMap::new(),
         parked: HashMap::new(),
         gated: VecDeque::new(),
@@ -971,24 +1010,28 @@ pub(crate) fn reactor_loop(
                     // The burst is drained: this is the group-commit
                     // boundary. Flush the journal records the burst
                     // buffered and release their gated replies before
-                    // blocking for the next event.
+                    // waiting for the next event.
                     reactor.commit_batch();
                     if reactor.draining && reactor.idle() {
                         break;
                     }
-                    // Only a parked follower needs the reactor to wake
-                    // without an event: when the longest-parked one's
-                    // heartbeat falls due.
-                    let next = match reactor.parked.values().min() {
-                        Some(&since) => events.recv_timeout(
-                            (since + HEARTBEAT).saturating_duration_since(Instant::now()),
-                        ),
-                        None => events.recv().map_err(|_| RecvTimeoutError::Disconnected),
-                    };
-                    match next {
+                    if reactor.driver.is_some() {
+                        // Wait in the driver's poll, which the senders
+                        // rouse. Only a parked follower needs it to
+                        // return without an event: when the
+                        // longest-parked one's heartbeat falls due.
+                        let timeout = match reactor.parked.values().min() {
+                            Some(&since) => {
+                                (since + HEARTBEAT).saturating_duration_since(Instant::now())
+                            }
+                            None => SAFETY_WAIT,
+                        };
+                        reactor.poll_driver(timeout);
+                        continue;
+                    }
+                    match events.recv() {
                         Ok(event) => event,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => break,
+                        Err(_) => break,
                     }
                 }
             },
@@ -996,17 +1039,18 @@ pub(crate) fn reactor_loop(
         reactor.handle(event);
     }
     // Final commit: nothing buffered (or gated) outlives the reactor.
+    // One more pass writes the replies it released; whatever that pass
+    // reads is dropped with the driver.
     reactor.commit_batch();
+    if let Some((_, driver)) = reactor.driver.as_mut() {
+        driver.poll(Duration::ZERO, &mut Vec::new());
+    }
     // Dropping the senders ends each worker's receive loop.
 }
 
 /// One pool worker: executes sessions the reactor dispatches, answers
 /// the client, and reports completion back to the event queue.
-pub(crate) fn worker_loop(
-    shared: Arc<ServiceShared>,
-    items: Receiver<WorkItem>,
-    events: Sender<Event>,
-) {
+pub(crate) fn worker_loop(shared: Arc<ServiceShared>, items: Receiver<WorkItem>, inbox: Inbox) {
     while let Ok(item) = items.recv() {
         // Only the session's own shard is snapshotted: a full
         // shard_metrics() sweep would briefly hold every shard's lock
@@ -1057,9 +1101,7 @@ pub(crate) fn worker_loop(
         // request (a later event) sees the session settled. A send can
         // only fail during teardown; in-process clients still hear back
         // directly, RPC replies have no one left to encode them.
-        if let Err(std::sync::mpsc::SendError(Event::Complete(report))) =
-            events.send(Event::Complete(report))
-        {
+        if let Err(SendError(Event::Complete(report))) = inbox.send(Event::Complete(report)) {
             if let Reply::Channel(tx) = report.reply {
                 let _ = tx.send(report.result);
             }

@@ -1,22 +1,20 @@
 //! The reactor's socket surface: how a transport front-end (the
-//! `vaqem-fleet-rpc` crate) folds nonblocking connection I/O into the
-//! unified event queue.
+//! `vaqem-fleet-rpc` crate) runs its connection I/O on the reactor
+//! thread.
 //!
-//! The split of responsibilities is strict:
-//!
-//! * A **pump thread** (owned by the transport crate) does the raw
-//!   nonblocking syscalls — accept, read, write — and forwards what it
-//!   observes as [`SocketEvent`]s through a [`crate::SocketEventSender`]. It
-//!   holds no protocol state beyond per-connection byte buffers.
-//! * A [`SocketDriver`] (also supplied by the transport crate, attached
-//!   via `FleetService::attach_socket_driver`) runs **on the reactor
-//!   thread**, interleaved with arrivals, completions, and
-//!   recalibrations. It owns all protocol state — framing, identity,
-//!   per-connection accounting — and reacts to socket events by
-//!   returning [`DriverAction`]s the reactor executes: submitting a
-//!   session on behalf of a remote client (which then flows through the
-//!   *same* admission, DRR fairness, and quota gates as an in-process
-//!   `submit()`), or requesting a metrics snapshot.
+//! A [`SocketDriver`] (supplied by the transport crate, attached via
+//! `FleetService::attach_socket_driver`) owns the listener, every
+//! connection's stream and all protocol state — framing, identity,
+//! per-connection accounting and outbound bytes. While it is attached,
+//! the reactor waits for work in [`SocketDriver::poll`] instead of on
+//! its event channel: one pass writes what earlier calls queued, waits
+//! for readiness, then accepts, reads and decodes, and returns the
+//! [`DriverAction`]s the reactor executes — submitting a session on
+//! behalf of a remote client (which then flows through the *same*
+//! admission, DRR fairness, and quota gates as an in-process
+//! `submit()`), or requesting a metrics snapshot. Threads that send the
+//! reactor an event rouse a blocked `poll` through the driver's
+//! [`SocketDriver::waker`].
 //!
 //! Because the driver runs on the reactor thread, a remote submission
 //! and a local one are literally the same code path from admission
@@ -28,42 +26,17 @@
 //! every `FleetMetricsReport` (zeroed when no driver is attached), so
 //! the golden-schema pin covers the RPC surface too.
 
+use std::sync::Arc;
+use std::time::Duration;
+
 use crate::daemon::{SessionRequest, SessionResult};
 use crate::reactor::FleetMetricsReport;
 use vaqem_runtime::json::JsonValue;
 use vaqem_runtime::{ShipBatch, ShipCursor};
 
-/// What the pump thread observed on a connection. Connection ids are
-/// assigned by the pump and never reused within a server's lifetime.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SocketEvent {
-    /// A new connection was accepted.
-    Accepted {
-        /// Pump-assigned connection id.
-        conn: u64,
-        /// Peer description (address or socket path) for diagnostics.
-        peer: String,
-    },
-    /// Bytes arrived on a connection — an arbitrary slice of the
-    /// stream, torn wherever the kernel tore it.
-    Readable {
-        /// Connection id.
-        conn: u64,
-        /// The bytes, in stream order.
-        bytes: Vec<u8>,
-    },
-    /// The peer disconnected (EOF or error), or the pump force-closed
-    /// the connection. The driver must drop its state for `conn`;
-    /// results for sessions still in flight are discarded on arrival.
-    HungUp {
-        /// Connection id.
-        conn: u64,
-    },
-}
-
-/// What a [`SocketDriver`] asks the reactor to do after handling a
-/// socket event. Returned (rather than called back) so the driver
-/// borrow and the reactor borrow never overlap.
+/// What a [`SocketDriver`] asks the reactor to do after a
+/// [`SocketDriver::poll`] pass. Returned (rather than called back) so
+/// the driver borrow and the reactor borrow never overlap.
 #[derive(Debug)]
 pub enum DriverAction {
     /// Submit a session on behalf of a remote client. The result is
@@ -101,10 +74,11 @@ pub enum DriverAction {
         /// The follower's durable replication cursor.
         cursor: ShipCursor,
     },
-    /// A connection that had subscribed as a replication follower hung
-    /// up. The reactor drops its cursor; when no followers remain, all
-    /// gated replies release (the fleet degrades to single-process
-    /// durability).
+    /// A connection that had subscribed as a replication follower
+    /// closed. The reactor drops its cursor; when no followers remain,
+    /// all gated replies release (the fleet degrades to single-process
+    /// durability). Dropping the driver forgets all its followers the
+    /// same way.
     ReplicaGone {
         /// The departed follower's connection.
         conn: u64,
@@ -141,15 +115,16 @@ pub struct RpcMetricsReport {
     /// High-water mark of any single connection's pending outbound
     /// bytes.
     pub peak_pending_out_bytes: u64,
-    /// CPU time the pump thread has consumed, in microseconds (0 where
-    /// the platform offers no per-thread CPU clock). Diffing two
-    /// readings over a quiet window measures the pump's idle burn —
-    /// the readiness pump's headline advantage over the polling one.
+    /// CPU time the reactor thread, which runs the socket I/O, has
+    /// consumed, in microseconds (0 where the platform offers no
+    /// per-thread CPU clock). Monotonic: diffing two readings over a
+    /// quiet window measures the serving thread's idle burn — the
+    /// readiness source's headline advantage over the scan source.
     pub pump_cpu_micros: u64,
-    /// Pump loop passes (readiness wakeups or poll iterations).
+    /// [`SocketDriver::poll`] passes.
     pub pump_passes: u64,
-    /// Times the reactor had to rouse a blocked pump through the wakeup
-    /// channel (readiness pump only; the polling pump never blocks).
+    /// Times another thread roused a blocked poll through the wakeup
+    /// pipe (readiness source only; the scan source never blocks).
     pub pump_wakeups: u64,
 }
 
@@ -188,14 +163,21 @@ impl RpcMetricsReport {
     }
 }
 
-/// The protocol half of a transport front-end, executed on the reactor
-/// thread. Implementations own per-connection state and speak to the
-/// pump through whatever channel they were constructed with; the
-/// reactor only sees events in and actions out.
+/// A transport front-end, executed on the reactor thread. It owns the
+/// listener, every connection and all protocol state; the reactor only
+/// sees actions out and results in.
 pub trait SocketDriver: Send {
-    /// Handles one socket event; returns the reactor-facing actions it
-    /// implies (often none).
-    fn on_event(&mut self, event: SocketEvent) -> Vec<DriverAction>;
+    /// Runs one pass: writes what earlier calls queued, waits at most
+    /// `timeout` for socket readiness or a [`SocketDriver::waker`]
+    /// call, then accepts, reads and decodes, and closes. Pushes the
+    /// reactor-facing actions the pass implies onto `actions` and
+    /// returns how many accepts, reads and hang-ups it handled.
+    fn poll(&mut self, timeout: Duration, actions: &mut Vec<DriverAction>) -> u64;
+
+    /// The function that rouses a blocked [`SocketDriver::poll`]. The
+    /// reactor installs it while the driver is attached, and every
+    /// thread that sends the reactor an event calls it after the send.
+    fn waker(&self) -> Arc<dyn Fn() + Send + Sync>;
 
     /// Delivers the result of a [`DriverAction::Submit`]. Called for
     /// quota rejections exactly like successes — the typed error is the
@@ -215,6 +197,6 @@ pub trait SocketDriver: Send {
     }
 
     /// The driver's aggregate counters, embedded in every metrics
-    /// report the reactor produces.
+    /// report the reactor produces (read on the reactor thread).
     fn metrics(&self) -> RpcMetricsReport;
 }

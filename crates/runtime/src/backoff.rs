@@ -1,8 +1,9 @@
 //! Adaptive idle backoff for polling loops.
 //!
 //! One loop in the fleet polls for work it cannot block on: the RPC
-//! front-end's portable scan pump (nonblocking accept/read/write over
-//! every connection). It faces a tension — a fixed short sleep burns a
+//! front-end's portable scan source, which sweeps every connection
+//! nonblockingly on the reactor thread (the epoll source blocks in the
+//! kernel instead). It faces a tension — a fixed short sleep burns a
 //! measurable fraction of a core on a quiet daemon, a fixed long sleep
 //! adds latency to the first byte after a quiet spell. [`IdleBackoff`]
 //! resolves it: sleep starts at a floor, doubles per consecutive idle
@@ -15,7 +16,7 @@
 use std::time::Duration;
 
 /// Adaptive idle sleep: floor-to-ceiling exponential backoff that
-/// resets on activity. See the module docs for why the scan pump
+/// resets on activity. See the module docs for why the scan source
 /// paces on this.
 #[derive(Debug, Clone)]
 pub struct IdleBackoff {
