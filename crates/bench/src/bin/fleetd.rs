@@ -35,9 +35,9 @@
 //!   runs until stdin reaches EOF (so `fleetd &` with a closed stdin,
 //!   or a CI step killing the background process, both work).
 //!
-//! The root seed comes from `VAQEM_SEED` (legacy alias
-//! `VAQEM_FLEET_SEED`) via `root_seed_from_env`. On exit the daemon
-//! shuts down gracefully: checkpoint written, metrics report printed.
+//! The root seed comes from `VAQEM_SEED` via `root_seed_from_env`. On
+//! exit the daemon shuts down gracefully: checkpoint written, metrics
+//! report printed.
 
 use std::io::Read;
 use std::path::PathBuf;

@@ -11,19 +11,21 @@
 //! ```
 //!
 //! With `--sweep-cores` the harness is self-contained: for each
-//! worker-pool width (powers of two up to the machine's cores; `[1, 2]`
-//! in quick mode) it boots an in-process fleet daemon on a private Unix
-//! socket — `width` workers, `width` windowed devices, the light sweep
-//! tuner — and drives one closed-loop client per worker through it
-//! twice: once in the
-//! **current** configuration (epoll readiness + journal group commit)
-//! and once in the **legacy** one (`VAQEM_RPC_PUMP=poll` +
-//! `VAQEM_JOURNAL_MODE=per_record`, the pre-campaign polling and flush
-//! discipline). Each point records sessions/hour (total and per core),
+//! fleet width (powers of two up to the machine's cores; `[1, 2]` in
+//! quick mode) it boots an in-process fleet daemon on a private Unix
+//! socket — `width` windowed devices, each with its worker, and the
+//! light sweep tuner — and drives `width` closed-loop clients through
+//! it twice: once in the **current** configuration (epoll readiness +
+//! journal group commit) and once in the **legacy** one
+//! (`VAQEM_RPC_PUMP=poll` + `VAQEM_JOURNAL_MODE=per_record`, the
+//! pre-campaign polling and flush discipline). Each point records sessions/hour (total and per core),
 //! the serving thread's CPU fraction under load (the `pump_*` keys:
 //! socket I/O runs on the reactor thread), and — from a quiet window
-//! after the load — its *idle* CPU fraction. The curves land in `BENCH_fleet.json`
-//! (or `--out`/`$BENCH_FLEET_OUT`). In-binary gates: zero errors
+//! after the load — its *idle* CPU fraction. Admission sends every
+//! sweep session to the device with the shortest sampled cloud-queue
+//! wait (DESIGN.md, *Scaling evidence*), so a wider point adds clients,
+//! not serving devices. The curves land in `BENCH_fleet.json` (or
+//! `--out`/`$BENCH_FLEET_OUT`). In-binary gates: zero errors
 //! everywhere; in full mode, ≥1.3x sessions/hour for current-vs-legacy
 //! at the widest point and (on Linux) lower idle CPU for the epoll
 //! source than the scan fallback; and when
@@ -515,7 +517,7 @@ fn run_failover(args: &Args) {
 }
 
 /// One measured `--sweep-cores` point: a fresh in-process daemon at a
-/// fixed worker-pool width, one pump/journal configuration.
+/// fixed fleet width, one pump/journal configuration.
 struct SweepPoint {
     pump: &'static str,
     journal: &'static str,
@@ -587,7 +589,7 @@ fn run_sweep_tenant(
     stats
 }
 
-/// Boots a daemon at `width` workers/devices under the given
+/// Boots a daemon at `width` devices under the given
 /// pump/journal selection, drives closed-loop clients through the load
 /// window, then measures an idle window, and tears everything down.
 fn run_sweep_point(
@@ -632,7 +634,7 @@ fn run_sweep_point(
     let serve_started = Instant::now();
     let target = Target::Unix(socket);
 
-    // One closed-loop client per worker: each round trip crosses the
+    // One closed-loop client per device: each round trip crosses the
     // serving thread twice, so the serving stack's per-hop latency — not
     // queueing depth — is what the sessions/hour curve measures.
     let stop = Arc::new(AtomicBool::new(false));

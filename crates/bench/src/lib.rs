@@ -88,20 +88,6 @@ pub fn ideal_counts(qc: &QuantumCircuit, shots: u64) -> Counts {
         .exact_counts(shots)
 }
 
-/// Prints a two-column series as an aligned table with a title.
-pub fn print_series(title: &str, x_label: &str, y_label: &str, series: &[(f64, f64)]) {
-    println!("\n=== {title} ===");
-    println!("{x_label:>14}  {y_label:>14}");
-    for (x, y) in series {
-        println!("{x:>14.4}  {y:>14.4}");
-    }
-}
-
-/// Formats a ratio row for the Fig. 12-style tables.
-pub fn fmt_ratio(v: f64) -> String {
-    format!("{v:>8.2}x")
-}
-
 pub mod rpcload {
     //! The fixture shared by the `fleetd` daemon binary and the
     //! `loadgen` harness: a fleet of small 2-qubit devices running a
@@ -302,15 +288,12 @@ pub mod rpcload {
     /// entries and exercises the journal) driven by the *light* tuner —
     /// sessions finish in milliseconds, so the measured bottleneck is
     /// the serving stack (pump, journal flushes, reply path) rather
-    /// than simulator physics. `workers` pins the reactor worker-pool
-    /// width — the per-core axis of the scaling sweep.
-    pub fn sweep_service_config(
-        store_dir: std::path::PathBuf,
-        workers: usize,
-    ) -> FleetServiceConfig {
+    /// than simulator physics. `width` is the sweep point's device
+    /// count; it only sizes the store, at no fewer shards than devices.
+    pub fn sweep_service_config(store_dir: std::path::PathBuf, width: usize) -> FleetServiceConfig {
         FleetServiceConfig {
             store_dir,
-            shards: 4,
+            shards: width.max(4),
             capacity_per_shard: 128,
             shots: 32,
             tuner: WindowTunerConfig {
@@ -330,16 +313,15 @@ pub mod rpcload {
             },
             cost: CostModel::ibm_cloud_2021(),
             dispatch: BatchDispatch::local(2),
-            tenancy: TenancyConfig {
-                workers,
-                ..TenancyConfig::default()
-            },
+            tenancy: TenancyConfig::default(),
         }
     }
 
-    /// One sweep session request: `device: None`, so the scheduler
-    /// spreads the closed-loop clients across the whole width-sized
-    /// fleet.
+    /// One sweep session request: `device: None`, so queue-aware
+    /// admission picks the device. At the sweep's seed and closed-loop
+    /// load that is always the device with the shortest sampled
+    /// cloud-queue wait, because the waits differ by far more than the
+    /// queued sessions' estimates (DESIGN.md, *Scaling evidence*).
     pub fn sweep_request(t_hours: f64) -> SessionRequest {
         SessionRequest {
             client: "loadgen".into(),

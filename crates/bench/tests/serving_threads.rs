@@ -1,6 +1,6 @@
 //! Serving adds no OS thread: socket I/O runs on the reactor thread, so
 //! a `FleetService` behind an `RpcServer` has exactly the threads the
-//! service opened with (the reactor and its worker pool).
+//! service opened with (the reactor and one worker per device).
 //!
 //! This is its own test binary because it counts the threads of the
 //! whole process; a sibling test running in parallel would move the

@@ -149,12 +149,6 @@ where
         self.records_applied += records as u64;
         Ok(true)
     }
-
-    /// Unwraps the store — the promotion path drops the handle this way
-    /// before reopening the directory as a live service.
-    pub fn into_store(self) -> DurableStore<F, V> {
-        self.store
-    }
 }
 
 /// How a [`Follower`] connects and stores.

@@ -4,33 +4,32 @@
 //! # Architecture
 //!
 //! ```text
-//!  client threads ──submit()──▶ event channel
+//!  client threads ──submit()──▶ event channel ◀── workers' completions
 //!                                    │
 //!                                    ▼            (one scheduler thread)
 //!                     ┌──────── REACTOR ────────────────────────────┐
-//!                     │ unified event queue:                        │
-//!                     │   arrival · completion · recalibration ·    │
-//!                     │   checkpoint tick                           │
+//!                     │ events: arrival · completion · metrics ·    │
+//!                     │   driver attach/detach · shutdown           │
 //!                     │ per-device DRR fair queues (fairness.rs)    │
 //!                     │ per-client quotas (quota.rs)                │
 //!                     │ queue-aware admission (scheduler.rs)        │
 //!                     └──┬───────────┬──────────────┬───────────────┘
 //!                        │ dispatch  │              │ ≤1 session per
 //!                        ▼           ▼              ▼ device in flight
-//!                    worker 0    worker 1  …   worker P-1   (bounded pool)
+//!                    worker 0    worker 1  …   worker D-1   (one per device)
 //!                        │ warm-start tuning (core crate)
 //!                        ▼
 //!               Arc<DurableMitigationStore>  (sharded; device → shard)
-//!                        │ mutations journaled; reactor ticks
-//!                        │ auto-compact past the journal bound
+//!                        │ mutations journaled; each completion
+//!                        │ auto-compacts past the journal bound
 //!                        ▼
 //!                 store_dir/store.snapshot + store.journal
 //! ```
 //!
 //! The reactor owns *all* scheduling state — per-device deficit-
 //! round-robin queues across clients, the quota ledger, the drift feed,
-//! worker availability — and mutates it only while handling events, so
-//! there is no admission lock and no per-device condvar parking (the
+//! which devices are busy — and mutates it only while handling events,
+//! so there is no admission lock and no per-device condvar parking (the
 //! PR 3 design this replaced). Devices still serialize their own
 //! sessions (a tuning session holds the machine), but *which* client's
 //! session runs next is weighted fair queueing, not FIFO: one heavy
@@ -40,8 +39,8 @@
 //! claim. See `crate::reactor`, `crate::fairness`, `crate::quota`.
 //!
 //! Each session: the reactor observes the device's drift clock at
-//! arrival (crossing ⇒ a recalibration event that journal-invalidates
-//! the device's stale epochs), then a pool worker rebuilds the
+//! arrival (a crossing journal-invalidates the device's stale epochs
+//! before its next dispatch), then the device's worker rebuilds the
 //! calibration snapshot, warm-start tunes through the core crate's
 //! guard-gated cache path (ZNE and composed sessions ride the same path
 //! via their circuit-level fingerprints), and prices the measured
@@ -120,17 +119,12 @@ pub enum SessionKind {
     CombinedZne,
 }
 
-/// Multi-tenancy policy: worker pool bound, fairness weights, quotas,
-/// and the self-compaction policy. The default is the "no policy"
-/// fleet — unlimited equal-weight tenants, a pool of one worker per
-/// device, auto-compaction at the store's default journal bound — which
-/// behaves like the pre-reactor daemon.
+/// Multi-tenancy policy: fairness weights, quotas, and the
+/// self-compaction policy. The default is the "no policy" fleet —
+/// unlimited equal-weight tenants, auto-compaction at the store's
+/// default journal bound — which behaves like the pre-reactor daemon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenancyConfig {
-    /// Worker pool size; `0` means one worker per device (each device
-    /// runs at most one session at a time regardless, so a larger pool
-    /// never helps).
-    pub workers: usize,
     /// Deficit-round-robin weights (see `crate::fairness`).
     pub fairness: FairnessConfig,
     /// Quota for clients without an override.
@@ -140,15 +134,14 @@ pub struct TenancyConfig {
     /// Length of the machine-minute budget accounting window, in the
     /// request clock's hours.
     pub quota_epoch_hours: f64,
-    /// When checkpoint ticks (one after every completion) compact the
-    /// journal into a snapshot.
+    /// When the check after every completion compacts the journal into
+    /// a snapshot.
     pub compaction: CompactionPolicy,
 }
 
 impl Default for TenancyConfig {
     fn default() -> Self {
         TenancyConfig {
-            workers: 0,
             fairness: FairnessConfig::default(),
             default_quota: ClientQuota::unlimited(),
             quotas: Vec::new(),
@@ -179,7 +172,7 @@ pub struct FleetServiceConfig {
     pub cost: CostModel,
     /// Batched-dispatch shape for pricing.
     pub dispatch: BatchDispatch,
-    /// Multi-tenancy policy (fairness, quotas, pool size, compaction).
+    /// Multi-tenancy policy (fairness, quotas, compaction).
     pub tenancy: TenancyConfig,
 }
 
@@ -277,7 +270,7 @@ impl std::error::Error for SessionError {}
 /// How a session concludes: the outcome, or a typed error.
 pub type SessionResult = Result<SessionOutcome, SessionError>;
 
-/// State shared by the reactor, the worker pool, and the service
+/// State shared by the reactor, the device workers, and the service
 /// handle. Immutable after open except for the atomics.
 pub(crate) struct ServiceShared {
     pub config: FleetServiceConfig,
@@ -306,7 +299,7 @@ pub struct FleetService {
 impl FleetService {
     /// Opens the persistent store under `config.store_dir` (recovering
     /// any snapshot + journal left by a previous process), spawns the
-    /// reactor thread and the bounded worker pool.
+    /// reactor thread and one worker thread per device.
     ///
     /// # Errors
     ///
@@ -314,7 +307,8 @@ impl FleetService {
     ///
     /// # Panics
     ///
-    /// Panics when `devices` is empty.
+    /// Panics when `devices` is empty, or when a fairness weight
+    /// (`default_weight` or a per-client override) is zero.
     pub fn open(
         config: FleetServiceConfig,
         devices: Vec<DeviceSpec>,
@@ -322,6 +316,11 @@ impl FleetService {
         seeds: SeedStream,
     ) -> io::Result<Self> {
         assert!(!devices.is_empty(), "fleet needs at least one device");
+        let fairness = &config.tenancy.fairness;
+        assert!(
+            fairness.default_weight > 0 && fairness.weights.iter().all(|&(_, w)| w > 0),
+            "fairness weights must be positive"
+        );
         let store = Arc::new(DurableMitigationStore::open(
             &config.store_dir,
             config.shards,
@@ -344,10 +343,6 @@ impl FleetService {
         let estimate_min = config
             .cost
             .em_tuning_minutes_batched(&config.profile, &config.dispatch);
-        let pool = match config.tenancy.workers {
-            0 => devices.len(),
-            n => n,
-        };
         let shared = Arc::new(ServiceShared {
             config,
             devices,
@@ -364,15 +359,16 @@ impl FleetService {
             events,
             waker: Arc::default(),
         };
-        let mut worker_txs = Vec::with_capacity(pool);
-        let mut workers = Vec::with_capacity(pool);
-        for _ in 0..pool {
-            let (tx, rx) = mpsc::channel::<WorkItem>();
-            worker_txs.push(tx);
-            let shared = Arc::clone(&shared);
-            let inbox = inbox.clone();
-            workers.push(std::thread::spawn(move || worker_loop(shared, rx, inbox)));
-        }
+        // Worker `d` runs device `d`'s sessions.
+        let (worker_txs, workers) = (0..shared.devices.len())
+            .map(|_| {
+                let (tx, rx) = mpsc::channel::<WorkItem>();
+                let shared = Arc::clone(&shared);
+                let inbox = inbox.clone();
+                let worker = std::thread::spawn(move || worker_loop(shared, rx, inbox));
+                (tx, worker)
+            })
+            .unzip();
         let reactor = {
             let shared = Arc::clone(&shared);
             let waker = Arc::clone(&inbox.waker);
@@ -477,16 +473,10 @@ impl FleetService {
         self.shared.completed.load(Ordering::Relaxed)
     }
 
-    /// The uniform per-session machine-minute estimate used for
-    /// admission backlogs, DRR costs, and quota reservations.
-    pub fn session_estimate_min(&self) -> f64 {
-        self.shared.estimate_min
-    }
-
     fn stop(self) -> Arc<ServiceShared> {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // The reactor drains every queue (completions included) before
-        // exiting; dropping its worker senders then ends the pool.
+        // exiting; dropping its worker senders then ends the workers.
         let _ = self.inbox.send(Event::Shutdown);
         let _ = self.reactor.join();
         for w in self.workers {
@@ -496,7 +486,7 @@ impl FleetService {
     }
 
     /// Graceful shutdown: drains every queue, joins the reactor and the
-    /// worker pool, then checkpoints the store (snapshot written,
+    /// device workers, then checkpoints the store (snapshot written,
     /// journal truncated).
     ///
     /// # Errors
@@ -546,9 +536,9 @@ impl fmt::Debug for DriverHandle {
     }
 }
 
-/// Executes one session on a pool worker. Scheduling decisions (device,
-/// epoch, invalidation attribution) were made by the reactor and travel
-/// in the [`WorkItem`].
+/// Executes one session on its device's worker. Scheduling decisions
+/// (device, epoch, invalidation attribution) were made by the reactor
+/// and travel in the [`WorkItem`].
 pub(crate) fn run_session(shared: &ServiceShared, item: &WorkItem) -> SessionResult {
     let dev = item.device;
     let spec = &shared.devices[dev];
@@ -645,7 +635,7 @@ pub(crate) fn run_session(shared: &ServiceShared, item: &WorkItem) -> SessionRes
         minutes,
         invalidated: item.invalidated,
         // Stamped by the worker loop at completion time (the counter is
-        // shared across the pool).
+        // shared across the workers).
         sequence: 0,
         config: report.tuned.config,
     })

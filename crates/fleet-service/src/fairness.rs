@@ -3,15 +3,14 @@
 //!
 //! The PR 3 daemon drained each device FIFO, so one tenant's backlog
 //! head-of-line-blocked every other tenant on that device. The reactor
-//! instead asks a [`DeviceArbiter`] for the next session whenever a
-//! device frees up. The arbiter is a thin daemon-facing wrapper around
-//! the fleet-wide arbitration policy,
-//! [`vaqem_runtime::fleet::DrrQueue`].
+//! instead keeps one [`vaqem_runtime::fleet::DrrQueue`] per device and
+//! asks it for the next session whenever the device frees up; this
+//! module holds the weight policy those queues are built from.
 //!
 //! # Semantics
 //!
-//! * One arbiter per device; one lane per client, created on first
-//!   submission, weights resolved from [`FairnessConfig`].
+//! * One queue per device; one lane per client, created on first
+//!   submission at the weight [`FairnessConfig::weight_of`] resolves.
 //! * Each visit grants a lane `weight x quantum` minutes of deficit;
 //!   the quantum is `quantum_sessions x` the per-session cost estimate,
 //!   so with the default `quantum_sessions = 1.0` and uniform session
@@ -24,8 +23,6 @@
 //!   cell, and its bursty cells also check that light tenants finish
 //!   inside the first rotation after a heavy backlog).
 
-use vaqem_runtime::fleet::{DrrLaneSnapshot, DrrQueue};
-
 /// Client-weight policy for the fair queues.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FairnessConfig {
@@ -36,7 +33,7 @@ pub struct FairnessConfig {
     pub quantum_sessions: f64,
     /// Weight for clients without an override (must be positive).
     pub default_weight: u32,
-    /// Per-client weight overrides.
+    /// Per-client weight overrides (each must be positive).
     pub weights: Vec<(String, u32)>,
 }
 
@@ -48,6 +45,13 @@ impl FairnessConfig {
             .find(|(c, _)| c == client)
             .map(|&(_, w)| w)
             .unwrap_or(self.default_weight)
+    }
+
+    /// The DRR quantum for sessions estimated at `estimate_min` minutes:
+    /// `quantum_sessions x estimate_min`, clamped positive so a zero
+    /// estimate (degenerate profiles) still rotates.
+    pub(crate) fn quantum_min(&self, estimate_min: f64) -> f64 {
+        (self.quantum_sessions * estimate_min).max(1e-9)
     }
 }
 
@@ -63,72 +67,10 @@ impl Default for FairnessConfig {
     }
 }
 
-/// One device's fair session queue: a [`DrrQueue`] plus the weight
-/// policy, owned by the reactor thread.
-#[derive(Debug)]
-pub struct DeviceArbiter<T> {
-    drr: DrrQueue<T>,
-    config: FairnessConfig,
-}
-
-impl<T> DeviceArbiter<T> {
-    /// Creates the arbiter for one device. `estimate_min` is the
-    /// per-session cost estimate the DRR quantum is scaled from.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the effective quantum
-    /// (`quantum_sessions x estimate_min`) is not strictly positive, or
-    /// when `default_weight` is zero.
-    pub fn new(config: FairnessConfig, estimate_min: f64) -> Self {
-        assert!(config.default_weight > 0, "default weight must be positive");
-        // A zero estimate (degenerate profiles) still needs a positive
-        // quantum for DRR to rotate.
-        let quantum = (config.quantum_sessions * estimate_min).max(1e-9);
-        DeviceArbiter {
-            drr: DrrQueue::new(quantum),
-            config,
-        }
-    }
-
-    /// Queues a session for `client` at `cost_min`, creating the
-    /// client's lane at its configured weight on first use.
-    pub fn enqueue(&mut self, client: &str, cost_min: f64, item: T) {
-        self.drr.register(client, self.config.weight_of(client));
-        self.drr.enqueue(client, cost_min, item);
-    }
-
-    /// The next session under DRR, or `None` when the device's queue is
-    /// empty.
-    pub fn dispatch_next(&mut self) -> Option<(String, f64, T)> {
-        self.drr.dispatch_next()
-    }
-
-    /// Sessions queued on this device.
-    pub fn len(&self) -> usize {
-        self.drr.len()
-    }
-
-    /// Returns `true` when no session is queued.
-    pub fn is_empty(&self) -> bool {
-        self.drr.is_empty()
-    }
-
-    /// Total estimated minutes queued on this device.
-    pub fn backlog_min(&self) -> f64 {
-        self.drr.backlog_min()
-    }
-
-    /// Per-client lane snapshots (deficit, weight, queue depth) in lane
-    /// order — the fairness half of `FleetService::metrics_report`.
-    pub fn lanes(&self) -> Vec<DrrLaneSnapshot> {
-        self.drr.lanes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vaqem_runtime::fleet::DrrQueue;
 
     #[test]
     fn weights_resolve_with_overrides() {
@@ -142,66 +84,20 @@ mod tests {
     }
 
     #[test]
-    fn arbiter_interleaves_heavy_and_light_tenants() {
-        // The daemon regime: uniform session estimates, default weights.
-        // A heavy tenant's burst of 4 queued sessions does not block two
-        // light tenants submitting after it.
-        let mut arbiter: DeviceArbiter<usize> = DeviceArbiter::new(FairnessConfig::default(), 2.5);
-        for i in 0..4 {
-            arbiter.enqueue("heavy", 2.5, i);
-        }
-        arbiter.enqueue("light-a", 2.5, 100);
-        arbiter.enqueue("light-b", 2.5, 200);
-        let order: Vec<String> =
-            std::iter::from_fn(|| arbiter.dispatch_next().map(|(c, _, _)| c)).collect();
-        assert_eq!(
-            order[..3],
-            ["heavy", "light-a", "light-b"].map(String::from)
-        );
-        assert_eq!(order[3..], ["heavy", "heavy", "heavy"].map(String::from));
-        assert!(arbiter.is_empty());
-    }
-
-    #[test]
-    fn weighted_tenant_gets_its_share() {
+    fn zero_estimate_still_rotates() {
         let config = FairnessConfig {
-            weights: vec![("gold".into(), 2)],
+            quantum_sessions: 2.0,
             ..FairnessConfig::default()
         };
-        let mut arbiter: DeviceArbiter<()> = DeviceArbiter::new(config, 1.0);
-        for _ in 0..4 {
-            arbiter.enqueue("gold", 1.0, ());
-            arbiter.enqueue("econ", 1.0, ());
-        }
-        let order: Vec<String> =
-            std::iter::from_fn(|| arbiter.dispatch_next().map(|(c, _, _)| c)).collect();
-        // Per rotation: two gold sessions, one econ.
-        assert_eq!(
-            order[..3],
-            ["gold", "gold", "econ"].map(String::from),
-            "weight-2 lane serves twice per rotation"
-        );
-    }
-
-    #[test]
-    fn snapshots_expose_deficits_and_depths() {
-        let mut arbiter: DeviceArbiter<()> = DeviceArbiter::new(FairnessConfig::default(), 1.0);
-        arbiter.enqueue("a", 1.0, ());
-        arbiter.enqueue("b", 1.0, ());
-        assert_eq!(arbiter.len(), 2);
-        assert!((arbiter.backlog_min() - 2.0).abs() < 1e-12);
-        let lanes = arbiter.lanes();
-        assert_eq!(lanes.len(), 2);
-        assert_eq!(lanes[0].client, "a");
-        assert_eq!(lanes[0].weight, 1);
-    }
-
-    #[test]
-    fn zero_estimate_still_rotates() {
-        let mut arbiter: DeviceArbiter<()> = DeviceArbiter::new(FairnessConfig::default(), 0.0);
-        arbiter.enqueue("a", 0.0, ());
-        arbiter.enqueue("b", 0.0, ());
-        assert_eq!(arbiter.dispatch_next().unwrap().0, "a");
-        assert_eq!(arbiter.dispatch_next().unwrap().0, "b");
+        assert_eq!(config.quantum_min(1.5), 3.0);
+        // A zero estimate still yields a positive quantum, which DRR
+        // needs to rotate.
+        let quantum = config.quantum_min(0.0);
+        assert!(quantum > 0.0);
+        let mut queue: DrrQueue<()> = DrrQueue::new(quantum);
+        queue.enqueue("a", 0.0, ());
+        queue.enqueue("b", 0.0, ());
+        assert_eq!(queue.dispatch_next().unwrap().0, "a");
+        assert_eq!(queue.dispatch_next().unwrap().0, "b");
     }
 }

@@ -8,18 +8,18 @@
 //!
 //! The paper's §IX transfer result makes per-window EM tuning cacheable;
 //! PR 2 built the cache; this crate makes it a *multi-tenant service*:
-//! an **event-driven reactor** (one scheduler thread over a unified
-//! event queue — session arrival, session completion, recalibration
-//! crossing, checkpoint tick) dispatches sessions onto a bounded worker
-//! pool. Per device, the next session is chosen by deficit-round-robin
-//! **weighted fair queueing across clients** ([`fairness`]) — no tenant
-//! head-of-line-blocks another — and per-client **quotas** ([`quota`]:
-//! in-flight caps, machine-minute budgets priced through the cost
-//! model) reject greedy submissions with a typed error. Admission stays
-//! queue-aware (fed by `CostModel::queuing_minutes`), drift
-//! invalidation stays journaled, checkpoint ticks auto-compact the
-//! journal, and stops are graceful ([`FleetService::shutdown`]) or
-//! abrupt ([`FleetService::halt`]) with journal-replay recovery.
+//! an **event-driven reactor** (one scheduler thread reacting to session
+//! arrivals and completions) dispatches each device's sessions to that
+//! device's worker thread. Per device, the next session is chosen by
+//! deficit-round-robin **weighted fair queueing across clients**
+//! ([`fairness`]) — no tenant head-of-line-blocks another — and
+//! per-client **quotas** ([`quota`]: in-flight caps, machine-minute
+//! budgets priced through the cost model) reject greedy submissions
+//! with a typed error. Admission stays queue-aware (fed by
+//! `CostModel::queuing_minutes`), drift invalidation stays journaled,
+//! completions auto-compact the journal, and stops are graceful
+//! ([`FleetService::shutdown`]) or abrupt ([`FleetService::halt`]) with
+//! journal-replay recovery.
 //! [`FleetService::metrics_report`] dumps the whole picture — event
 //! counters, per-device queues and fairness lanes, per-client quota and
 //! store-traffic attribution, per-shard metrics. Sessions cover every
@@ -81,8 +81,8 @@
 //!     },
 //!     cost: CostModel::ibm_cloud_2021(),
 //!     dispatch: BatchDispatch::local(2),
-//!     // Default tenancy: equal weights, unlimited quotas, one worker
-//!     // per device, auto-compaction at the default journal bound.
+//!     // Default tenancy: equal weights, unlimited quotas,
+//!     // auto-compaction at the default journal bound.
 //!     tenancy: vaqem_fleet_service::TenancyConfig::default(),
 //! };
 //!

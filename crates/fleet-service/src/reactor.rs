@@ -1,29 +1,31 @@
-//! The event-driven reactor: one scheduler loop, one unified event
-//! queue, a bounded worker pool.
+//! The event-driven reactor: one scheduler loop over one event channel,
+//! one worker thread per device.
 //!
 //! PR 3's daemon parked one thread per device on a condvar; scheduling
 //! policy (FIFO) was implicit in the queue type and unobservable. The
 //! reactor inverts that: **all** scheduling state — per-device fair
-//! queues, the quota ledger, the drift feed, worker availability — is
-//! owned by a single thread that reacts to events:
+//! queues, the quota ledger, the drift feed, which devices are busy — is
+//! owned by a single thread that reacts to what other threads send it:
 //!
 //! * `Arrive` — a client submitted a session: resolve the device
 //!   (queue-aware admission), observe the drift clock (recording a
-//!   pending `Recalibration` on a crossing), check quotas (typed
+//!   pending recalibration on a crossing), check quotas (typed
 //!   rejection straight to the client's channel), enqueue on the
-//!   device's DRR arbiter, and dispatch if a worker is free.
-//! * `Complete` — a worker finished a session: settle the quota
-//!   reservation, credit the client's store traffic, free the worker,
-//!   schedule a `CheckpointTick`, dispatch more work.
-//! * `Recalibration` — a device crossed a calibration boundary:
-//!   journal-invalidate its stale epochs. Applied in the device's
-//!   dispatch order — just before the next session runs, when no
-//!   old-epoch session is still in flight — with the dropped count
-//!   attributed to that session's outcome.
-//! * `CheckpointTick` — ask the durable store to auto-compact under
-//!   the configured `CompactionPolicy` (see `vaqem_runtime::persist`).
+//!   device's DRR queue, and dispatch if the device is free.
+//! * `Complete` — a device's worker finished a session: settle the
+//!   quota reservation, credit the client's store traffic, free the
+//!   device, dispatch more work, then let the durable store
+//!   auto-compact under the configured `CompactionPolicy` (see
+//!   `vaqem_runtime::persist`).
+//! * `AttachDriver`, `DetachDriver`, `Metrics` and `Shutdown` — the
+//!   transport driver's lifecycle, a metrics snapshot, and the drain.
 //!
-//! Handlers never block: tuning runs on the worker pool, and every
+//! A recalibration crossing is applied in the device's dispatch order —
+//! just before the next session runs, when no old-epoch session is still
+//! in flight — by journal-invalidating the device's stale epochs, with
+//! the dropped count attributed to that session's outcome.
+//!
+//! Handlers never block: tuning runs on the device workers, and every
 //! mutation of scheduling state happens on the reactor thread — no
 //! admission lock, no per-device condvars, no lock-ordering rules
 //! beyond the store's own. The reactor waits on its event channel, or,
@@ -31,10 +33,9 @@
 //! ([`SocketDriver::poll`]), which every event sender rouses.
 //!
 //! Dispatch policy: devices are scanned in index order; a free device
-//! with queued work takes the next session its `DeviceArbiter` picks
-//! (deficit-round-robin across clients — see `crate::fairness`), bounded
-//! by pool size (at most one in-flight session per device, at most
-//! `workers` fleet-wide).
+//! with queued work hands the next session its DRR queue picks
+//! (deficit-round-robin across clients — see `crate::fairness`) to its
+//! own worker, so at most one session per device is in flight.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -47,13 +48,13 @@ use std::time::{Duration, Instant};
 
 use vaqem_device::drift::EpochFeed;
 use vaqem_runtime::cache::CacheMetrics;
+use vaqem_runtime::fleet::DrrQueue;
 use vaqem_runtime::json::JsonValue;
 use vaqem_runtime::store::ShardMetrics;
 use vaqem_runtime::DrrLaneSnapshot;
 use vaqem_runtime::ShipCursor;
 
 use crate::daemon::{run_session, ServiceShared, SessionError, SessionRequest, SessionResult};
-use crate::fairness::DeviceArbiter;
 use crate::quota::{quota_epoch, QuotaBook, QuotaUsage};
 use crate::scheduler;
 use crate::socket::{DriverAction, RpcMetricsReport, SocketDriver};
@@ -107,7 +108,7 @@ pub(crate) enum Reply {
     Rpc { conn: u64, token: u64 },
 }
 
-/// One unit of the reactor's unified event queue.
+/// A message from another thread to the reactor.
 pub(crate) enum Event {
     /// A client submitted a session.
     Arrive {
@@ -125,18 +126,6 @@ pub(crate) enum Event {
     /// Drop the driver if it is still the one attached under this id,
     /// then answer the channel.
     DetachDriver(u64, Sender<()>),
-    /// A device crossed a recalibration boundary (reactor-internal:
-    /// recorded at the observing arrival, applied at the device's next
-    /// dispatch).
-    Recalibration {
-        /// Device index.
-        device: usize,
-        /// The calibration epoch just entered.
-        epoch: u64,
-    },
-    /// Time to consider auto-compaction (reactor-internal, scheduled
-    /// after every completion).
-    CheckpointTick,
     /// A metrics snapshot was requested.
     Metrics(Sender<FleetMetricsReport>),
     /// Drain the queues, then stop.
@@ -149,7 +138,6 @@ pub(crate) enum Event {
 /// any client observes its outcome, a follow-up metrics request sees
 /// the session settled.
 pub(crate) struct CompletionReport {
-    pub worker: usize,
     pub device: usize,
     pub client: String,
     pub estimate_min: f64,
@@ -165,9 +153,8 @@ pub(crate) struct CompletionReport {
     pub result: SessionResult,
 }
 
-/// A session dispatched to the worker pool.
+/// A session dispatched to its device's worker.
 pub(crate) struct WorkItem {
-    pub worker: usize,
     pub device: usize,
     pub epoch: u64,
     /// Stale entries a recalibration crossing dropped, attributed to
@@ -188,9 +175,9 @@ pub struct EventCounters {
     pub completions: u64,
     /// Recalibration crossings observed.
     pub recalibrations: u64,
-    /// Checkpoint ticks handled.
+    /// Auto-compaction checks, one after every completion.
     pub checkpoint_ticks: u64,
-    /// Ticks that actually compacted the journal into a snapshot.
+    /// Checks that actually compacted the journal into a snapshot.
     pub compactions: u64,
     /// Compaction attempts that failed with an I/O error (the journal
     /// still holds the history; the daemon keeps running).
@@ -256,9 +243,10 @@ pub struct FleetMetricsReport {
     pub journal_records: u64,
     /// Journal appends that failed with I/O errors.
     pub journal_write_errors: u64,
-    /// Worker pool size.
+    /// Device workers: one per device.
     pub workers_total: usize,
-    /// Workers idle at snapshot time.
+    /// Device workers idle at snapshot time (devices not running a
+    /// session).
     pub workers_idle: usize,
     /// RPC front-end counters (all zero when no driver is attached).
     pub rpc: RpcMetricsReport,
@@ -505,13 +493,12 @@ impl fmt::Display for FleetMetricsReport {
 }
 
 struct DeviceLane {
-    arbiter: DeviceArbiter<Pending>,
+    /// The device's fair session queue across clients.
+    drr: DrrQueue<Pending>,
+    /// The device's own worker.
+    worker: Sender<WorkItem>,
     busy: bool,
     completed: u64,
-    /// Invalidation count from a recalibration event, carried to the
-    /// next session dispatched on the device (the first to run under
-    /// the new epoch).
-    pending_invalidated: usize,
     /// A crossing observed at some arrival, applied (journaled
     /// invalidation) just before the device's next dispatch — the
     /// serialized point where no old-epoch session is in flight.
@@ -525,15 +512,9 @@ struct Pending {
 
 struct Reactor {
     shared: Arc<ServiceShared>,
-    /// The unified event queue: handler-emitted events drain before the
-    /// channel is polled again, so e.g. a recalibration settles before
-    /// the session that observed it dispatches.
-    queue: VecDeque<Event>,
     lanes: Vec<DeviceLane>,
     feed: EpochFeed,
     quota: QuotaBook,
-    worker_txs: Vec<Sender<WorkItem>>,
-    free_workers: Vec<usize>,
     counters: EventCounters,
     draining: bool,
     /// The attached transport driver and its attachment id, if any.
@@ -556,14 +537,14 @@ struct Reactor {
 
 impl Reactor {
     fn idle(&self) -> bool {
-        self.lanes.iter().all(|l| !l.busy && l.arbiter.is_empty())
+        self.lanes.iter().all(|l| !l.busy && l.drr.is_empty())
     }
 
     /// Estimated minutes of admitted-but-unfinished work on a device —
     /// the projection queue-aware admission adds to the sampled wait.
     fn projected_backlog_min(&self, device: usize) -> f64 {
         let lane = &self.lanes[device];
-        lane.arbiter.backlog_min()
+        lane.drr.backlog_min()
             + if lane.busy {
                 self.shared.estimate_min
             } else {
@@ -575,24 +556,6 @@ impl Reactor {
         match event {
             Event::Arrive { request, reply } => self.handle_arrive(request, reply),
             Event::Complete(report) => self.handle_complete(*report),
-            Event::Recalibration { device, epoch } => {
-                self.counters.recalibrations += 1;
-                let name = &self.shared.devices[device].name;
-                let dropped = self.shared.store.invalidate_before(name, epoch);
-                self.lanes[device].pending_invalidated += dropped;
-            }
-            Event::CheckpointTick => {
-                self.counters.checkpoint_ticks += 1;
-                match self
-                    .shared
-                    .store
-                    .maybe_compact(self.shared.config.tenancy.compaction)
-                {
-                    Ok(true) => self.counters.compactions += 1,
-                    Ok(false) => {}
-                    Err(_) => self.counters.compaction_errors += 1,
-                }
-            }
             Event::Metrics(tx) => {
                 let _ = tx.send(self.report());
             }
@@ -810,15 +773,15 @@ impl Reactor {
                 scheduler::admit(&self.shared.queue_wait_min, &backlogs)
             }
         };
-        // Drift clock: a crossing becomes a Recalibration event — but it
-        // is *applied* in the device's dispatch order (see `pump`), not
-        // here. Invalidating at arrival would race the device's
-        // serialized sessions twice over: an old-epoch session still
-        // in flight would publish entries *after* the drop (stale
-        // squatters the crossing was meant to remove), and a queued
-        // old-epoch session would re-publish at the invalidated epoch.
-        // Deferring to the next dispatch reproduces the pre-reactor
-        // semantics, where each session observed the clock in-line.
+        // Drift clock: a crossing is recorded here but *applied* in the
+        // device's dispatch order (see `pump`). Invalidating at arrival
+        // would race the device's serialized sessions twice over: an
+        // old-epoch session still in flight would publish entries
+        // *after* the drop (stale squatters the crossing was meant to
+        // remove), and a queued old-epoch session would re-publish at
+        // the invalidated epoch. Deferring to the next dispatch
+        // reproduces the pre-reactor semantics, where each session
+        // observed the clock in-line.
         if let Some((_, epoch)) = self.feed.observe(device, request.t_hours) {
             self.lanes[device].pending_recalibration = Some(epoch);
         }
@@ -836,9 +799,10 @@ impl Reactor {
         }
         let client = request.client.clone();
         let estimate = self.shared.estimate_min;
-        self.lanes[device]
-            .arbiter
-            .enqueue(&client, estimate, Pending { request, reply });
+        let weight = tenancy.fairness.weight_of(&client);
+        let drr = &mut self.lanes[device].drr;
+        drr.register(&client, weight);
+        drr.enqueue(&client, estimate, Pending { request, reply });
         self.pump();
     }
 
@@ -852,8 +816,6 @@ impl Reactor {
         self.shared
             .store
             .attribute_client(&report.client, &report.store_delta);
-        self.free_workers.push(report.worker);
-        self.queue.push_back(Event::CheckpointTick);
         // Accounting settled above; only now does the submitter hear —
         // and never before this session's store mutations are durable.
         // The gate point is the store's *pending* cursor (buffered
@@ -870,32 +832,44 @@ impl Reactor {
         self.gated.push_back((point, report.reply, report.result));
         self.release_covered();
         self.pump();
+        // Past the journal bound, compact it into a snapshot.
+        self.counters.checkpoint_ticks += 1;
+        match self
+            .shared
+            .store
+            .maybe_compact(self.shared.config.tenancy.compaction)
+        {
+            Ok(true) => self.counters.compactions += 1,
+            Ok(false) => {}
+            Err(_) => self.counters.compaction_errors += 1,
+        }
     }
 
-    /// Dispatches runnable sessions: devices in index order, one
-    /// in-flight session per device, bounded by free workers. A pending
+    /// Applies a recalibration crossing on `device`: journal-invalidates
+    /// its entries from epochs before `epoch` and returns how many were
+    /// dropped.
+    fn recalibrate(&mut self, device: usize, epoch: u64) -> usize {
+        self.counters.recalibrations += 1;
+        let name = &self.shared.devices[device].name;
+        self.shared.store.invalidate_before(name, epoch)
+    }
+
+    /// Dispatches runnable sessions: devices in index order, each free
+    /// device handing its next session to its own worker. A pending
     /// recalibration is applied just before the device's next dispatch
     /// — the serialized point where no old-epoch session can still be
     /// in flight or queued ahead on that device.
     fn pump(&mut self) {
         for device in 0..self.lanes.len() {
-            if self.free_workers.is_empty() {
-                return;
-            }
-            if self.lanes[device].busy || self.lanes[device].arbiter.is_empty() {
+            if self.lanes[device].busy || self.lanes[device].drr.is_empty() {
                 continue;
             }
-            if let Some(epoch) = self.lanes[device].pending_recalibration.take() {
-                self.handle(Event::Recalibration { device, epoch });
-            }
-            let lane = &mut self.lanes[device];
-            let (_, estimate_min, pending) = lane.arbiter.dispatch_next().expect("non-empty");
-            lane.busy = true;
-            // The invalidation count of a just-applied recalibration is
-            // attributed to this session — the first to run under the
-            // new epoch.
-            let invalidated = std::mem::take(&mut lane.pending_invalidated);
-            let worker = self.free_workers.pop().expect("checked non-empty");
+            // The invalidation count is attributed to this session — the
+            // first to run under the new epoch.
+            let invalidated = match self.lanes[device].pending_recalibration.take() {
+                Some(epoch) => self.recalibrate(device, epoch),
+                None => 0,
+            };
             // Epoch at dispatch: the device's serialized run order, same
             // semantics as the PR 3 worker observing the feed in-line —
             // a queued session that outlived a recalibration tunes (and
@@ -904,8 +878,10 @@ impl Reactor {
                 .feed
                 .epoch(device)
                 .expect("observed at this session's arrival");
+            let lane = &mut self.lanes[device];
+            let (_, estimate_min, pending) = lane.drr.dispatch_next().expect("non-empty");
+            lane.busy = true;
             let item = WorkItem {
-                worker,
                 device,
                 epoch,
                 invalidated,
@@ -913,9 +889,7 @@ impl Reactor {
                 request: pending.request,
                 reply: pending.reply,
             };
-            self.worker_txs[worker]
-                .send(item)
-                .expect("worker pool alive");
+            lane.worker.send(item).expect("device worker alive");
         }
     }
 
@@ -929,11 +903,11 @@ impl Reactor {
                 device: d,
                 name: self.shared.devices[d].name.clone(),
                 busy: lane.busy,
-                queue_depth: lane.arbiter.len(),
-                backlog_min: lane.arbiter.backlog_min(),
+                queue_depth: lane.drr.len(),
+                backlog_min: lane.drr.backlog_min(),
                 queue_wait_min: self.shared.queue_wait_min[d],
                 completed: lane.completed,
-                lanes: lane.arbiter.lanes(),
+                lanes: lane.drr.lanes(),
             })
             .collect();
         FleetMetricsReport {
@@ -945,8 +919,8 @@ impl Reactor {
             store_entries: store.len(),
             journal_records: store.journal_records(),
             journal_write_errors: store.journal_write_errors(),
-            workers_total: self.worker_txs.len(),
-            workers_idle: self.free_workers.len(),
+            workers_total: self.lanes.len(),
+            workers_idle: self.lanes.iter().filter(|l| !l.busy).count(),
             rpc: self
                 .driver
                 .as_ref()
@@ -956,24 +930,24 @@ impl Reactor {
     }
 }
 
-/// The reactor thread body: drains the unified event queue until
-/// shutdown *and* quiescence, then drops the worker senders (which ends
-/// the worker loops) and the driver (which closes its sockets).
+/// The reactor thread body: handles events until shutdown *and*
+/// quiescence, then drops the device workers' senders (which ends the
+/// worker loops) and the driver (which closes its sockets). `workers`
+/// holds device `d`'s worker at index `d`.
 pub(crate) fn reactor_loop(
     shared: Arc<ServiceShared>,
     events: Receiver<Event>,
     waker: WakerSlot,
-    worker_txs: Vec<Sender<WorkItem>>,
+    workers: Vec<Sender<WorkItem>>,
 ) {
     let tenancy = &shared.config.tenancy;
-    let lanes = shared
-        .devices
-        .iter()
-        .map(|_| DeviceLane {
-            arbiter: DeviceArbiter::new(tenancy.fairness.clone(), shared.estimate_min),
+    let lanes = workers
+        .into_iter()
+        .map(|worker| DeviceLane {
+            drr: DrrQueue::new(tenancy.fairness.quantum_min(shared.estimate_min)),
+            worker,
             busy: false,
             completed: 0,
-            pending_invalidated: 0,
             pending_recalibration: None,
         })
         .collect();
@@ -983,12 +957,9 @@ pub(crate) fn reactor_loop(
         .map(|d| (d.name.as_str(), &d.drift))
         .collect();
     let mut reactor = Reactor {
-        queue: VecDeque::new(),
         lanes,
         feed: EpochFeed::new(&feed_pairs),
         quota: QuotaBook::new(tenancy.default_quota, &tenancy.quotas),
-        free_workers: (0..worker_txs.len()).rev().collect(),
-        worker_txs,
         counters: EventCounters::default(),
         draining: false,
         driver: None,
@@ -999,42 +970,39 @@ pub(crate) fn reactor_loop(
         shared: Arc::clone(&shared),
     };
     loop {
-        let event = match reactor.queue.pop_front() {
-            Some(event) => event,
-            None => match events.try_recv() {
-                Ok(event) => event,
-                // Every sender gone (service dropped mid-flight):
-                // nothing more can arrive.
-                Err(TryRecvError::Disconnected) => break,
-                Err(TryRecvError::Empty) => {
-                    // The burst is drained: this is the group-commit
-                    // boundary. Flush the journal records the burst
-                    // buffered and release their gated replies before
-                    // waiting for the next event.
-                    reactor.commit_batch();
-                    if reactor.draining && reactor.idle() {
-                        break;
-                    }
-                    if reactor.driver.is_some() {
-                        // Wait in the driver's poll, which the senders
-                        // rouse. Only a parked follower needs it to
-                        // return without an event: when the
-                        // longest-parked one's heartbeat falls due.
-                        let timeout = match reactor.parked.values().min() {
-                            Some(&since) => {
-                                (since + HEARTBEAT).saturating_duration_since(Instant::now())
-                            }
-                            None => SAFETY_WAIT,
-                        };
-                        reactor.poll_driver(timeout);
-                        continue;
-                    }
-                    match events.recv() {
-                        Ok(event) => event,
-                        Err(_) => break,
-                    }
+        let event = match events.try_recv() {
+            Ok(event) => event,
+            // Every sender gone (service dropped mid-flight): nothing
+            // more can arrive.
+            Err(TryRecvError::Disconnected) => break,
+            Err(TryRecvError::Empty) => {
+                // The burst is drained: this is the group-commit
+                // boundary. Flush the journal records the burst buffered
+                // and release their gated replies before waiting for the
+                // next event.
+                reactor.commit_batch();
+                if reactor.draining && reactor.idle() {
+                    break;
                 }
-            },
+                if reactor.driver.is_some() {
+                    // Wait in the driver's poll, which the senders rouse.
+                    // Only a parked follower needs it to return without
+                    // an event: when the longest-parked one's heartbeat
+                    // falls due.
+                    let timeout = match reactor.parked.values().min() {
+                        Some(&since) => {
+                            (since + HEARTBEAT).saturating_duration_since(Instant::now())
+                        }
+                        None => SAFETY_WAIT,
+                    };
+                    reactor.poll_driver(timeout);
+                    continue;
+                }
+                match events.recv() {
+                    Ok(event) => event,
+                    Err(_) => break,
+                }
+            }
         };
         reactor.handle(event);
     }
@@ -1048,8 +1016,8 @@ pub(crate) fn reactor_loop(
     // Dropping the senders ends each worker's receive loop.
 }
 
-/// One pool worker: executes sessions the reactor dispatches, answers
-/// the client, and reports completion back to the event queue.
+/// One device's worker: executes the sessions the reactor dispatches to
+/// the device and reports each completion back to the reactor.
 pub(crate) fn worker_loop(shared: Arc<ServiceShared>, items: Receiver<WorkItem>, inbox: Inbox) {
     while let Ok(item) = items.recv() {
         // Only the session's own shard is snapshotted: a full
@@ -1086,7 +1054,6 @@ pub(crate) fn worker_loop(shared: Arc<ServiceShared>, items: Receiver<WorkItem>,
             outcome.sequence = sequence;
         }
         let report = Box::new(CompletionReport {
-            worker: item.worker,
             device: item.device,
             client: item.request.client.clone(),
             estimate_min: item.estimate_min,

@@ -2,8 +2,8 @@
 //! halt + journal-replay recovery, graceful shutdown + snapshot reload —
 //! plus the reactor's multi-tenant behaviors: deficit-round-robin
 //! fairness across clients, typed quota rejections, journal
-//! auto-compaction on checkpoint ticks, and the structured metrics
-//! report.
+//! auto-compaction after completions, deferred recalibration, and the
+//! structured metrics report.
 
 use std::path::{Path, PathBuf};
 
@@ -247,6 +247,44 @@ fn recalibration_crossing_invalidates_and_retunes() {
 }
 
 #[test]
+fn a_deferred_recalibration_lands_on_the_next_dispatched_session() {
+    // A cold session keeps device 0 busy while two more queue behind it:
+    // one stamped before the 12 h boundary, one after. The crossing is
+    // observed at the second arrival but applied at the device's next
+    // dispatch, so the session that arrived *before* the crossing is the
+    // first to run after it: it reports the dropped entries, the next
+    // one reports none, and both tune at the new epoch.
+    let seed = accepting_seed();
+    let dir = temp_dir("deferred-recal");
+    let service = open_service(&dir, seed);
+    let rxs: Vec<_> = [1.0, 11.0, 13.0]
+        .iter()
+        .map(|&t| service.submit(request("c0", t, Some(0))))
+        .collect();
+    let [blocker, before, after] = rxs
+        .into_iter()
+        .map(|rx| rx.recv().expect("worker alive").expect("tuning ok"))
+        .collect::<Vec<_>>()
+        .try_into()
+        .expect("three outcomes");
+    assert_eq!(blocker.epoch, 0);
+    assert!(blocker.misses > 0, "the blocker publishes epoch-0 entries");
+    assert!(before.sequence < after.sequence, "one lane runs FIFO");
+    assert!(
+        before.invalidated > 0,
+        "the first session after the crossing reports the dropped entries"
+    );
+    assert_eq!(after.invalidated, 0, "a crossing is attributed once");
+    assert_eq!(
+        (before.epoch, after.epoch),
+        (1, 1),
+        "a session queued across the crossing tunes at the new epoch"
+    );
+    service.shutdown().expect("checkpoint");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn zne_sessions_flow_through_the_daemon_unchanged() {
     // ZNE-bearing session kinds ride the same submit/worker/store path:
     // a tuned-ZNE session and a composed GS+DD+ZNE session complete, the
@@ -382,38 +420,70 @@ fn fair_queueing_interleaves_heavy_and_light_tenants() {
     // they complete within the first rotation. The completion order is
     // read from the outcomes' global sequence stamps (a single device,
     // so device order == global order).
-    let dir = temp_dir("fairness");
-    let service = open_service(&dir, 4242);
-    let heavy_rx: Vec<_> = (0..4)
-        .map(|_| service.submit(request("heavy", 1.0, Some(0))))
-        .collect();
-    let light_rx: Vec<_> = ["light-a", "light-b"]
-        .iter()
-        .map(|c| service.submit(request(c, 1.0, Some(0))))
-        .collect();
-    let heavy_seq: Vec<u64> = heavy_rx
-        .into_iter()
-        .map(|rx| rx.recv().unwrap().expect("tuning ok").sequence)
-        .collect();
-    let light_seq: Vec<u64> = light_rx
-        .into_iter()
-        .map(|rx| rx.recv().unwrap().expect("tuning ok").sequence)
-        .collect();
-    // Six sessions, sequences 0..=5. The first completion is heavy's
-    // (it was dispatched while alone); both light sessions finish
-    // within the first DRR rotation — positions 1 and 2 — instead of
-    // trailing the heavy backlog at positions 4 and 5.
-    assert_eq!(heavy_seq[0], 0);
-    let mut lights = light_seq.clone();
-    lights.sort_unstable();
-    assert_eq!(
-        lights,
-        vec![1, 2],
-        "light tenants complete inside the first rotation, got {light_seq:?} (heavy {heavy_seq:?})"
+    //
+    // Six sessions, sequences 0..=5. The first completion is heavy's (it
+    // was dispatched while alone). At equal weights both light sessions
+    // finish within the first DRR rotation — positions 1 and 2 — instead
+    // of trailing the heavy backlog at positions 4 and 5. At weight 2
+    // the heavy lane serves twice per rotation, which moves the light
+    // sessions to positions 2 and 3.
+    for (heavy_weight, heavy_positions, light_positions) in
+        [(1, [0, 3, 4, 5], [1, 2]), (2, [0, 1, 4, 5], [2, 3])]
+    {
+        let dir = temp_dir(&format!("fairness-w{heavy_weight}"));
+        let mut config = config(&dir);
+        config.tenancy.fairness.weights = vec![("heavy".to_string(), heavy_weight)];
+        let service = FleetService::open(
+            config,
+            vec![device("fleet-east", 4242), device("fleet-west", 4242)],
+            problem(),
+            SeedStream::new(4242),
+        )
+        .expect("service opens");
+        let heavy_rx: Vec<_> = (0..4)
+            .map(|_| service.submit(request("heavy", 1.0, Some(0))))
+            .collect();
+        let light_rx: Vec<_> = ["light-a", "light-b"]
+            .iter()
+            .map(|c| service.submit(request(c, 1.0, Some(0))))
+            .collect();
+        let heavy_seq: Vec<u64> = heavy_rx
+            .into_iter()
+            .map(|rx| rx.recv().unwrap().expect("tuning ok").sequence)
+            .collect();
+        let light_seq: Vec<u64> = light_rx
+            .into_iter()
+            .map(|rx| rx.recv().unwrap().expect("tuning ok").sequence)
+            .collect();
+        let mut lights = light_seq.clone();
+        lights.sort_unstable();
+        assert_eq!(
+            lights, light_positions,
+            "weight {heavy_weight}: light tenants complete inside the first rotation, \
+             got {light_seq:?} (heavy {heavy_seq:?})"
+        );
+        assert_eq!(heavy_seq, heavy_positions, "weight {heavy_weight}");
+        service.shutdown().expect("checkpoint");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+#[should_panic(expected = "fairness weights must be positive")]
+fn a_zero_fairness_weight_is_refused_at_open() {
+    // A zero-weight lane would starve by construction, and the DRR
+    // queue refuses one with a panic. `open` refuses the config before
+    // any thread spawns, so no submission can reach that panic on the
+    // reactor thread.
+    let dir = temp_dir("zero-weight");
+    let mut config = config(&dir);
+    config.tenancy.fairness.weights = vec![("idle".to_string(), 0)];
+    let _ = FleetService::open(
+        config,
+        vec![device("fleet-east", 4242)],
+        problem(),
+        SeedStream::new(4242),
     );
-    assert_eq!(heavy_seq[1..].to_vec(), vec![3, 4, 5]);
-    service.shutdown().expect("checkpoint");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -90,10 +90,6 @@ pub const DEFAULT_SEED: u64 = 0x5641_5145_4d32_3032;
 /// root-seed override (see [`root_seed_from_env`]).
 pub const SEED_ENV_VAR: &str = "VAQEM_SEED";
 
-/// Legacy alias of [`SEED_ENV_VAR`] kept readable so existing
-/// `VAQEM_FLEET_SEED=...` invocations keep working.
-pub const LEGACY_SEED_ENV_VAR: &str = "VAQEM_FLEET_SEED";
-
 /// The one root-seed override hook for replay binaries and harnesses.
 ///
 /// Every replay picks a scanned default root seed (chosen so its
@@ -102,10 +98,9 @@ pub const LEGACY_SEED_ENV_VAR: &str = "VAQEM_FLEET_SEED";
 /// a replay's acceptance checks). Re-scanning for a new seed used to
 /// mean a different ad-hoc env var per binary; this helper unifies
 /// them: it returns the value of `VAQEM_SEED` when set to a valid
-/// `u64`, else the value of the legacy `VAQEM_FLEET_SEED` alias, else
-/// `default`. Unparseable values fall through rather than erroring, so
-/// a typo reproduces the documented default run instead of a mystery
-/// seed.
+/// `u64`, else `default`. Unparseable values fall through rather than
+/// erroring, so a typo reproduces the documented default run instead of
+/// a mystery seed.
 ///
 /// # Examples
 ///
@@ -116,12 +111,10 @@ pub const LEGACY_SEED_ENV_VAR: &str = "VAQEM_FLEET_SEED";
 /// assert_eq!(seeds.root(), 4243);
 /// ```
 pub fn root_seed_from_env(default: u64) -> u64 {
-    for var in [SEED_ENV_VAR, LEGACY_SEED_ENV_VAR] {
-        if let Some(seed) = std::env::var(var).ok().and_then(|s| s.parse().ok()) {
-            return seed;
-        }
-    }
-    default
+    std::env::var(SEED_ENV_VAR)
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
 }
 
 impl Default for SeedStream {
@@ -211,20 +204,15 @@ mod tests {
     }
 
     #[test]
-    fn env_seed_override_prefers_canonical_then_legacy_then_default() {
+    fn env_seed_override_prefers_canonical_then_default() {
         // Serialized in this one test: no other test in the crate reads
-        // these variables.
+        // this variable.
         std::env::remove_var(SEED_ENV_VAR);
-        std::env::remove_var(LEGACY_SEED_ENV_VAR);
         assert_eq!(root_seed_from_env(17), 17);
-        std::env::set_var(LEGACY_SEED_ENV_VAR, "99");
-        assert_eq!(root_seed_from_env(17), 99, "legacy alias honored");
         std::env::set_var(SEED_ENV_VAR, "123");
-        assert_eq!(root_seed_from_env(17), 123, "canonical var wins");
+        assert_eq!(root_seed_from_env(17), 123, "override honored");
         std::env::set_var(SEED_ENV_VAR, "not-a-seed");
-        assert_eq!(root_seed_from_env(17), 99, "unparseable falls through");
-        std::env::remove_var(LEGACY_SEED_ENV_VAR);
-        assert_eq!(root_seed_from_env(17), 17);
+        assert_eq!(root_seed_from_env(17), 17, "unparseable falls through");
         std::env::remove_var(SEED_ENV_VAR);
     }
 

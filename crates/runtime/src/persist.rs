@@ -567,7 +567,7 @@ pub struct ShipBatch {
 /// policy bounds that: once the journal holds more than
 /// `max_journal_records` records, [`DurableStore::maybe_compact`]
 /// checkpoints (snapshot written atomically, journal truncated). The
-/// fleet reactor calls `maybe_compact` on its checkpoint ticks, so a
+/// fleet reactor calls `maybe_compact` after every session, so a
 /// long-lived daemon keeps recovery O(snapshot + bounded journal) with
 /// no operator in the loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1008,7 +1008,7 @@ where
     /// Checkpoints if (and only if) `policy` says the journal has grown
     /// past its record bound, returning whether a compaction ran. The
     /// check is one journal-lock acquisition when it declines — cheap
-    /// enough to call on every reactor checkpoint tick.
+    /// enough to call after every session the reactor completes.
     ///
     /// # Errors
     ///
