@@ -180,16 +180,8 @@ fn print_fleet_observability() {
             guard_repeats: 3,
             ..Default::default()
         },
-        profile: WorkloadProfile {
-            num_qubits,
-            circuit_ns: 8_000.0,
-            iterations: 10,
-            measurement_groups: 2,
-            windows: 4,
-            sweep_resolution: 3,
-            shots: 256,
-        },
-        cost: CostModel::ibm_cloud_2021(),
+        circuit_ns: 8_000.0,
+        estimate_windows: 4,
         dispatch: BatchDispatch::local(2),
         tenancy: TenancyConfig::default(),
     };

@@ -9,8 +9,7 @@
 //! ```text
 //! fleetd [--store-dir DIR] [--unix PATH | --tcp ADDR]
 //!        [--follow-unix PATH | --follow-tcp ADDR]
-//!        [--instance NAME --instances A,B,C]
-//!        [--devices N] [--run-secs S]
+//!        [--devices N] [--windowed] [--run-secs S]
 //! ```
 //!
 //! * `--store-dir DIR` — durable store location (default: a fresh
@@ -24,10 +23,7 @@
 //!   replicate the leader at that address into `--store-dir`; on leader
 //!   death, promote and serve on this process's own `--unix`/`--tcp`
 //!   (pass the leader's address there to take over its socket).
-//! * `--instance NAME --instances A,B,C` — consistent-hash device
-//!   ownership: this process instantiates only the devices the ring
-//!   assigns to `NAME` among the comma-separated instance set.
-//! * `--devices N` — fleet size before ring filtering (default 4).
+//! * `--devices N` — fleet size (default 4).
 //! * `--windowed` — use the 3-qubit windowed fixture instead of the
 //!   light 2-qubit one: real idle windows, real cache traffic — what
 //!   the replication tests replicate.
@@ -45,7 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use vaqem_bench::rpcload;
-use vaqem_fleet_replica::{Follower, FollowerExit, HashRing, ReplicaConfig};
+use vaqem_fleet_replica::{Follower, FollowerExit, ReplicaConfig};
 use vaqem_fleet_rpc::server::{RpcListener, RpcServer, RpcServerConfig};
 use vaqem_fleet_rpc::FailoverTarget;
 use vaqem_fleet_service::{DeviceSpec, FleetService};
@@ -58,8 +54,6 @@ struct Args {
     unix: Option<PathBuf>,
     tcp: Option<String>,
     follow: Option<FailoverTarget>,
-    instance: Option<String>,
-    instances: Vec<String>,
     devices: usize,
     windowed: bool,
     run_secs: Option<u64>,
@@ -71,8 +65,6 @@ fn parse_args() -> Args {
         unix: None,
         tcp: None,
         follow: None,
-        instance: None,
-        instances: Vec::new(),
         devices: 4,
         windowed: false,
         run_secs: None,
@@ -91,14 +83,6 @@ fn parse_args() -> Args {
                 args.follow = Some(FailoverTarget::Unix(PathBuf::from(value("--follow-unix"))))
             }
             "--follow-tcp" => args.follow = Some(FailoverTarget::Tcp(value("--follow-tcp"))),
-            "--instance" => args.instance = Some(value("--instance")),
-            "--instances" => {
-                args.instances = value("--instances")
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            }
             "--devices" => args.devices = value("--devices").parse().expect("--devices: integer"),
             "--windowed" => args.windowed = true,
             "--run-secs" => {
@@ -112,26 +96,20 @@ fn parse_args() -> Args {
         "--unix and --tcp are mutually exclusive"
     );
     assert!(args.devices > 0, "--devices must be positive");
-    assert_eq!(
-        args.instance.is_some(),
-        !args.instances.is_empty(),
-        "--instance and --instances go together"
-    );
-    if let Some(name) = &args.instance {
-        assert!(
-            args.instances.iter().any(|i| i == name),
-            "--instance {name} must be listed in --instances"
-        );
-    }
     args
 }
 
-fn fixture_device(args: &Args, index: usize, seed: u64) -> DeviceSpec {
-    if args.windowed {
-        rpcload::windowed_device(index, seed)
-    } else {
-        rpcload::device(index, seed)
-    }
+/// The fleet this process serves: `--devices` devices of the fixture.
+fn fixture_devices(args: &Args, seed: u64) -> Vec<DeviceSpec> {
+    (0..args.devices)
+        .map(|i| {
+            if args.windowed {
+                rpcload::windowed_device(i, seed)
+            } else {
+                rpcload::device(i, seed)
+            }
+        })
+        .collect()
 }
 
 fn fixture_config(args: &Args, store_dir: PathBuf) -> vaqem_fleet_service::FleetServiceConfig {
@@ -148,33 +126,6 @@ fn fixture_problem(args: &Args) -> vaqem::vqe::VqeProblem {
     } else {
         rpcload::problem()
     }
-}
-
-/// The devices this process instantiates: the full fleet, filtered to
-/// ring ownership when `--instance/--instances` partition it.
-fn owned_devices(args: &Args, seed: u64) -> Vec<DeviceSpec> {
-    let all: Vec<DeviceSpec> = (0..args.devices)
-        .map(|i| fixture_device(args, i, seed))
-        .collect();
-    let Some(name) = &args.instance else {
-        return all;
-    };
-    let ring = HashRing::new(args.instances.iter().cloned());
-    let owned: Vec<DeviceSpec> = all
-        .into_iter()
-        .filter(|d| ring.owns(name, &d.name))
-        .collect();
-    println!(
-        "fleetd: instance {name} owns {}/{} devices: [{}]",
-        owned.len(),
-        args.devices,
-        owned
-            .iter()
-            .map(|d| d.name.as_str())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    owned
 }
 
 fn bind_listener(args: &Args) -> RpcListener {
@@ -254,7 +205,7 @@ fn main() {
                     follower.applier().records_applied(),
                     follower.applier().snapshots_applied()
                 );
-                let devices = owned_devices(&args, seed);
+                let devices = fixture_devices(&args, seed);
                 let listener = bind_listener(&args);
                 let (service, server) = follower
                     .promote(
@@ -277,7 +228,7 @@ fn main() {
         return;
     }
 
-    let devices = owned_devices(&args, seed);
+    let devices = fixture_devices(&args, seed);
     let service = FleetService::open(
         fixture_config(&args, store_dir.clone()),
         devices,

@@ -89,46 +89,31 @@ use vaqem_scenario::tenant::TenantBehavior;
 
 const DEFAULT_ROOT_SEED: u64 = 7077;
 
-#[derive(Clone)]
-enum Target {
-    Unix(PathBuf),
-    Tcp(String),
-}
-
-impl Target {
-    fn connect(&self) -> std::io::Result<RpcClient> {
-        match self {
-            Target::Unix(path) => RpcClient::connect_unix(path),
-            Target::Tcp(addr) => RpcClient::connect_tcp(addr.as_str()),
-        }
-    }
-
-    /// Connects with retries — a connect storm can outrun the accept
-    /// backlog, which is load the harness creates on purpose.
-    fn connect_patiently(&self) -> RpcClient {
-        let mut delay = Duration::from_millis(20);
-        for _ in 0..7 {
-            match self.connect() {
-                Ok(client) => return client,
-                Err(_) => {
-                    std::thread::sleep(delay);
-                    delay *= 2;
-                }
+/// Connects with retries — a connect storm can outrun the accept
+/// backlog, which is load the harness creates on purpose.
+fn connect_patiently(target: &FailoverTarget) -> RpcClient {
+    let mut delay = Duration::from_millis(20);
+    for _ in 0..7 {
+        match target.connect() {
+            Ok(client) => return client,
+            Err(_) => {
+                std::thread::sleep(delay);
+                delay *= 2;
             }
         }
-        self.connect().expect("daemon reachable")
     }
+    target.connect().expect("daemon reachable")
+}
 
-    fn label(&self) -> String {
-        match self {
-            Target::Unix(p) => format!("unix:{}", p.display()),
-            Target::Tcp(a) => format!("tcp:{a}"),
-        }
+fn target_label(target: &FailoverTarget) -> String {
+    match target {
+        FailoverTarget::Unix(p) => format!("unix:{}", p.display()),
+        FailoverTarget::Tcp(a) => format!("tcp:{a}"),
     }
 }
 
 struct Args {
-    target: Option<Target>,
+    target: Option<FailoverTarget>,
     clients: usize,
     out: PathBuf,
     quick: bool,
@@ -139,7 +124,7 @@ struct Args {
 
 impl Args {
     /// The connect target (every mode but `--sweep-cores` has one).
-    fn target(&self) -> &Target {
+    fn target(&self) -> &FailoverTarget {
         self.target.as_ref().expect("target parsed")
     }
 }
@@ -180,8 +165,8 @@ fn parse_args() -> Args {
         "--sweep-cores and --failover are mutually exclusive"
     );
     let target = match (unix, tcp) {
-        (Some(path), None) => Some(Target::Unix(path)),
-        (None, Some(addr)) => Some(Target::Tcp(addr)),
+        (Some(path), None) => Some(FailoverTarget::Unix(path)),
+        (None, Some(addr)) => Some(FailoverTarget::Tcp(addr)),
         (None, None) if sweep => None,
         _ if sweep => panic!("--sweep-cores boots its own daemons; drop --unix/--tcp"),
         _ => panic!("exactly one of --unix PATH or --tcp ADDR is required"),
@@ -242,10 +227,10 @@ fn await_and_record(client: &mut RpcClient, token: u64, started: Instant, stats:
     }
 }
 
-fn run_tenant(target: &Target, index: usize, behavior: TenantBehavior) -> TenantStats {
+fn run_tenant(target: &FailoverTarget, index: usize, behavior: TenantBehavior) -> TenantStats {
     let mut stats = TenantStats::default();
     let slow_reader = index % 11 == 3;
-    let mut client = target.connect_patiently();
+    let mut client = connect_patiently(target);
     client
         .set_read_timeout(Some(Duration::from_secs(600)))
         .expect("timeout set");
@@ -397,7 +382,7 @@ fn run_failover(args: &Args) {
     println!(
         "loadgen: failover mode, {} clients against {}{}{} (seed {seed})",
         args.clients,
-        args.target().label(),
+        target_label(args.target()),
         if args.quick { ", quick" } else { "" },
         if args.expect_failover {
             ", expecting a leader death"
@@ -405,10 +390,6 @@ fn run_failover(args: &Args) {
             ""
         },
     );
-    let failover_target = match args.target() {
-        Target::Unix(path) => FailoverTarget::Unix(path.clone()),
-        Target::Tcp(addr) => FailoverTarget::Tcp(addr.clone()),
-    };
 
     let stop = Arc::new(AtomicBool::new(false));
     let reconnects_seen = Arc::new(AtomicU64::new(0));
@@ -416,7 +397,7 @@ fn run_failover(args: &Args) {
     let started = Instant::now();
     let mut handles = Vec::with_capacity(args.clients);
     for i in 0..args.clients {
-        let target = failover_target.clone();
+        let target = args.target().clone();
         let stop = Arc::clone(&stop);
         let reconnects_seen = Arc::clone(&reconnects_seen);
         let after_reconnect = Arc::clone(&after_reconnect);
@@ -457,7 +438,7 @@ fn run_failover(args: &Args) {
             "config",
             JsonValue::object([
                 ("clients", JsonValue::Int(args.clients as i128)),
-                ("target", JsonValue::Str(args.target().label())),
+                ("target", JsonValue::Str(target_label(args.target()))),
                 ("quick", JsonValue::Bool(args.quick)),
                 ("expect_failover", JsonValue::Bool(args.expect_failover)),
                 ("seed", JsonValue::Int(seed as i128)),
@@ -560,14 +541,14 @@ impl SweepPoint {
 /// One closed-loop sweep client: submit/await as fast as the daemon
 /// answers, until the point's measurement window closes.
 fn run_sweep_tenant(
-    target: &Target,
+    target: &FailoverTarget,
     index: usize,
     stop: &std::sync::atomic::AtomicBool,
 ) -> TenantStats {
     use std::sync::atomic::Ordering;
 
     let mut stats = TenantStats::default();
-    let mut client = target.connect_patiently();
+    let mut client = connect_patiently(target);
     client
         .set_read_timeout(Some(Duration::from_secs(600)))
         .expect("timeout set");
@@ -632,7 +613,7 @@ fn run_sweep_point(
     let listener = RpcListener::bind_unix(&socket).expect("unix socket binds");
     let server = RpcServer::serve(&service, listener, RpcServerConfig::default()).expect("serves");
     let serve_started = Instant::now();
-    let target = Target::Unix(socket);
+    let target = FailoverTarget::Unix(socket);
 
     // One closed-loop client per device: each round trip crosses the
     // serving thread twice, so the serving stack's per-hop latency — not
@@ -664,7 +645,7 @@ fn run_sweep_point(
     // with no traffic, the epoll source blocks in the kernel while the
     // scan source keeps taking backoff-paced passes — the delta between
     // two quiet metrics fetches is the idle burn.
-    let mut probe = target.connect_patiently();
+    let mut probe = connect_patiently(&target);
     probe
         .set_read_timeout(Some(Duration::from_secs(600)))
         .expect("timeout set");
@@ -907,7 +888,7 @@ fn main() {
     println!(
         "loadgen: {} clients against {}{} (seed {seed})",
         args.clients,
-        args.target().label(),
+        target_label(args.target()),
         if args.quick { ", quick" } else { "" },
     );
 
@@ -946,7 +927,7 @@ fn main() {
     // The quiescence probe: after all the churn, a fresh tenant must
     // still get a session through promptly — the daemon survived its
     // slow readers and mid-stream disconnects without stalling.
-    let mut probe = args.target().connect_patiently();
+    let mut probe = connect_patiently(args.target());
     probe
         .set_read_timeout(Some(Duration::from_secs(600)))
         .expect("timeout set");
@@ -967,7 +948,7 @@ fn main() {
             "config",
             JsonValue::object([
                 ("clients", JsonValue::Int(args.clients as i128)),
-                ("target", JsonValue::Str(args.target().label())),
+                ("target", JsonValue::Str(target_label(args.target()))),
                 ("quick", JsonValue::Bool(args.quick)),
                 ("seed", JsonValue::Int(seed as i128)),
                 ("machine_cores", JsonValue::Int(machine_cores() as i128)),

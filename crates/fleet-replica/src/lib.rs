@@ -1,13 +1,8 @@
 //! # vaqem-fleet-replica
 //!
-//! Multi-process replication for the VAQEM fleet daemon. Three pieces
-//! turn a single `fleetd` into a replicated pair (or fleet of pairs):
+//! Multi-process replication for the VAQEM fleet daemon. Two pieces
+//! turn a single `fleetd` into a leader and follower pair:
 //!
-//! - **Device ownership** ([`vaqem_runtime::HashRing`], re-exported
-//!   here): a consistent-hash ring partitions device names across N
-//!   daemon instances with the same FNV-1a discipline the sharded
-//!   store uses for key routing, so a join or leave moves only ~1/N of
-//!   the devices.
 //! - **Journal shipping** ([`ReplicaApplier`]): a follower keeps a
 //!   cursor `(generation, offset)` into the leader's `VQJL` journal and
 //!   applies the byte-exact record slices (or a snapshot bootstrap) the
@@ -51,8 +46,6 @@ use vaqem_fleet_service::{DeviceSpec, FleetService, FleetServiceConfig};
 use vaqem_mathkit::rng::SeedStream;
 use vaqem_runtime::persist::{Codec, DurableStore};
 use vaqem_runtime::{ShipBatch, ShipCursor};
-
-pub use vaqem_runtime::HashRing;
 
 /// Cursor-deduplicating apply layer over a [`DurableStore`]: the pure
 /// core of a follower, usable without sockets (the replication
@@ -239,10 +232,7 @@ impl Follower {
     }
 
     fn dial(config: &ReplicaConfig) -> io::Result<RpcClient> {
-        let mut client = match &config.leader {
-            FailoverTarget::Tcp(addr) => RpcClient::connect_tcp(addr.as_str())?,
-            FailoverTarget::Unix(path) => RpcClient::connect_unix(path)?,
-        };
+        let mut client = config.leader.connect()?;
         client.set_read_timeout(Some(READ_TIMEOUT))?;
         Ok(client)
     }

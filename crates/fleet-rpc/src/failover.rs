@@ -37,7 +37,12 @@ pub enum FailoverTarget {
 }
 
 impl FailoverTarget {
-    fn connect(&self) -> io::Result<RpcClient> {
+    /// Opens one plain connection to the target, with no retry.
+    ///
+    /// # Errors
+    ///
+    /// When the connection is refused or the address does not resolve.
+    pub fn connect(&self) -> io::Result<RpcClient> {
         match self {
             FailoverTarget::Tcp(addr) => RpcClient::connect_tcp(addr.as_str()),
             FailoverTarget::Unix(path) => RpcClient::connect_unix(path),

@@ -36,7 +36,7 @@ use vaqem_fleet_service::{
     SessionKind, SessionRequest, TenancyConfig,
 };
 use vaqem_mathkit::rng::SeedStream;
-use vaqem_runtime::{BatchDispatch, CostModel, WorkloadProfile};
+use vaqem_runtime::BatchDispatch;
 
 const NUM_QUBITS: usize = 2;
 
@@ -79,16 +79,8 @@ fn open_service(dir: &Path, seed: u64, tenancy: TenancyConfig) -> FleetService {
             guard_repeats: 1,
             ..Default::default()
         },
-        profile: WorkloadProfile {
-            num_qubits: NUM_QUBITS,
-            circuit_ns: 8_000.0,
-            iterations: 10,
-            measurement_groups: 2,
-            windows: 4,
-            sweep_resolution: 2,
-            shots: 64,
-        },
-        cost: CostModel::ibm_cloud_2021(),
+        circuit_ns: 8_000.0,
+        estimate_windows: 4,
         dispatch: BatchDispatch::local(2),
         tenancy,
     };
@@ -166,16 +158,8 @@ fn open_windowed_service(dir: &Path, seed: u64) -> FleetService {
             guard_repeats: 3,
             ..Default::default()
         },
-        profile: WorkloadProfile {
-            num_qubits: WINDOWED_QUBITS,
-            circuit_ns: 12_000.0,
-            iterations: 50,
-            measurement_groups: 2,
-            windows: 8,
-            sweep_resolution: 3,
-            shots: 256,
-        },
-        cost: CostModel::ibm_cloud_2021(),
+        circuit_ns: 12_000.0,
+        estimate_windows: 8,
         dispatch: BatchDispatch::local(4),
         tenancy: TenancyConfig::default(),
     };

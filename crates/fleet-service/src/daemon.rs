@@ -77,7 +77,7 @@ use vaqem_runtime::persist::{CompactionPolicy, DurableStore};
 use vaqem_runtime::{BatchDispatch, CostModel, WorkloadProfile};
 
 use crate::fairness::FairnessConfig;
-use crate::quota::{ClientQuota, QuotaError};
+use crate::quota::{quota_epoch, ClientQuota, QuotaError};
 use crate::reactor::{
     reactor_loop, worker_loop, Event, FleetMetricsReport, Inbox, Reply, WorkItem,
 };
@@ -165,11 +165,12 @@ pub struct FleetServiceConfig {
     pub shots: u64,
     /// Per-window tuner settings (sweep resolution, DD sequence, guard).
     pub tuner: WindowTunerConfig,
-    /// Workload template for cost pricing and queue-wait sampling; the
-    /// per-session `windows` count is overridden by the measured value.
-    pub profile: WorkloadProfile,
-    /// The cost model pricing EM minutes and queue waits.
-    pub cost: CostModel,
+    /// Circuit makespan (ns) that sessions are priced at, together with
+    /// the problem, `tuner`, `shots` and `CostModel::ibm_cloud_2021()`.
+    pub circuit_ns: f64,
+    /// Idle windows assumed by the per-session estimate (admission, DRR
+    /// costs, quotas); a finished session is billed for those it measured.
+    pub estimate_windows: usize,
     /// Batched-dispatch shape for pricing.
     pub dispatch: BatchDispatch,
     /// Multi-tenancy policy (fairness, quotas, compaction).
@@ -279,9 +280,8 @@ pub(crate) struct ServiceShared {
     pub store: Arc<DurableMitigationStore>,
     pub problem: VqeProblem,
     pub seeds: SeedStream,
-    /// The per-session cost estimate (uniform across sessions: the
-    /// profile is per-service), used for admission, DRR costs, and
-    /// quota reservations.
+    /// The per-session cost estimate (uniform: every session is priced at
+    /// `estimate_windows`), used for admission, DRR costs, and quotas.
     pub estimate_min: f64,
     pub shutdown: AtomicBool,
     pub completed: AtomicUsize,
@@ -307,8 +307,9 @@ impl FleetService {
     ///
     /// # Panics
     ///
-    /// Panics when `devices` is empty, or when a fairness weight
-    /// (`default_weight` or a per-client override) is zero.
+    /// Panics when `devices` is empty, when a fairness weight
+    /// (`default_weight` or a per-client override) is zero, or when
+    /// `quota_epoch_hours` is not positive and finite.
     pub fn open(
         config: FleetServiceConfig,
         devices: Vec<DeviceSpec>,
@@ -321,6 +322,8 @@ impl FleetService {
             fairness.default_weight > 0 && fairness.weights.iter().all(|&(_, w)| w > 0),
             "fairness weights must be positive"
         );
+        // Checked here, not at the first arrival on the reactor thread.
+        quota_epoch(0.0, config.tenancy.quota_epoch_hours);
         let store = Arc::new(DurableMitigationStore::open(
             &config.store_dir,
             config.shards,
@@ -338,11 +341,9 @@ impl FleetService {
                 .unwrap_or(true),
         );
         let names: Vec<String> = devices.iter().map(|d| d.name.clone()).collect();
-        let queue_wait_min =
-            scheduler::device_queue_minutes(&config.cost, &seeds, &config.profile, &names);
-        let estimate_min = config
-            .cost
-            .em_tuning_minutes_batched(&config.profile, &config.dispatch);
+        let (cost, profile) = config.pricing(&problem, config.estimate_windows);
+        let queue_wait_min = scheduler::device_queue_minutes(&cost, &seeds, &profile, &names);
+        let estimate_min = cost.em_tuning_minutes_batched(&profile, &config.dispatch);
         let shared = Arc::new(ServiceShared {
             config,
             devices,
@@ -536,6 +537,23 @@ impl fmt::Debug for DriverHandle {
     }
 }
 
+impl FleetServiceConfig {
+    /// The model and profile pricing a session of `windows` idle windows
+    /// (`iterations` prices angle tuning, which the daemon never runs).
+    fn pricing(&self, problem: &VqeProblem, windows: usize) -> (CostModel, WorkloadProfile) {
+        let profile = WorkloadProfile {
+            num_qubits: problem.ansatz().num_qubits(),
+            circuit_ns: self.circuit_ns,
+            iterations: 0,
+            measurement_groups: problem.groups().len(),
+            windows,
+            sweep_resolution: self.tuner.sweep_resolution,
+            shots: self.shots,
+        };
+        (CostModel::ibm_cloud_2021(), profile)
+    }
+}
+
 /// Executes one session on its device's worker. Scheduling decisions
 /// (device, epoch, invalidation attribution) were made by the reactor
 /// and travel in the [`WorkItem`].
@@ -588,14 +606,7 @@ pub(crate) fn run_session(shared: &ServiceShared, item: &WorkItem) -> SessionRes
     }
     .map_err(|e| SessionError::Tuning(format!("on {}: {e:?}", spec.name)))?;
 
-    let profile = WorkloadProfile {
-        num_qubits,
-        measurement_groups: shared.problem.groups().len(),
-        windows: report.stats.hits + report.stats.misses,
-        sweep_resolution: cfg.tuner.sweep_resolution,
-        shots: cfg.shots,
-        ..cfg.profile.clone()
-    };
+    let (cost, profile) = cfg.pricing(&shared.problem, report.stats.hits + report.stats.misses);
     // Split billing by what actually executed: the tuner reports how many
     // of its evaluations ran folded (ZNE) circuits; those pay the
     // folded-shot multiplier, the rest (per-window GS/DD sweeps, guard
@@ -604,7 +615,7 @@ pub(crate) fn run_session(shared: &ServiceShared, item: &WorkItem) -> SessionRes
     // centered on.
     let zne_evals = report.tuned.zne_evaluations.min(report.tuned.evaluations);
     let plain_evals = report.tuned.evaluations - zne_evals;
-    let mut minutes = cfg.cost.em_minutes_for_evaluations(
+    let mut minutes = cost.em_minutes_for_evaluations(
         &profile,
         &cfg.dispatch,
         plain_evals,
@@ -619,8 +630,7 @@ pub(crate) fn run_session(shared: &ServiceShared, item: &WorkItem) -> SessionRes
             .map(|z| z.scale_factors())
             .unwrap_or_else(|| vaqem_mitigation::zne::ZneConfig::standard().scale_factors());
         minutes +=
-            cfg.cost
-                .em_minutes_for_zne_evaluations(&profile, &cfg.dispatch, zne_evals, 1, &scales);
+            cost.em_minutes_for_zne_evaluations(&profile, &cfg.dispatch, zne_evals, 1, &scales);
     }
 
     Ok(SessionOutcome {

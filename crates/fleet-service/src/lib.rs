@@ -21,8 +21,8 @@
 //! ([`FleetService::shutdown`]) or abrupt ([`FleetService::halt`]) with
 //! journal-replay recovery.
 //! [`FleetService::metrics_report`] dumps the whole picture — event
-//! counters, per-device queues and fairness lanes, per-client quota and
-//! store-traffic attribution, per-shard metrics. Sessions cover every
+//! counters, per-device queues and fairness lanes, per-client quota
+//! usage and store traffic, per-shard metrics. Sessions cover every
 //! tuning family the core tuner exposes — per-window DD/GS, the
 //! coordinated GS+DD mode, and the §IX ZNE extension
 //! ([`SessionKind::Zne`], [`SessionKind::CombinedZne`], whose composed
@@ -39,7 +39,7 @@
 //!     DeviceSpec, FleetService, FleetServiceConfig, SessionKind, SessionRequest,
 //! };
 //! use vaqem_mathkit::rng::SeedStream;
-//! use vaqem_runtime::{BatchDispatch, CostModel, WorkloadProfile};
+//! use vaqem_runtime::BatchDispatch;
 //!
 //! # fn main() -> std::io::Result<()> {
 //! // A tiny 2-qubit TFIM problem and one device keep this example fast.
@@ -70,16 +70,9 @@
 //!         guard_repeats: 1,
 //!         ..Default::default()
 //!     },
-//!     profile: WorkloadProfile {
-//!         num_qubits: 2,
-//!         circuit_ns: 8_000.0,
-//!         iterations: 10,
-//!         measurement_groups: 2,
-//!         windows: 4,
-//!         sweep_resolution: 2,
-//!         shots: 64,
-//!     },
-//!     cost: CostModel::ibm_cloud_2021(),
+//!     // Pricing: circuit makespan, windows the estimate assumes.
+//!     circuit_ns: 8_000.0,
+//!     estimate_windows: 4,
 //!     dispatch: BatchDispatch::local(2),
 //!     // Default tenancy: equal weights, unlimited quotas,
 //!     // auto-compaction at the default journal bound.

@@ -38,7 +38,7 @@
 //! own worker, so at most one session per device is in flight.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -140,9 +140,6 @@ pub(crate) enum Event {
 pub(crate) struct CompletionReport {
     pub device: usize,
     pub client: String,
-    pub estimate_min: f64,
-    /// Measured machine minutes (0 when tuning failed).
-    pub actual_min: f64,
     /// The session's store-traffic delta, measured on the device's
     /// shard (exact while devices keep distinct shards — the default
     /// layout the replay asserts).
@@ -160,7 +157,6 @@ pub(crate) struct WorkItem {
     /// Stale entries a recalibration crossing dropped, attributed to
     /// this session's outcome.
     pub invalidated: usize,
-    pub estimate_min: f64,
     pub request: SessionRequest,
     pub reply: Reply,
 }
@@ -230,11 +226,9 @@ pub struct FleetMetricsReport {
     pub devices: Vec<DeviceMetricsReport>,
     /// Per-client quota accounting (in-flight, reserved, spent, caps).
     pub quotas: Vec<QuotaUsage>,
-    /// Per-client store traffic (hits/misses/insertions... attributed
-    /// from each session's shard delta), sorted by client. Shared with
-    /// the store's incremental snapshot — building a report no longer
-    /// clones every entry under the attribution lock.
-    pub client_store_traffic: Arc<Vec<(String, CacheMetrics)>>,
+    /// Per-client store traffic (hits/misses/insertions... summed over
+    /// each session's shard delta), sorted by client.
+    pub client_store_traffic: Vec<(String, CacheMetrics)>,
     /// Per-shard store metrics (entries, hit/miss, lock contention).
     pub shards: Vec<ShardMetrics>,
     /// Live entries in the store.
@@ -469,7 +463,7 @@ impl fmt::Display for FleetMetricsReport {
                 q.rejected
             )?;
         }
-        for (client, m) in self.client_store_traffic.iter() {
+        for (client, m) in &self.client_store_traffic {
             writeln!(
                 f,
                 "  store traffic {:<10} {} hits / {} misses / {} inserts / {} evict / {} invalidated",
@@ -515,6 +509,8 @@ struct Reactor {
     lanes: Vec<DeviceLane>,
     feed: EpochFeed,
     quota: QuotaBook,
+    /// Store traffic per client: the sum of its sessions' shard deltas.
+    store_traffic: BTreeMap<String, CacheMetrics>,
     counters: EventCounters,
     draining: bool,
     /// The attached transport driver and its attachment id, if any.
@@ -811,11 +807,12 @@ impl Reactor {
         let lane = &mut self.lanes[report.device];
         lane.busy = false;
         lane.completed += 1;
+        // Every session reserved the same estimate; a failed one spent 0.
+        let spent = report.result.as_ref().map_or(0.0, |o| o.minutes);
         self.quota
-            .settle(&report.client, report.estimate_min, report.actual_min);
-        self.shared
-            .store
-            .attribute_client(&report.client, &report.store_delta);
+            .settle(&report.client, self.shared.estimate_min, spent);
+        let traffic = self.store_traffic.entry(report.client).or_default();
+        traffic.merge(&report.store_delta);
         // Accounting settled above; only now does the submitter hear —
         // and never before this session's store mutations are durable.
         // The gate point is the store's *pending* cursor (buffered
@@ -879,13 +876,12 @@ impl Reactor {
                 .epoch(device)
                 .expect("observed at this session's arrival");
             let lane = &mut self.lanes[device];
-            let (_, estimate_min, pending) = lane.drr.dispatch_next().expect("non-empty");
+            let (_, _, pending) = lane.drr.dispatch_next().expect("non-empty");
             lane.busy = true;
             let item = WorkItem {
                 device,
                 epoch,
                 invalidated,
-                estimate_min,
                 request: pending.request,
                 reply: pending.reply,
             };
@@ -914,7 +910,7 @@ impl Reactor {
             events: self.counters,
             devices,
             quotas: self.quota.usage(),
-            client_store_traffic: store.client_attribution(),
+            client_store_traffic: self.store_traffic.clone().into_iter().collect(),
             shards: store.shard_metrics(),
             store_entries: store.len(),
             journal_records: store.journal_records(),
@@ -960,6 +956,7 @@ pub(crate) fn reactor_loop(
         lanes,
         feed: EpochFeed::new(&feed_pairs),
         quota: QuotaBook::new(tenancy.default_quota, &tenancy.quotas),
+        store_traffic: BTreeMap::new(),
         counters: EventCounters::default(),
         draining: false,
         driver: None,
@@ -1056,8 +1053,6 @@ pub(crate) fn worker_loop(shared: Arc<ServiceShared>, items: Receiver<WorkItem>,
         let report = Box::new(CompletionReport {
             device: item.device,
             client: item.request.client.clone(),
-            estimate_min: item.estimate_min,
-            actual_min: result.as_ref().map(|o| o.minutes).unwrap_or(0.0),
             store_delta,
             reply: item.reply,
             result,

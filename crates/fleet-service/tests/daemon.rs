@@ -22,7 +22,7 @@ use vaqem_mathkit::rng::SeedStream;
 use vaqem_mitigation::dd::DdSequence;
 use vaqem_pauli::models::tfim_paper;
 use vaqem_runtime::persist::CompactionPolicy;
-use vaqem_runtime::{BatchDispatch, CostModel, WorkloadProfile};
+use vaqem_runtime::{BatchDispatch, CacheMetrics, CostModel, WorkloadProfile};
 
 const NUM_QUBITS: usize = 3;
 
@@ -84,16 +84,8 @@ fn config(dir: &Path) -> FleetServiceConfig {
             guard_repeats: 3,
             ..WindowTunerConfig::default()
         },
-        profile: WorkloadProfile {
-            num_qubits: NUM_QUBITS,
-            circuit_ns: 12_000.0,
-            iterations: 50,
-            measurement_groups: 2,
-            windows: 8,
-            sweep_resolution: 3,
-            shots: 256,
-        },
-        cost: CostModel::ibm_cloud_2021(),
+        circuit_ns: 12_000.0,
+        estimate_windows: 8,
         dispatch: BatchDispatch::local(4),
         tenancy: TenancyConfig::default(),
     }
@@ -487,6 +479,23 @@ fn a_zero_fairness_weight_is_refused_at_open() {
 }
 
 #[test]
+#[should_panic(expected = "quota epoch length must be positive")]
+fn a_non_positive_quota_epoch_is_refused_at_open() {
+    // Every arrival maps its hour onto a quota epoch on the reactor
+    // thread, which panics on a length that is not positive and finite.
+    // `open` refuses the config before any thread spawns.
+    let dir = temp_dir("zero-epoch");
+    let mut config = config(&dir);
+    config.tenancy.quota_epoch_hours = 0.0;
+    let _ = FleetService::open(
+        config,
+        vec![device("fleet-east", 4242)],
+        problem(),
+        SeedStream::new(4242),
+    );
+}
+
+#[test]
 fn quota_breach_is_rejected_with_a_typed_error() {
     // "greedy" may hold at most two admitted-but-incomplete sessions.
     // A blocker session occupies the device first, so greedy's three
@@ -547,9 +556,20 @@ fn machine_minute_budget_is_enforced_per_epoch() {
     // (reservations are charged at admission, before anything runs).
     let dir = temp_dir("budget");
     let mut config = config(&dir);
-    let estimate = config
-        .cost
-        .em_tuning_minutes_batched(&config.profile, &config.dispatch);
+    // The daemon prices every admission estimate from the fixture's
+    // values with the 2021 IBM cloud cost model.
+    let estimate = CostModel::ibm_cloud_2021().em_tuning_minutes_batched(
+        &WorkloadProfile {
+            num_qubits: NUM_QUBITS,
+            circuit_ns: config.circuit_ns,
+            iterations: 0,
+            measurement_groups: problem().groups().len(),
+            windows: config.estimate_windows,
+            sweep_resolution: config.tuner.sweep_resolution,
+            shots: config.shots,
+        },
+        &config.dispatch,
+    );
     config.tenancy.quotas = vec![(
         "metered".to_string(),
         ClientQuota {
@@ -701,6 +721,42 @@ fn metrics_report_is_structured_and_prints() {
     assert!(rendered.contains("fleet metrics"));
     assert!(rendered.contains("device 0 (fleet-east)"));
     assert!(rendered.contains("lane"));
+    service.shutdown().expect("checkpoint");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn store_traffic_ledger_sorts_clients_and_sums_to_the_store() {
+    // Five sessions from two clients across both devices, which route to
+    // distinct shards, so each session's shard delta is exactly its own
+    // traffic. No drift crossing: an invalidation happens at dispatch,
+    // outside any session's delta.
+    let dir = temp_dir("traffic");
+    let service = open_service(&dir, 4242);
+    let store = service.store();
+    assert_ne!(store.shard_of("fleet-east"), store.shard_of("fleet-west"));
+    let sessions = [
+        ("zeta", 0),
+        ("alpha", 1),
+        ("zeta", 1),
+        ("alpha", 0),
+        ("zeta", 0),
+    ];
+    let rxs: Vec<_> = sessions
+        .iter()
+        .map(|&(client, d)| service.submit(request(client, 1.0, Some(d))))
+        .collect();
+    for rx in rxs {
+        rx.recv().expect("worker alive").expect("tuning ok");
+    }
+    let traffic = service.metrics_report().client_store_traffic;
+    let clients: Vec<&str> = traffic.iter().map(|(c, _)| c.as_str()).collect();
+    assert_eq!(clients, ["alpha", "zeta"], "one entry per client, sorted");
+    let mut summed = CacheMetrics::default();
+    for (_, m) in &traffic {
+        summed.merge(m);
+    }
+    assert_eq!(summed, store.metrics(), "the ledger covers every session");
     service.shutdown().expect("checkpoint");
     std::fs::remove_dir_all(&dir).unwrap();
 }

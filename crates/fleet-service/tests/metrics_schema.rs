@@ -21,7 +21,7 @@ use vaqem_fleet_service::{
     DeviceSpec, FleetService, FleetServiceConfig, SessionKind, SessionRequest, TenancyConfig,
 };
 use vaqem_mathkit::rng::SeedStream;
-use vaqem_runtime::{BatchDispatch, CostModel, WorkloadProfile};
+use vaqem_runtime::BatchDispatch;
 
 const GOLDEN: &str = include_str!("golden/metrics_schema.golden");
 
@@ -57,16 +57,8 @@ fn tiny_service(store_dir: &std::path::Path) -> FleetService {
             guard_repeats: 1,
             ..Default::default()
         },
-        profile: WorkloadProfile {
-            num_qubits: 2,
-            circuit_ns: 8_000.0,
-            iterations: 10,
-            measurement_groups: 2,
-            windows: 4,
-            sweep_resolution: 2,
-            shots: 64,
-        },
-        cost: CostModel::ibm_cloud_2021(),
+        circuit_ns: 8_000.0,
+        estimate_windows: 4,
         dispatch: BatchDispatch::local(2),
         tenancy: TenancyConfig::default(),
     };

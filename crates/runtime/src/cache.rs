@@ -81,8 +81,8 @@ impl CacheMetrics {
     /// Field-wise saturating difference `self - earlier` — what happened
     /// *between* two metric snapshots. This is the per-session
     /// attribution primitive: a daemon snapshots the store counters
-    /// around one client's session and attributes the delta to that
-    /// client (`crate::store::ShardedStore::attribute_client`).
+    /// around one client's session and credits the delta to that
+    /// client.
     /// Saturating, so a counter reset between snapshots yields zeros
     /// rather than wrapping.
     pub fn saturating_delta(&self, earlier: &CacheMetrics) -> CacheMetrics {

@@ -134,15 +134,10 @@ impl CostModel {
             * (self.sim_eval_overhead_s + gates * amps / self.sim_amp_ops_per_sec)
     }
 
-    /// Seconds for one machine job (one circuit, `shots` shots).
+    /// Seconds for one machine job (one circuit, `shots` shots): the
+    /// unfolded case of [`Self::machine_job_seconds_scaled`].
     pub fn machine_job_seconds(&self, p: &WorkloadProfile, runtime: bool) -> f64 {
-        let exec = p.shots as f64 * (p.circuit_ns * 1e-9 + 4.0e-6); // reset+readout per shot
-        let overhead = if runtime {
-            self.runtime_job_overhead_s
-        } else {
-            self.classic_job_overhead_s
-        };
-        exec + overhead
+        self.machine_job_seconds_scaled(p, runtime, 1.0)
     }
 
     /// Minutes of angle tuning (3 objective evaluations per SPSA iteration).
@@ -211,10 +206,7 @@ impl CostModel {
         evaluations: usize,
         batches: usize,
     ) -> f64 {
-        let jobs = evaluations * p.measurement_groups.max(1);
-        let lanes = dispatch.workers.max(1) as f64;
-        let exec = (jobs as f64 / lanes).ceil() * self.machine_job_seconds(p, true);
-        (exec + batches as f64 * dispatch.per_batch_overhead_s) / 60.0
+        self.em_minutes_for_zne_evaluations(p, dispatch, evaluations, batches, &[1.0])
     }
 
     /// Seconds for one machine job whose circuit is folded to `scale`
@@ -227,6 +219,7 @@ impl CostModel {
         runtime: bool,
         scale: f64,
     ) -> f64 {
+        // Reset and readout cost 4 µs per shot at every scale.
         let exec = p.shots as f64 * (scale.max(1.0) * p.circuit_ns * 1e-9 + 4.0e-6);
         let overhead = if runtime {
             self.runtime_job_overhead_s
@@ -242,7 +235,7 @@ impl CostModel {
     /// [`Self::machine_job_seconds_scaled`]. `scale_factors` is the
     /// protocol's scale set (e.g. `[1, 3, 5]`) — the folded-circuit shot
     /// multiplier the ZNE stage leaves on the bill. With
-    /// `scale_factors == [1.0]` this degenerates to
+    /// `scale_factors == [1.0]` this is
     /// [`Self::em_minutes_for_evaluations`].
     pub fn em_minutes_for_zne_evaluations(
         &self,

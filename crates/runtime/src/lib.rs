@@ -4,7 +4,7 @@
 //! about executing the feasible flow at fleet scale that is not quantum
 //! mechanics.
 //!
-//! Ten modules:
+//! Nine modules:
 //!
 //! * [`cost`] — the execution-cost model standing in for the paper's
 //!   Qiskit Runtime measurements (§VI-A, §VIII-D, Fig. 15): per-job
@@ -39,10 +39,6 @@
 //! * [`backoff`] — [`backoff::IdleBackoff`], the adaptive idle sleep
 //!   the RPC pump's scan source paces on (floor-to-ceiling doubling,
 //!   reset on activity).
-//! * [`ring`] — [`ring::HashRing`], consistent-hash device ownership
-//!   for the multi-process replicated fleet: the same FNV-1a routing
-//!   discipline as [`store::ShardedStore`], lifted from shards within a
-//!   process to daemon instances across processes.
 //!
 //! Together they answer the question the per-circuit crates cannot: what
 //! does a *repeated, shared* workload cost, and how much of the paper's
@@ -88,7 +84,6 @@ pub mod fleet;
 pub mod json;
 pub mod latency;
 pub mod persist;
-pub mod ring;
 pub mod store;
 pub mod wire;
 
@@ -101,6 +96,5 @@ pub use fleet::{DrrLaneSnapshot, DrrQueue};
 pub use json::JsonValue;
 pub use latency::LatencyHistogram;
 pub use persist::{Codec, CompactionPolicy, DurableStore, RecoveryReport, ShipBatch, ShipCursor};
-pub use ring::HashRing;
 pub use store::{ShardMetrics, ShardedStore, StoreBackend};
 pub use wire::{frame, FrameError, FrameReader};

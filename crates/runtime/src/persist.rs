@@ -49,7 +49,7 @@ use std::hash::Hash;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::cache::CacheMetrics;
 use crate::store::{ShardMetrics, ShardedStore, StoreBackend};
@@ -1020,19 +1020,6 @@ where
         }
         self.checkpoint()?;
         Ok(true)
-    }
-
-    /// Credits `delta` store traffic to `client`
-    /// (see [`ShardedStore::attribute_client`]).
-    pub fn attribute_client(&self, client: &str, delta: &CacheMetrics) {
-        self.store.attribute_client(client, delta)
-    }
-
-    /// Per-client attributed traffic, sorted by client label
-    /// (see [`ShardedStore::client_attribution`] — a shared snapshot,
-    /// O(1) between attributions).
-    pub fn client_attribution(&self) -> Arc<Vec<(String, CacheMetrics)>> {
-        self.store.client_attribution()
     }
 
     /// Total live entries.

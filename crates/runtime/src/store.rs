@@ -32,7 +32,7 @@
 //! metrics test assert.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 
 use crate::cache::{CacheMetrics, ConfigStore};
 use std::hash::Hash;
@@ -184,30 +184,6 @@ pub struct ShardMetrics {
 #[derive(Debug)]
 pub struct ShardedStore<F, V> {
     shards: Vec<Shard<F, V>>,
-    /// Per-client traffic attribution, keyed by client label in
-    /// first-attribution order. The store itself cannot know which
-    /// client caused a lookup (the tuner speaks [`StoreBackend`], which
-    /// has no client notion), so the fleet layer measures each session's
-    /// counter delta ([`CacheMetrics::saturating_delta`]) and credits it
-    /// here — the per-client usage signal the fairness/quota layer and
-    /// the observability report read back.
-    attribution: Mutex<AttributionInner>,
-}
-
-/// The attribution ledger plus its read-mostly reporting snapshot.
-///
-/// `entries` is the write-side truth (first-attribution order);
-/// `snapshot` is the sorted copy reports hand out. Rebuilding the
-/// snapshot only when `dirty` makes `client_attribution()` O(1) between
-/// mutations — every `metrics_report()` used to clone and re-sort the
-/// whole vector under the lock, a cost that grew with accumulated
-/// clients even on an idle store.
-#[derive(Debug, Default)]
-struct AttributionInner {
-    entries: Vec<(String, CacheMetrics)>,
-    snapshot: Arc<Vec<(String, CacheMetrics)>>,
-    dirty: bool,
-    rebuilds: u64,
 }
 
 impl<F: Hash + Eq + Clone, V> ShardedStore<F, V> {
@@ -227,46 +203,7 @@ impl<F: Hash + Eq + Clone, V> ShardedStore<F, V> {
                     contended: AtomicU64::new(0),
                 })
                 .collect(),
-            attribution: Mutex::new(AttributionInner::default()),
         }
-    }
-
-    /// Credits `delta` store traffic to `client` (see the field docs on
-    /// `attribution`). Merges into the client's running total.
-    pub fn attribute_client(&self, client: &str, delta: &CacheMetrics) {
-        let mut inner = self.attribution.lock().expect("attribution lock");
-        match inner.entries.iter_mut().find(|(c, _)| c == client) {
-            Some((_, total)) => total.merge(delta),
-            None => {
-                let entry = (client.to_string(), *delta);
-                inner.entries.push(entry);
-            }
-        }
-        inner.dirty = true;
-    }
-
-    /// Per-client attributed traffic, sorted by client label for
-    /// deterministic reporting. Returns a shared snapshot: between
-    /// attributions the same `Arc` is handed out again (no clone, no
-    /// re-sort), so report cost stays flat however many clients have
-    /// accumulated.
-    pub fn client_attribution(&self) -> Arc<Vec<(String, CacheMetrics)>> {
-        let mut inner = self.attribution.lock().expect("attribution lock");
-        if inner.dirty {
-            let mut snap = inner.entries.clone();
-            snap.sort_by(|(a, _), (b, _)| a.cmp(b));
-            inner.snapshot = Arc::new(snap);
-            inner.dirty = false;
-            inner.rebuilds += 1;
-        }
-        Arc::clone(&inner.snapshot)
-    }
-
-    /// How many times the attribution snapshot has been rebuilt —
-    /// the micro-assertion hook proving `client_attribution()` does no
-    /// per-report work while the ledger is unchanged.
-    pub fn attribution_rebuilds(&self) -> u64 {
-        self.attribution.lock().expect("attribution lock").rebuilds
     }
 
     /// Number of shards.
@@ -547,57 +484,6 @@ mod tests {
         StoreBackend::publish(&mut arc, "d", 0, 5, 51);
         assert_eq!(StoreBackend::lookup(&mut arc, "d", 0, &5), Some(51));
         assert_eq!(arc.metrics_snapshot().hits, 1);
-    }
-
-    #[test]
-    fn client_attribution_merges_and_sorts() {
-        let s: ShardedStore<u64, u32> = ShardedStore::new(2, 8);
-        let hit = CacheMetrics {
-            hits: 1,
-            ..CacheMetrics::default()
-        };
-        let miss = CacheMetrics {
-            misses: 1,
-            insertions: 1,
-            ..CacheMetrics::default()
-        };
-        s.attribute_client("zeta", &miss);
-        s.attribute_client("alpha", &hit);
-        s.attribute_client("zeta", &hit);
-        let per_client = s.client_attribution();
-        assert_eq!(per_client.len(), 2);
-        assert_eq!(per_client[0].0, "alpha", "sorted by label");
-        assert_eq!(per_client[0].1.hits, 1);
-        assert_eq!((per_client[1].1.hits, per_client[1].1.misses), (1, 1));
-        assert_eq!(per_client[1].1.insertions, 1);
-    }
-
-    #[test]
-    fn client_attribution_reports_are_snapshot_cheap() {
-        // metrics_report() used to clone + sort the whole ledger under
-        // the lock on every call; with the read-mostly snapshot, repeat
-        // reports on an unchanged ledger return the same Arc and never
-        // rebuild — report cost stays flat as clients accumulate.
-        let s: ShardedStore<u64, u32> = ShardedStore::new(2, 8);
-        let hit = CacheMetrics {
-            hits: 1,
-            ..CacheMetrics::default()
-        };
-        for i in 0..256 {
-            s.attribute_client(&format!("tenant-{i}"), &hit);
-        }
-        let first = s.client_attribution();
-        assert_eq!(s.attribution_rebuilds(), 1, "one rebuild per dirty epoch");
-        for _ in 0..100 {
-            let again = s.client_attribution();
-            assert!(Arc::ptr_eq(&first, &again), "unchanged ledger is O(1)");
-        }
-        assert_eq!(s.attribution_rebuilds(), 1, "100 reports, zero rebuilds");
-        // A new attribution dirties the snapshot exactly once more.
-        s.attribute_client("tenant-0", &hit);
-        let fresh = s.client_attribution();
-        assert!(!Arc::ptr_eq(&first, &fresh));
-        assert_eq!(s.attribution_rebuilds(), 2);
     }
 
     #[test]

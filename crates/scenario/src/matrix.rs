@@ -46,7 +46,7 @@ use vaqem_fleet_service::{
 };
 use vaqem_mathkit::rng::SeedStream;
 use vaqem_optim::spsa::SpsaConfig;
-use vaqem_runtime::{BatchDispatch, CostModel, WorkloadProfile};
+use vaqem_runtime::BatchDispatch;
 
 /// The declarative grid: axes plus the per-cell tuner/simulator sizing.
 #[derive(Debug, Clone)]
@@ -282,7 +282,6 @@ fn run_round(service: &FleetService, log: &mut SubmissionLog, params: &[f64]) ->
 fn fleet_config(
     config: &MatrixConfig,
     workload: &ScenarioWorkload,
-    problem: &VqeProblem,
     tenant: TenantBehavior,
     store_dir: PathBuf,
 ) -> FleetServiceConfig {
@@ -312,16 +311,8 @@ fn fleet_config(
             guard_repeats: config.guard_repeats,
             ..WindowTunerConfig::default()
         },
-        profile: WorkloadProfile {
-            num_qubits: workload.num_qubits(),
-            circuit_ns: 12_000.0,
-            iterations: 40,
-            measurement_groups: problem.groups().len(),
-            windows: workload.windows_hint(),
-            sweep_resolution: config.sweep_resolution,
-            shots: config.shots,
-        },
-        cost: CostModel::ibm_cloud_2021(),
+        circuit_ns: 12_000.0,
+        estimate_windows: workload.windows_hint(),
         dispatch: BatchDispatch::local(4),
         tenancy,
     }
@@ -360,7 +351,7 @@ fn run_cell(
         tenant.label()
     ));
     let _ = std::fs::remove_dir_all(&store_dir);
-    let fleet = fleet_config(config, &workload, problem, tenant, store_dir.clone());
+    let fleet = fleet_config(config, &workload, tenant, store_dir.clone());
 
     // The quota ledger is per-process state (it dies with the kill), so
     // each process gets its own submission log and its own audit.
