@@ -5,7 +5,7 @@
 //! abrupt kill plus journal-replay reopen, a recovery round, then the
 //! cell's tenant contention phase — asserting per cell:
 //!
-//! * the DRR starvation bound on the contention device,
+//! * the fair queue's starvation bound on the contention device,
 //! * the light tenants' fair window in the bursty cells,
 //! * quota reserve == settle accounting against the harness's log,
 //! * warm < cold machine-minute cost,

@@ -943,6 +943,7 @@ fn main() {
     let _ = probe.shutdown();
 
     let sessions_per_hour = completed as f64 / elapsed.as_secs_f64() * 3600.0;
+    let no_sessions = TenantStats::default();
     let report = JsonValue::object([
         (
             "config",
@@ -969,7 +970,7 @@ fn main() {
         (
             "tenants",
             JsonValue::object(TenantBehavior::ALL.map(|b| {
-                let stats = by_behavior.remove(b.label()).unwrap_or_default();
+                let stats = by_behavior.get(b.label()).unwrap_or(&no_sessions);
                 (
                     b.label(),
                     JsonValue::object([
@@ -1028,42 +1029,16 @@ fn main() {
             .position(|b| b.label() == label)
             .expect("known label")
     }
+    let behavior_completed = |label: &str| by_behavior.get(label).map_or(0, |s| s.completed);
     assert_eq!(
-        by_behavior_total(&report, "uniform"),
+        behavior_completed("uniform"),
         2 * n("uniform"),
         "every uniform session completed"
     );
     assert_eq!(
-        by_behavior_total(&report, "bursty"),
+        behavior_completed("bursty"),
         3 * n("bursty"),
         "every bursty session completed"
     );
     println!("loadgen: all in-binary assertions passed");
-}
-
-/// Reads `tenants.<label>.completed` back out of the report document.
-fn by_behavior_total(report: &JsonValue, label: &str) -> u64 {
-    let JsonValue::Object(fields) = report else {
-        unreachable!("report is an object")
-    };
-    let tenants = &fields
-        .iter()
-        .find(|(k, _)| k == "tenants")
-        .expect("tenants section")
-        .1;
-    let JsonValue::Object(tenants) = tenants else {
-        unreachable!("tenants is an object")
-    };
-    let entry = &tenants
-        .iter()
-        .find(|(k, _)| k == label)
-        .expect("behavior entry")
-        .1;
-    let JsonValue::Object(entry) = entry else {
-        unreachable!("behavior entry is an object")
-    };
-    match entry.iter().find(|(k, _)| k == "completed") {
-        Some((_, JsonValue::Int(n))) => *n as u64,
-        _ => 0,
-    }
 }

@@ -100,8 +100,9 @@ pub mod rpcload {
     use vaqem_ansatz::su2::{EfficientSu2, Entanglement};
     use vaqem_circuit::schedule::DurationModel;
     use vaqem_device::backend::DeviceModel;
+    use vaqem_device::classes::DeviceClass;
     use vaqem_device::drift::DriftModel;
-    use vaqem_device::noise::{NoiseParameters, QubitNoise};
+    use vaqem_device::noise::NoiseParameters;
     use vaqem_fleet_service::{
         ClientQuota, DeviceSpec, FleetServiceConfig, SessionKind, SessionRequest, TenancyConfig,
     };
@@ -202,32 +203,13 @@ pub mod rpcload {
         .expect("problem builds")
     }
 
-    /// One windowed fleet device: realistic per-qubit noise plus ZZ
-    /// coupling, so the scheduler finds idle windows worth tuning.
+    /// One windowed fleet device: the stable-lab class's per-qubit noise
+    /// and chain ZZ coupling, so the scheduler finds idle windows worth
+    /// tuning, on a drift clock of its own.
     pub fn windowed_device(index: usize, seed: u64) -> DeviceSpec {
-        let q = QubitNoise {
-            t1_ns: 120_000.0,
-            t2_ns: 90_000.0,
-            quasi_static_sigma_rad_ns: 2.0e-3,
-            telegraph_rate_per_ns: 2.0e-6,
-            readout_p01: 0.012,
-            readout_p10: 0.025,
-            gate_error_1q: 1.5e-4,
-        };
-        let coupling: Vec<(usize, usize)> = (0..WINDOWED_QUBITS - 1).map(|i| (i, i + 1)).collect();
-        let mut noise = NoiseParameters::from_qubits(vec![q; WINDOWED_QUBITS]);
-        for &(a, b) in &coupling {
-            noise.set_zz(a, b, 1.0e-5);
-        }
         let name = format!("rpc-windowed-{index}");
         DeviceSpec {
-            model: DeviceModel::new(
-                &name,
-                WINDOWED_QUBITS,
-                coupling,
-                DurationModel::ibm_default(),
-                noise,
-            ),
+            model: DeviceClass::StableLab.device(&name, WINDOWED_QUBITS),
             drift: DriftModel::new(SeedStream::new(seed).substream(&format!("drift-{name}"))),
             name,
         }

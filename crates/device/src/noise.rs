@@ -16,7 +16,7 @@
 //! the "noisy simulation" model of Fig. 9; the full set plays the "real
 //! machine".
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Per-qubit physical noise properties.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,11 +75,15 @@ impl Default for QubitNoise {
 }
 
 /// Complete noise description for a device.
+///
+/// Pair maps are ordered, so [`NoiseParameters::zz_couplings`] yields
+/// its pairs in ascending order and equal instances apply their ZZ
+/// phases in the same order.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct NoiseParameters {
     qubits: Vec<QubitNoise>,
-    cx_error: HashMap<(usize, usize), f64>,
-    zz_rad_ns: HashMap<(usize, usize), f64>,
+    cx_error: BTreeMap<(usize, usize), f64>,
+    zz_rad_ns: BTreeMap<(usize, usize), f64>,
 }
 
 impl NoiseParameters {
@@ -87,8 +91,8 @@ impl NoiseParameters {
     pub fn uniform(n: usize) -> Self {
         NoiseParameters {
             qubits: vec![QubitNoise::default(); n],
-            cx_error: HashMap::new(),
-            zz_rad_ns: HashMap::new(),
+            cx_error: BTreeMap::new(),
+            zz_rad_ns: BTreeMap::new(),
         }
     }
 
@@ -96,8 +100,8 @@ impl NoiseParameters {
     pub fn from_qubits(qubits: Vec<QubitNoise>) -> Self {
         NoiseParameters {
             qubits,
-            cx_error: HashMap::new(),
-            zz_rad_ns: HashMap::new(),
+            cx_error: BTreeMap::new(),
+            zz_rad_ns: BTreeMap::new(),
         }
     }
 
@@ -136,7 +140,7 @@ impl NoiseParameters {
         self.zz_rad_ns.insert(ordered(a, b), zeta_rad_ns);
     }
 
-    /// Iterates over `(pair, zeta)` ZZ couplings.
+    /// Iterates over `(pair, zeta)` ZZ couplings in ascending pair order.
     pub fn zz_couplings(&self) -> impl Iterator<Item = ((usize, usize), f64)> + '_ {
         self.zz_rad_ns.iter().map(|(&k, &v)| (k, v))
     }
@@ -147,7 +151,7 @@ impl NoiseParameters {
         NoiseParameters {
             qubits: self.qubits.iter().map(QubitNoise::markovian_only).collect(),
             cx_error: self.cx_error.clone(),
-            zz_rad_ns: HashMap::new(),
+            zz_rad_ns: BTreeMap::new(),
         }
     }
 
@@ -163,7 +167,6 @@ impl NoiseParameters {
             gate_error_1q: 0.0,
         };
         let mut p = NoiseParameters::from_qubits(vec![q; n]);
-        p.cx_error = HashMap::new();
         // Explicit zero CX error for any pair.
         for a in 0..n {
             for b in (a + 1)..n {
@@ -279,6 +282,22 @@ mod tests {
         p.set_zz(1, 0, 3.0e-4);
         let pairs: Vec<_> = p.zz_couplings().collect();
         assert_eq!(pairs, vec![((0, 1), 3.0e-4)]);
+    }
+
+    #[test]
+    fn zz_couplings_iterate_in_ascending_pair_order() {
+        // Equal instances must apply their ZZ phases in one order, or
+        // rounding makes their trajectories differ bit for bit.
+        let inserts = [(3, 2), (0, 1), (2, 1), (0, 3), (1, 3)];
+        let want = [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)];
+        for _ in 0..20 {
+            let mut p = NoiseParameters::uniform(4);
+            for (i, &(a, b)) in inserts.iter().enumerate() {
+                p.set_zz(a, b, 1.0e-5 * (i + 1) as f64);
+            }
+            let pairs: Vec<(usize, usize)> = p.zz_couplings().map(|(pair, _)| pair).collect();
+            assert_eq!(pairs, want);
+        }
     }
 
     #[test]

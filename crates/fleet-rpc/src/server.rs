@@ -10,7 +10,7 @@
 //!   │   read ≤256 KiB/conn ─ decode in place              │
 //!   │ per connection: framing, identity, outbound queue,  │
 //!   │   pending-out count (soft/hard bounds)              │
-//!   │ actions ──▶ admission · DRR · quotas · replication  │
+//!   │ actions ──▶ admission · fairness · quota · replicas │
 //!   │ results ──▶ on_result/on_metrics/on_ship ──▶ queue  │
 //!   └─────────────────────────────────────────────────────┘
 //!      ▲ waker: submit, worker completions, metrics, stop

@@ -10,7 +10,7 @@
 //!                     ┌──────── REACTOR ────────────────────────────┐
 //!                     │ events: arrival · completion · metrics ·    │
 //!                     │   driver attach/detach · shutdown           │
-//!                     │ per-device DRR fair queues (fairness.rs)    │
+//!                     │ per-device fair queues (fairness.rs)        │
 //!                     │ per-client quotas (quota.rs)                │
 //!                     │ queue-aware admission (scheduler.rs)        │
 //!                     └──┬───────────┬──────────────┬───────────────┘
@@ -26,7 +26,7 @@
 //!                 store_dir/store.snapshot + store.journal
 //! ```
 //!
-//! The reactor owns *all* scheduling state — per-device deficit-
+//! The reactor owns *all* scheduling state — per-device weighted
 //! round-robin queues across clients, the quota ledger, the drift feed,
 //! which devices are busy — and mutates it only while handling events,
 //! so there is no admission lock and no per-device condvar parking (the
@@ -54,8 +54,8 @@
 //! client submitted first, and N concurrent clients tuning identical
 //! fingerprints converge to a single-threaded replay's configs
 //! (`tests/fleet_service.rs` pins this). Scheduling itself is a pure
-//! function of the event order: the DRR dispatch sequence and quota
-//! verdicts contain no RNG and no wall clocks.
+//! function of the event order: the fair-queue dispatch sequence and
+//! quota verdicts contain no RNG and no wall clocks.
 
 use std::fmt;
 use std::io;
@@ -125,7 +125,7 @@ pub enum SessionKind {
 /// default journal bound — which behaves like the pre-reactor daemon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenancyConfig {
-    /// Deficit-round-robin weights (see `crate::fairness`).
+    /// Weighted round-robin weights (see `crate::fairness`).
     pub fairness: FairnessConfig,
     /// Quota for clients without an override.
     pub default_quota: ClientQuota,
@@ -166,10 +166,12 @@ pub struct FleetServiceConfig {
     /// Per-window tuner settings (sweep resolution, DD sequence, guard).
     pub tuner: WindowTunerConfig,
     /// Circuit makespan (ns) that sessions are priced at, together with
-    /// the problem, `tuner`, `shots` and `CostModel::ibm_cloud_2021()`.
+    /// the problem, `tuner`, `shots` and `CostModel::ibm_cloud_2021()`
+    /// (must be finite and non-negative).
     pub circuit_ns: f64,
-    /// Idle windows assumed by the per-session estimate (admission, DRR
-    /// costs, quotas); a finished session is billed for those it measured.
+    /// Idle windows assumed by the per-session estimate (admission
+    /// backlogs, quotas); a finished session is billed for those it
+    /// measured.
     pub estimate_windows: usize,
     /// Batched-dispatch shape for pricing.
     pub dispatch: BatchDispatch,
@@ -281,7 +283,7 @@ pub(crate) struct ServiceShared {
     pub problem: VqeProblem,
     pub seeds: SeedStream,
     /// The per-session cost estimate (uniform: every session is priced at
-    /// `estimate_windows`), used for admission, DRR costs, and quotas.
+    /// `estimate_windows`), used for admission backlogs and quotas.
     pub estimate_min: f64,
     pub shutdown: AtomicBool,
     pub completed: AtomicUsize,
@@ -308,8 +310,9 @@ impl FleetService {
     /// # Panics
     ///
     /// Panics when `devices` is empty, when a fairness weight
-    /// (`default_weight` or a per-client override) is zero, or when
-    /// `quota_epoch_hours` is not positive and finite.
+    /// (`default_weight` or a per-client override) is zero, when
+    /// `quota_epoch_hours` is not positive and finite, or when
+    /// `circuit_ns` is not finite and non-negative.
     pub fn open(
         config: FleetServiceConfig,
         devices: Vec<DeviceSpec>,
@@ -324,6 +327,12 @@ impl FleetService {
         );
         // Checked here, not at the first arrival on the reactor thread.
         quota_epoch(0.0, config.tenancy.quota_epoch_hours);
+        // The session estimate inherits the makespan; a NaN or infinite
+        // one would fill quota reservations and admission backlogs.
+        assert!(
+            config.circuit_ns.is_finite() && config.circuit_ns >= 0.0,
+            "circuit_ns must be finite and non-negative"
+        );
         let store = Arc::new(DurableMitigationStore::open(
             &config.store_dir,
             config.shards,
@@ -389,7 +398,7 @@ impl FleetService {
     /// request does not pin a device (the device minimizing
     /// `queue wait + projected backlog`), then the quota gate — a breach
     /// answers the channel immediately with
-    /// [`SessionError::Quota`] — then the device's deficit-round-robin
+    /// [`SessionError::Quota`] — then the device's weighted round-robin
     /// fair queue decides when the session runs relative to other
     /// clients'.
     ///

@@ -11,15 +11,14 @@
 //! an **event-driven reactor** (one scheduler thread reacting to session
 //! arrivals and completions) dispatches each device's sessions to that
 //! device's worker thread. Per device, the next session is chosen by
-//! deficit-round-robin **weighted fair queueing across clients**
-//! ([`fairness`]) — no tenant head-of-line-blocks another — and
-//! per-client **quotas** ([`quota`]: in-flight caps, machine-minute
-//! budgets priced through the cost model) reject greedy submissions
-//! with a typed error. Admission stays queue-aware (fed by
-//! `CostModel::queuing_minutes`), drift invalidation stays journaled,
-//! completions auto-compact the journal, and stops are graceful
-//! ([`FleetService::shutdown`]) or abrupt ([`FleetService::halt`]) with
-//! journal-replay recovery.
+//! **weighted round-robin across clients** ([`fairness`]) — no tenant
+//! head-of-line-blocks another — and per-client **quotas** ([`quota`]:
+//! in-flight caps, machine-minute budgets priced through the cost
+//! model) reject greedy submissions with a typed error. Admission
+//! stays queue-aware (fed by `CostModel::queuing_minutes`), drift
+//! invalidation stays journaled, completions auto-compact the journal,
+//! and stops are graceful ([`FleetService::shutdown`]) or abrupt
+//! ([`FleetService::halt`]) with journal-replay recovery.
 //! [`FleetService::metrics_report`] dumps the whole picture — event
 //! counters, per-device queues and fairness lanes, per-client quota
 //! usage and store traffic, per-shard metrics. Sessions cover every
@@ -113,7 +112,7 @@ pub use daemon::{
     DeviceSpec, DriverHandle, DurableMitigationStore, FleetService, FleetServiceConfig,
     SessionError, SessionKind, SessionOutcome, SessionRequest, SessionResult, TenancyConfig,
 };
-pub use fairness::FairnessConfig;
+pub use fairness::{FairQueue, FairnessConfig, LaneSnapshot};
 pub use quota::{ClientQuota, QuotaError, QuotaUsage};
 pub use reactor::{DeviceMetricsReport, EventCounters, FleetMetricsReport};
 pub use socket::{DriverAction, RpcMetricsReport, SocketDriver};

@@ -11,7 +11,7 @@
 //!   (queue-aware admission), observe the drift clock (recording a
 //!   pending recalibration on a crossing), check quotas (typed
 //!   rejection straight to the client's channel), enqueue on the
-//!   device's DRR queue, and dispatch if the device is free.
+//!   device's fair queue, and dispatch if the device is free.
 //! * `Complete` — a device's worker finished a session: settle the
 //!   quota reservation, credit the client's store traffic, free the
 //!   device, dispatch more work, then let the durable store
@@ -33,8 +33,8 @@
 //! ([`SocketDriver::poll`]), which every event sender rouses.
 //!
 //! Dispatch policy: devices are scanned in index order; a free device
-//! with queued work hands the next session its DRR queue picks
-//! (deficit-round-robin across clients — see `crate::fairness`) to its
+//! with queued work hands the next session its fair queue picks
+//! (weighted round-robin across clients — see `crate::fairness`) to its
 //! own worker, so at most one session per device is in flight.
 
 use std::collections::hash_map::Entry;
@@ -48,13 +48,12 @@ use std::time::{Duration, Instant};
 
 use vaqem_device::drift::EpochFeed;
 use vaqem_runtime::cache::CacheMetrics;
-use vaqem_runtime::fleet::DrrQueue;
 use vaqem_runtime::json::JsonValue;
 use vaqem_runtime::store::ShardMetrics;
-use vaqem_runtime::DrrLaneSnapshot;
 use vaqem_runtime::ShipCursor;
 
 use crate::daemon::{run_session, ServiceShared, SessionError, SessionRequest, SessionResult};
+use crate::fairness::{FairQueue, LaneSnapshot};
 use crate::quota::{quota_epoch, QuotaBook, QuotaUsage};
 use crate::scheduler;
 use crate::socket::{DriverAction, RpcMetricsReport, SocketDriver};
@@ -208,8 +207,8 @@ pub struct DeviceMetricsReport {
     pub queue_wait_min: f64,
     /// Sessions completed on this device since open.
     pub completed: u64,
-    /// Per-client DRR lanes: weight, carried deficit, queue depth.
-    pub lanes: Vec<DrrLaneSnapshot>,
+    /// Per-client fair-queue lanes: weight and queue depth.
+    pub lanes: Vec<LaneSnapshot>,
 }
 
 /// A structured dump of the whole service: reactor event counters,
@@ -309,9 +308,7 @@ impl FleetMetricsReport {
                                 JsonValue::object([
                                     ("client", JsonValue::from(l.client.as_str())),
                                     ("weight", JsonValue::from(l.weight)),
-                                    ("deficit_min", JsonValue::from(l.deficit_min)),
                                     ("queued", JsonValue::from(l.queued)),
-                                    ("queued_min", JsonValue::from(l.queued_min)),
                                 ])
                             })),
                         ),
@@ -433,8 +430,8 @@ impl fmt::Display for FleetMetricsReport {
             for l in &d.lanes {
                 writeln!(
                     f,
-                    "    lane {:<10} weight {} deficit {:+.3} min, {} queued ({:.2} min)",
-                    l.client, l.weight, l.deficit_min, l.queued, l.queued_min
+                    "    lane {:<10} weight {}, {} queued",
+                    l.client, l.weight, l.queued
                 )?;
             }
         }
@@ -488,7 +485,7 @@ impl fmt::Display for FleetMetricsReport {
 
 struct DeviceLane {
     /// The device's fair session queue across clients.
-    drr: DrrQueue<Pending>,
+    queue: FairQueue<Pending>,
     /// The device's own worker.
     worker: Sender<WorkItem>,
     busy: bool,
@@ -533,19 +530,14 @@ struct Reactor {
 
 impl Reactor {
     fn idle(&self) -> bool {
-        self.lanes.iter().all(|l| !l.busy && l.drr.is_empty())
+        self.lanes.iter().all(|l| !l.busy && l.queue.is_empty())
     }
 
     /// Estimated minutes of admitted-but-unfinished work on a device —
     /// the projection queue-aware admission adds to the sampled wait.
     fn projected_backlog_min(&self, device: usize) -> f64 {
         let lane = &self.lanes[device];
-        lane.drr.backlog_min()
-            + if lane.busy {
-                self.shared.estimate_min
-            } else {
-                0.0
-            }
+        (lane.queue.len() + usize::from(lane.busy)) as f64 * self.shared.estimate_min
     }
 
     fn handle(&mut self, event: Event) {
@@ -794,11 +786,10 @@ impl Reactor {
             return;
         }
         let client = request.client.clone();
-        let estimate = self.shared.estimate_min;
         let weight = tenancy.fairness.weight_of(&client);
-        let drr = &mut self.lanes[device].drr;
-        drr.register(&client, weight);
-        drr.enqueue(&client, estimate, Pending { request, reply });
+        self.lanes[device]
+            .queue
+            .push(&client, weight, Pending { request, reply });
         self.pump();
     }
 
@@ -858,7 +849,7 @@ impl Reactor {
     /// in flight or queued ahead on that device.
     fn pump(&mut self) {
         for device in 0..self.lanes.len() {
-            if self.lanes[device].busy || self.lanes[device].drr.is_empty() {
+            if self.lanes[device].busy || self.lanes[device].queue.is_empty() {
                 continue;
             }
             // The invalidation count is attributed to this session — the
@@ -876,7 +867,7 @@ impl Reactor {
                 .epoch(device)
                 .expect("observed at this session's arrival");
             let lane = &mut self.lanes[device];
-            let (_, _, pending) = lane.drr.dispatch_next().expect("non-empty");
+            let pending = lane.queue.pop().expect("non-empty");
             lane.busy = true;
             let item = WorkItem {
                 device,
@@ -899,11 +890,11 @@ impl Reactor {
                 device: d,
                 name: self.shared.devices[d].name.clone(),
                 busy: lane.busy,
-                queue_depth: lane.drr.len(),
-                backlog_min: lane.drr.backlog_min(),
+                queue_depth: lane.queue.len(),
+                backlog_min: lane.queue.len() as f64 * self.shared.estimate_min,
                 queue_wait_min: self.shared.queue_wait_min[d],
                 completed: lane.completed,
-                lanes: lane.drr.lanes(),
+                lanes: lane.queue.lanes(),
             })
             .collect();
         FleetMetricsReport {
@@ -940,7 +931,7 @@ pub(crate) fn reactor_loop(
     let lanes = workers
         .into_iter()
         .map(|worker| DeviceLane {
-            drr: DrrQueue::new(tenancy.fairness.quantum_min(shared.estimate_min)),
+            queue: FairQueue::default(),
             worker,
             busy: false,
             completed: 0,

@@ -11,7 +11,7 @@
 //! for readiness, then accepts, reads and decodes, and returns the
 //! [`DriverAction`]s the reactor executes — submitting a session on
 //! behalf of a remote client (which then flows through the *same*
-//! admission, DRR fairness, and quota gates as an in-process
+//! admission, fairness, and quota gates as an in-process
 //! `submit()`), or requesting a metrics snapshot. Threads that send the
 //! reactor an event rouse a blocked `poll` through the driver's
 //! [`SocketDriver::waker`].
@@ -20,7 +20,7 @@
 //! and a local one are literally the same code path from admission
 //! onward: remote greedy clients receive the same typed
 //! `SessionError::Quota` rejections, remote sessions occupy the same
-//! DRR lanes, and the metrics report covers both without merging.
+//! fair-queue lanes, and the metrics report covers both without merging.
 //!
 //! The driver's aggregate counters ([`RpcMetricsReport`]) ride inside
 //! every `FleetMetricsReport` (zeroed when no driver is attached), so

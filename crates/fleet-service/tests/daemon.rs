@@ -1,6 +1,6 @@
 //! End-to-end daemon tests: concurrent clients over two devices, abrupt
 //! halt + journal-replay recovery, graceful shutdown + snapshot reload —
-//! plus the reactor's multi-tenant behaviors: deficit-round-robin
+//! plus the reactor's multi-tenant behaviors: weighted round-robin
 //! fairness across clients, typed quota rejections, journal
 //! auto-compaction after completions, deferred recalibration, and the
 //! structured metrics report.
@@ -408,22 +408,27 @@ fn request(client: &str, t_hours: f64, device: Option<usize>) -> SessionRequest 
 fn fair_queueing_interleaves_heavy_and_light_tenants() {
     // One device, one heavy tenant queueing four sessions before two
     // light tenants submit one each. Under the PR 3 FIFO daemon the
-    // light clients would drain *after* the heavy backlog; under DRR
-    // they complete within the first rotation. The completion order is
-    // read from the outcomes' global sequence stamps (a single device,
-    // so device order == global order).
+    // light clients would drain *after* the heavy backlog; under
+    // weighted round-robin they complete within the first rotation. The
+    // completion order is read from the outcomes' global sequence stamps
+    // (a single device, so device order == global order).
     //
     // Six sessions, sequences 0..=5. The first completion is heavy's (it
     // was dispatched while alone). At equal weights both light sessions
-    // finish within the first DRR rotation — positions 1 and 2 — instead
-    // of trailing the heavy backlog at positions 4 and 5. At weight 2
-    // the heavy lane serves twice per rotation, which moves the light
-    // sessions to positions 2 and 3.
-    for (heavy_weight, heavy_positions, light_positions) in
-        [(1, [0, 3, 4, 5], [1, 2]), (2, [0, 1, 4, 5], [2, 3])]
-    {
-        let dir = temp_dir(&format!("fairness-w{heavy_weight}"));
+    // finish within the first rotation — positions 1 and 2 — instead of
+    // trailing the heavy backlog at positions 4 and 5. At weight 2 the
+    // heavy lane serves twice per rotation, which moves the light
+    // sessions to positions 2 and 3. A zero session estimate must not
+    // change the order: fairness counts sessions, not minutes.
+    for (heavy_weight, estimate_windows, heavy_positions, light_positions) in [
+        (1, 8, [0, 3, 4, 5], [1, 2]),
+        (2, 8, [0, 1, 4, 5], [2, 3]),
+        (1, 0, [0, 3, 4, 5], [1, 2]),
+    ] {
+        let tag = format!("fairness-w{heavy_weight}-e{estimate_windows}");
+        let dir = temp_dir(&tag);
         let mut config = config(&dir);
+        config.estimate_windows = estimate_windows;
         config.tenancy.fairness.weights = vec![("heavy".to_string(), heavy_weight)];
         let service = FleetService::open(
             config,
@@ -451,10 +456,10 @@ fn fair_queueing_interleaves_heavy_and_light_tenants() {
         lights.sort_unstable();
         assert_eq!(
             lights, light_positions,
-            "weight {heavy_weight}: light tenants complete inside the first rotation, \
+            "{tag}: light tenants complete inside the first rotation, \
              got {light_seq:?} (heavy {heavy_seq:?})"
         );
-        assert_eq!(heavy_seq, heavy_positions, "weight {heavy_weight}");
+        assert_eq!(heavy_seq, heavy_positions, "{tag}");
         service.shutdown().expect("checkpoint");
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -463,7 +468,7 @@ fn fair_queueing_interleaves_heavy_and_light_tenants() {
 #[test]
 #[should_panic(expected = "fairness weights must be positive")]
 fn a_zero_fairness_weight_is_refused_at_open() {
-    // A zero-weight lane would starve by construction, and the DRR
+    // A zero-weight lane would starve by construction, and the fair
     // queue refuses one with a panic. `open` refuses the config before
     // any thread spawns, so no submission can reach that panic on the
     // reactor thread.
@@ -487,6 +492,24 @@ fn a_non_positive_quota_epoch_is_refused_at_open() {
     let dir = temp_dir("zero-epoch");
     let mut config = config(&dir);
     config.tenancy.quota_epoch_hours = 0.0;
+    let _ = FleetService::open(
+        config,
+        vec![device("fleet-east", 4242)],
+        problem(),
+        SeedStream::new(4242),
+    );
+}
+
+#[test]
+#[should_panic(expected = "circuit_ns must be finite and non-negative")]
+fn a_non_finite_circuit_makespan_is_refused_at_open() {
+    // The session estimate inherits the makespan, and a NaN estimate
+    // would poison quota reservations and admission backlogs on the
+    // reactor thread. `open` refuses the config before any thread
+    // spawns.
+    let dir = temp_dir("nan-makespan");
+    let mut config = config(&dir);
+    config.circuit_ns = f64::NAN;
     let _ = FleetService::open(
         config,
         vec![device("fleet-east", 4242)],

@@ -66,7 +66,7 @@ fn tiny_service(store_dir: &std::path::Path) -> FleetService {
     let service =
         FleetService::open(config, vec![device], problem, SeedStream::new(7)).expect("opens");
     // One completed session populates every array of the report:
-    // devices (always), its DRR lane (registered at enqueue), the
+    // devices (always), its fair-queue lane (created at enqueue), the
     // client's quota usage, its attributed store traffic, and the
     // per-shard metrics.
     let rx = service.submit(SessionRequest {

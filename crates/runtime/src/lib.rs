@@ -4,7 +4,7 @@
 //! about executing the feasible flow at fleet scale that is not quantum
 //! mechanics.
 //!
-//! Nine modules:
+//! Eight modules:
 //!
 //! * [`cost`] — the execution-cost model standing in for the paper's
 //!   Qiskit Runtime measurements (§VI-A, §VIII-D, Fig. 15): per-job
@@ -24,8 +24,6 @@
 //! * [`persist`] — restart survival: a handwritten byte [`persist::Codec`],
 //!   a versioned snapshot + append-only journal, and
 //!   [`persist::DurableStore`] tying both to a sharded store.
-//! * [`fleet`] — [`fleet::DrrQueue`], the deficit-round-robin weighted
-//!   fair queueing policy the live daemon arbitrates each device with.
 //! * [`json`] — the handwritten JSON document builder the structured
 //!   reports (`metrics_report()` dumps, the scenario-matrix grid) render
 //!   through, with the key-path flattening golden-schema tests pin.
@@ -80,7 +78,6 @@
 pub mod backoff;
 pub mod cache;
 pub mod cost;
-pub mod fleet;
 pub mod json;
 pub mod latency;
 pub mod persist;
@@ -92,7 +89,6 @@ pub use cache::{CacheMetrics, ConfigStore};
 pub use cost::{
     AngleTuningMode, BatchDispatch, CostModel, ExecutionTimeBreakdown, WorkloadProfile,
 };
-pub use fleet::{DrrLaneSnapshot, DrrQueue};
 pub use json::JsonValue;
 pub use latency::LatencyHistogram;
 pub use persist::{Codec, CompactionPolicy, DurableStore, RecoveryReport, ShipBatch, ShipCursor};

@@ -31,7 +31,7 @@ impl InvariantOutcome {
     }
 }
 
-/// Checks the deficit-round-robin starvation-freedom bound on one
+/// Checks the fair queue's starvation-freedom bound on one
 /// device's completion order: at every prefix, every client that is
 /// still backlogged has completed at least
 /// `floor(prefix x weight_share) - 1` sessions (equal weights here, so
@@ -302,12 +302,12 @@ mod tests {
     #[test]
     fn fair_window_accepts_drr_and_catches_fifo() {
         let submitted = submitted(&[("heavy", 4), ("light-a", 1), ("light-b", 1), ("light-c", 1)]);
-        // DRR: one heavy session was running when the lights arrived,
-        // then one rotation serves each light.
-        let drr = order(&[
+        // Round-robin: one heavy session was running when the lights
+        // arrived, then one rotation serves each light.
+        let fair = order(&[
             "heavy", "light-a", "light-b", "light-c", "heavy", "heavy", "heavy",
         ]);
-        let out = fair_window(&drr, &submitted, "heavy");
+        let out = fair_window(&fair, &submitted, "heavy");
         assert!(out.pass, "{}", out.detail);
         // FIFO parks the lights at positions 4, 5 and 6, behind the whole
         // heavy backlog; the starvation bound still accepts that order.

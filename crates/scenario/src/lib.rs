@@ -15,7 +15,7 @@
 //! contention phase — and asserts the stack's cross-cutting invariants
 //! per cell ([`invariant`]):
 //!
-//! * **DRR starvation bound** on the contention device's completion
+//! * **starvation bound** on the contention device's completion
 //!   order (every backlogged client keeps its weight share, minus one);
 //! * **fair window** in the bursty cells: every light tenant completes
 //!   inside the first rotation after a heavy backlog, which FIFO fails;

@@ -12,8 +12,8 @@
 //!    then a reopen replays it;
 //! 4. **recovery round** — the warm-hit rate must survive the restart;
 //! 5. **tenant phase** — the cell's [`TenantBehavior`] contends on
-//!    device 0 (asserts the DRR starvation bound, plus the behavior's
-//!    own contract: typed quota rejection, churn quiescence);
+//!    device 0 (asserts the fair queue's starvation bound, plus the
+//!    behavior's own contract: typed quota rejection, churn quiescence);
 //! 6. **final audit** — `metrics_report()` must show a fully drained
 //!    quota ledger whose per-client `completed + rejected` matches the
 //!    harness's submission log.
@@ -461,7 +461,7 @@ fn completion_order(
 }
 
 /// Drives the cell's tenant behavior against device 0 and returns the
-/// behavior's invariant verdicts (always including the DRR starvation
+/// behavior's invariant verdicts (always including the starvation
 /// bound over the phase's completion order, plus the fair window in the
 /// bursty cells).
 fn run_tenant_phase(

@@ -2,7 +2,7 @@
 //! device in a cell's multi-tenant phase.
 
 /// One tenant-mix pattern, driven against a single device so the
-/// deficit-round-robin arbitration is observable in the device's
+/// weighted round-robin arbitration is observable in the device's
 /// serialized completion order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TenantBehavior {
