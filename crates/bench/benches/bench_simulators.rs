@@ -21,10 +21,12 @@
 use criterion::{criterion_group, BenchmarkId as CriterionId, Criterion};
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
+use vaqem::QuantumBackend;
 use vaqem_ansatz::su2::{EfficientSu2, Entanglement};
-use vaqem_bench::alap;
+use vaqem_bench::{alap, rpcload};
 use vaqem_circuit::circuit::QuantumCircuit;
 use vaqem_circuit::gate::Gate;
+use vaqem_circuit::schedule::ScheduledCircuit;
 use vaqem_device::noise::NoiseParameters;
 use vaqem_mathkit::rng::SeedStream;
 use vaqem_mathkit::smallmat::{M2, M4};
@@ -153,6 +155,47 @@ fn bench_machine_trajectories(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fleet fixture's group-0 job: the windowed 3-qubit TFIM at 0.3
+/// angles, scheduled as a fleet session schedules it on
+/// `windowed_device(0, 7077)` under that device's noise at 1 h.
+fn fleet_group0_job() -> (NoiseParameters, ScheduledCircuit) {
+    let problem = rpcload::windowed_problem();
+    let noise = rpcload::windowed_noise(0, 7077, 1.0);
+    let backend = QuantumBackend::new(noise.clone(), SeedStream::new(1));
+    let params = vec![0.3; problem.num_params()];
+    let groups = problem
+        .schedule_groups(&backend, &params)
+        .expect("fixture schedules");
+    (noise, groups.schedules()[0].clone())
+}
+
+/// A serving-size trajectory job: 32 shots of the fleet fixture's 3-qubit
+/// group-0 schedule, the unit a warm session's sweep and guard batches are
+/// made of. `machine_job_setup` times the same job over an empty shot range
+/// (schedule compile, scratch and histogram), so `main` can split the job
+/// into per-job set-up and per-shot time.
+fn bench_machine_serving_job(c: &mut Criterion) {
+    let (noise, s) = fleet_group0_job();
+    let n = s.num_qubits();
+    let seeds = SeedStream::new(1);
+    let exec = MachineExecutor::new(noise.clone(), seeds);
+    let mut group = c.benchmark_group("machine_32_shots");
+    group.bench_with_input(CriterionId::from_parameter(n), &s, |b, s| {
+        b.iter(|| exec.run_job_with_shots(s, 32, 7))
+    });
+    group.finish();
+    let mut group = c.benchmark_group("machine_32_shots_naive");
+    group.bench_with_input(CriterionId::from_parameter(n), &s, |b, s| {
+        b.iter(|| naive::machine_run_job_with_shots(&noise, &seeds, s, 32, 7))
+    });
+    group.finish();
+    let mut group = c.benchmark_group("machine_job_setup");
+    group.bench_with_input(CriterionId::from_parameter(n), &s, |b, s| {
+        b.iter(|| exec.run_job_shot_range(s, 7, 0..0))
+    });
+    group.finish();
+}
+
 /// Markovian density evolution: O(4^n) sub-block sweeps vs O(8^n)
 /// embed-and-multiply.
 fn bench_density(c: &mut Criterion) {
@@ -182,6 +225,7 @@ criterion_group!(
     bench_sv_sample,
     bench_kernels,
     bench_machine_trajectories,
+    bench_machine_serving_job,
     bench_density
 );
 
@@ -322,9 +366,25 @@ fn find_regressions(baseline: &str, rows: &[Row], max_regression: f64) -> Vec<St
     failures
 }
 
+/// Prints the serving-size job's cost split: per-job set-up and per-shot
+/// time, from the `machine_32_shots` and `machine_job_setup` rows.
+fn print_job_split(rows: &[Row]) {
+    let find = |kernel: &str| rows.iter().find(|r| r.kernel == kernel);
+    if let (Some(job), Some(setup)) = (find("machine_32_shots"), find("machine_job_setup")) {
+        println!(
+            "machine_32_shots/{}: {:.1} us per job = {:.1} us set-up + 32 x {:.3} us per shot",
+            job.qubits,
+            job.ns_per_op / 1e3,
+            setup.ns_per_op / 1e3,
+            (job.ns_per_op - setup.ns_per_op) / 32.0 / 1e3,
+        );
+    }
+}
+
 fn main() {
     benches();
     let rows = build_rows(&criterion::drain_measurements());
+    print_job_split(&rows);
     let out = resolve(
         &std::env::var("BENCH_SIMULATORS_OUT").unwrap_or_else(|_| "BENCH_simulators.json".into()),
     );

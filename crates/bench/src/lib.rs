@@ -215,6 +215,15 @@ pub mod rpcload {
         }
     }
 
+    /// The noise a fleet session on [`windowed_device`]`(index, seed)`
+    /// executes under at `t_hours`: the device's drifted noise restricted
+    /// to the windowed register, as the daemon builds it.
+    pub fn windowed_noise(index: usize, seed: u64, t_hours: f64) -> NoiseParameters {
+        let spec = windowed_device(index, seed);
+        let layout: Vec<usize> = (0..WINDOWED_QUBITS).collect();
+        spec.drift.noise_at(&spec.model, t_hours).subset(&layout)
+    }
+
     /// Daemon configuration for the windowed fixture: the full tuner
     /// (real sweeps, guard repeats) over the same store geometry as
     /// [`service_config`], so a replica opened with either fixture's

@@ -95,6 +95,17 @@ pub trait Executor: Send + Sync {
 /// (schedule compilation, scratch allocation) would dominate.
 const MIN_SHOTS_PER_SLICE: u64 = 64;
 
+/// Below this many shots in a whole batch, a machine batch runs on the
+/// calling thread. The vendored pool starts fresh OS threads for every
+/// parallel call, and a second core can at best halve the batch. In four
+/// runs of `bench_executor` on a 2-vCPU x86_64 host, fanning out the fleet
+/// batch shape (`machine_batch_4x{32..512}_shots`) lost to running it
+/// inline at 128 and 256 shots every time and at 512 shots in three runs;
+/// 1,024 shots is the smallest batch at which it won in half the runs.
+/// Serving sessions submit 128- and 192-shot batches, and the figure
+/// binaries' batches are 768 shots or more.
+const MIN_SHOTS_TO_FAN_OUT: u64 = 1024;
+
 impl Executor for MachineExecutor {
     fn substrate(&self) -> &'static str {
         "trajectory-machine"
@@ -108,8 +119,10 @@ impl Executor for MachineExecutor {
         self.run_job_with_shots(scheduled, shots, seed)
     }
 
-    /// Job-level parallelism saturates the machine only when the batch is
-    /// wide. Tuning loops often submit a *few* expensive jobs (sometimes
+    /// A batch under 1,024 shots in all runs on the calling thread:
+    /// starting threads would cost more than they save. Larger batches fan
+    /// out. Job-level parallelism saturates the machine only when the batch
+    /// is wide; tuning loops often submit a *few* expensive jobs (sometimes
     /// one), so when there are fewer jobs than threads this splits each
     /// job's shot range into slices and fans the slices out instead. Every
     /// trajectory's RNG is derived solely from `(job seed, shot index)`
@@ -123,7 +136,13 @@ impl Executor for MachineExecutor {
 /// Shot-splitting batch dispatch for the machine, parameterized on the
 /// thread count so tests can force the split path regardless of the host.
 fn machine_run_batch(exec: &MachineExecutor, jobs: &[Job], threads: usize) -> Vec<Counts> {
-    if jobs.is_empty() || jobs.len() >= threads {
+    if jobs.iter().map(|job| job.shots).sum::<u64>() < MIN_SHOTS_TO_FAN_OUT {
+        return jobs
+            .iter()
+            .map(|job| exec.run_job_with_shots(&job.scheduled, job.shots, job.seed))
+            .collect();
+    }
+    if jobs.len() >= threads {
         return jobs
             .par_iter()
             .map(|job| exec.run_job_with_shots(&job.scheduled, job.shots, job.seed))
@@ -265,7 +284,9 @@ mod tests {
             })
             .collect();
         // Force the split path with a synthetic thread count, so the test
-        // exercises it even on a narrow host.
+        // exercises it even on a narrow host; the batch is big enough to
+        // fan out at all.
+        assert!(jobs.iter().map(|j| j.shots).sum::<u64>() >= MIN_SHOTS_TO_FAN_OUT);
         let batched = machine_run_batch(&exec, &jobs, 8);
         for (job, counts) in jobs.iter().zip(&batched) {
             assert_eq!(
@@ -273,6 +294,22 @@ mod tests {
                 &Executor::run(&exec, &job.scheduled, job.shots, job.seed)
             );
             assert_eq!(counts.total(), job.shots);
+        }
+    }
+
+    /// A batch under the fan-out threshold runs inline and still matches
+    /// the sequential path job for job.
+    #[test]
+    fn small_machine_batch_runs_inline_and_matches_sequential() {
+        let exec = MachineExecutor::new(NoiseParameters::uniform(2), SeedStream::new(22));
+        let jobs = jobs(4);
+        assert!(jobs.iter().map(|j| j.shots).sum::<u64>() < MIN_SHOTS_TO_FAN_OUT);
+        let batched = machine_run_batch(&exec, &jobs, 8);
+        for (job, counts) in jobs.iter().zip(&batched) {
+            assert_eq!(
+                counts,
+                &Executor::run(&exec, &job.scheduled, job.shots, job.seed)
+            );
         }
     }
 

@@ -24,6 +24,7 @@
 //! [`PAR_MIN_AMPS`] amplitudes so small trajectory states never pay the
 //! fork overhead.
 
+use crate::lanes::ZzPhase;
 use vaqem_mathkit::complex::Complex64;
 use vaqem_mathkit::smallmat::{M2, M4};
 
@@ -245,6 +246,18 @@ pub fn mcwf_jump(amps: &mut [Complex64], bit: usize, inv_norm: f64) {
             *a1 = Complex64::ZERO;
         }
         base += stride;
+    }
+}
+
+/// Always-on ZZ couplings: multiplies every amplitude by each coupling's
+/// parity factor in turn (`plus` where its two bits agree, `minus` where
+/// they differ), in one sweep. An amplitude takes the same products in the
+/// same order as one sweep per coupling would give it.
+pub(crate) fn zz_phase(amps: &mut [Complex64], couplings: &[ZzPhase]) {
+    for (i, a) in amps.iter_mut().enumerate() {
+        for zz in couplings {
+            *a *= zz.factor(i);
+        }
     }
 }
 

@@ -33,6 +33,7 @@ pub mod density;
 pub mod exec;
 pub mod fusion;
 pub mod kernels;
+mod lanes;
 pub mod machine;
 pub mod naive;
 pub mod sampling;

@@ -26,24 +26,35 @@
 //!
 //! A job replays one schedule for every shot, so the executor compiles the
 //! schedule once per job (`CompiledSchedule`): gate unitaries are fetched
-//! and unpacked once, the timeline's free-evolution segments (which qubits
-//! have started, per-segment damping/dephasing probabilities, ZZ phases —
-//! all RNG-independent) are resolved up front, and the per-shot loop reuses
-//! one statevector plus scratch buffers (`TrajectoryScratch`) instead of
-//! allocating per trajectory. Runs of same-qubit single-qubit gates with no
-//! free evolution between them (e.g. virtual-RZ clusters) fuse
-//! optimistically into one 2x2 product: per-gate error *draws* still happen
-//! at their original positions in the RNG stream, and a firing error
-//! flushes the accumulated product before the Pauli lands, so the stream is
-//! consumed draw-for-draw exactly as the original per-gate path consumed
-//! it. The original path survives in [`crate::naive`] as the parity oracle.
+//! and unpacked once, and everything about the timeline that no random draw
+//! touches is resolved up front — which qubits have started, per-segment
+//! damping/dephasing probabilities, ZZ phase factors and each segment's
+//! telegraph no-flip threshold, once per distinct segment length.
+//!
+//! Registers of up to [`MAX_LANE_QUBITS`] qubits run [`LANES`] consecutive
+//! shots in lock-step through one step interpreter over a lane-major state
+//! (`sim/lanes.rs`): every gate, phase and damping sweep updates all lanes
+//! at once, while each lane draws from its own `(job, shot)` stream in the
+//! original order. Rare per-lane events — telegraph flips, MCWF jumps,
+//! dephasing flips, gate-error Paulis and the fused product an error
+//! splits — run on that lane alone. Wider registers run the same
+//! interpreter one shot at a time over an ordinary [`StateVector`].
+//!
+//! Runs of same-qubit single-qubit gates with no free evolution between
+//! them (e.g. virtual-RZ clusters) fuse optimistically into one 2x2 product:
+//! per-gate error *draws* still happen at their original positions in the
+//! RNG stream, and a firing error flushes that lane's accumulated product
+//! before the Pauli lands, so the stream is consumed draw-for-draw exactly
+//! as the original per-gate path consumed it. The original path survives in
+//! [`crate::naive`] as the parity oracle.
 
 use crate::counts::Counts;
 use crate::fusion;
-use crate::kernels;
+use crate::lanes::{LaneMajor, LaneState, ZzPhase};
 use crate::statevector::StateVector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 use vaqem_circuit::gate::Gate;
 use vaqem_circuit::schedule::ScheduledCircuit;
 use vaqem_device::noise::NoiseParameters;
@@ -53,6 +64,22 @@ use vaqem_mathkit::Complex64;
 
 /// Default number of shots per execution, matching common IBM submissions.
 pub const DEFAULT_SHOTS: u64 = 2048;
+
+/// Shots a small register runs abreast.
+pub const LANES: usize = 8;
+
+/// The widest register that runs [`LANES`] shots abreast. It covers every
+/// width the fleet fixtures and the scenario matrix serve (2, 3, 4 and 6);
+/// at 64 amplitudes a lane-major state is 8 KiB, still well inside L1.
+pub const MAX_LANE_QUBITS: usize = 6;
+
+/// Relative guard band under a segment's telegraph no-flip threshold. A
+/// draw below `exp(-rate*dt) * (1 - TELEGRAPH_GUARD)` is far enough from the
+/// threshold that `-ln(u)/rate >= dt` holds in floating point whatever the
+/// rounding of `exp`, `ln` and the division (their errors are a few ulp,
+/// i.e. ~1e-16 relative against a 1e-9 margin while `rate*dt < 745`, the
+/// only range where the threshold is non-zero).
+const TELEGRAPH_GUARD: f64 = 1e-9;
 
 /// A noisy trajectory-based executor standing in for a quantum backend.
 #[derive(Debug, Clone)]
@@ -68,6 +95,10 @@ pub struct MachineExecutor {
 struct FreeQubit {
     q: usize,
     telegraph_rate: f64,
+    /// A first telegraph draw below this cannot flip within the segment,
+    /// so its `ln` is skipped (see [`TELEGRAPH_GUARD`]); `0.0` when no draw
+    /// may skip it.
+    no_flip_below: f64,
     /// Amplitude-damping probability scale `1 - exp(-dt/T1)`; `0.0` skips
     /// the damping step (and its RNG draw), matching the original early
     /// return for non-positive gamma.
@@ -80,14 +111,46 @@ struct FreeQubit {
     dephase_p: Option<f64>,
 }
 
+impl FreeQubit {
+    /// Qubit `q`'s parameters over a segment of length `dt`.
+    fn new(q: usize, noise: &NoiseParameters, dt: f64) -> Self {
+        let qn = noise.qubit(q);
+        let gamma = if qn.t1_ns.is_finite() {
+            1.0 - (-dt / qn.t1_ns).exp()
+        } else {
+            0.0
+        };
+        let rate = qn.pure_dephasing_rate();
+        let dephase_p = if rate > 0.0 {
+            Some(0.5 * (1.0 - (-dt * rate).exp()))
+        } else {
+            None
+        };
+        let gamma = gamma.max(0.0);
+        let telegraph_rate = qn.telegraph_rate_per_ns;
+        FreeQubit {
+            q,
+            telegraph_rate,
+            no_flip_below: no_flip_below(telegraph_rate, dt),
+            gamma,
+            damp: (1.0 - gamma).sqrt(),
+            dephase_p,
+        }
+    }
+}
+
 /// One resolved free-evolution stretch of the timeline.
 #[derive(Debug, Clone)]
 struct FreeSegment {
     dt: f64,
+    /// Index of `dt` among the schedule's distinct segment lengths: a
+    /// lane's phase angle repeats across segments of one length until its
+    /// telegraph sign flips, so phases are memoized per length.
+    length: usize,
     /// Started qubits in ascending order (the original iteration order).
     qubits: Vec<FreeQubit>,
-    /// Started coupled pairs with the accumulated angle `zeta * dt`.
-    zz: Vec<(usize, usize, f64)>,
+    /// Started coupled pairs' phase factors for `zeta * dt`, in pair order.
+    zz: Vec<ZzPhase>,
 }
 
 /// One step of the compiled per-job program.
@@ -118,6 +181,8 @@ struct CompiledSchedule {
     sigma: Vec<f64>,
     /// Per-qubit readout flip probabilities `(p01, p10)`.
     readout: Vec<(f64, f64)>,
+    /// Distinct free-segment lengths (see [`FreeSegment::length`]).
+    lengths: usize,
 }
 
 impl CompiledSchedule {
@@ -135,38 +200,36 @@ impl CompiledSchedule {
         let mut steps = Vec::new();
         let mut now = 0.0f64;
         let mut started = vec![false; n];
-        let segment = |dt: f64, started: &[bool]| -> FreeSegment {
-            let qubits = (0..n)
-                .filter(|&q| started[q])
-                .map(|q| {
-                    let qn = noise.qubit(q);
-                    let gamma = if qn.t1_ns.is_finite() {
-                        1.0 - (-dt / qn.t1_ns).exp()
-                    } else {
-                        0.0
-                    };
-                    let rate = qn.pure_dephasing_rate();
-                    let dephase_p = if rate > 0.0 {
-                        Some(0.5 * (1.0 - (-dt * rate).exp()))
-                    } else {
-                        None
-                    };
-                    let gamma = gamma.max(0.0);
-                    FreeQubit {
-                        q,
-                        telegraph_rate: qn.telegraph_rate_per_ns,
-                        gamma,
-                        damp: (1.0 - gamma).sqrt(),
-                        dephase_p,
-                    }
-                })
-                .collect();
-            let zz = zz
-                .iter()
-                .filter(|((a, b), _)| started[*a] && started[*b])
-                .map(|&((a, b), zeta)| (a, b, zeta * dt))
-                .collect();
-            FreeSegment { dt, qubits, zz }
+        // A segment's parameters depend only on its length, so each
+        // distinct length is resolved once for every qubit and coupling,
+        // and a segment keeps the started ones.
+        let mut lengths: Vec<(u64, Vec<FreeQubit>, Vec<ZzPhase>)> = Vec::new();
+        let mut segment = |dt: f64, started: &[bool]| -> FreeSegment {
+            let length = match lengths.iter().position(|(bits, ..)| *bits == dt.to_bits()) {
+                Some(i) => i,
+                None => {
+                    lengths.push((
+                        dt.to_bits(),
+                        (0..n).map(|q| FreeQubit::new(q, noise, dt)).collect(),
+                        zz.iter()
+                            .map(|&((a, b), zeta)| ZzPhase::new(a, b, zeta * dt))
+                            .collect(),
+                    ));
+                    lengths.len() - 1
+                }
+            };
+            let (_, qubits, phases) = &lengths[length];
+            FreeSegment {
+                dt,
+                length,
+                qubits: qubits.iter().filter(|fq| started[fq.q]).cloned().collect(),
+                zz: zz
+                    .iter()
+                    .zip(phases)
+                    .filter(|(((a, b), _), _)| started[*a] && started[*b])
+                    .map(|(_, phase)| *phase)
+                    .collect(),
+            }
         };
         for op in scheduled.ops() {
             if matches!(op.gate, Gate::Barrier) {
@@ -202,6 +265,7 @@ impl CompiledSchedule {
         if tail > 1e-9 {
             steps.push(Step::Free(segment(tail, &started)));
         }
+        let lengths = lengths.len();
         CompiledSchedule {
             num_qubits: n,
             steps,
@@ -214,40 +278,117 @@ impl CompiledSchedule {
                     (qn.readout_p01, qn.readout_p10)
                 })
                 .collect(),
+            lengths,
         }
     }
 }
 
-/// Buffers reused across every shot of a job: the statevector, the
-/// quasi-static environment, and the per-qubit pending fused products.
+/// The Pauli a gate error drew (`1` X, `2` Y, `3` Z).
+fn pauli(which: u8) -> &'static M2 {
+    static PAULIS: OnceLock<[M2; 3]> = OnceLock::new();
+    let paulis = PAULIS.get_or_init(|| {
+        [Gate::X, Gate::Y, Gate::Z].map(|g| fusion::gate_m2(&g).expect("paulis are concrete"))
+    });
+    &paulis[usize::from(which) - 1]
+}
+
+/// One qubit's pending fused run of single-qubit gates. Lanes share one
+/// product until a gate error splits a lane off: that lane has applied the
+/// run up to its Pauli and fuses the rest of the run on its own.
+#[derive(Debug, Clone, Copy)]
+struct PendingRun<const L: usize> {
+    /// The run's product, for every lane that has not split off.
+    shared: Option<M2>,
+    /// Lanes split off the run (bit `l` for lane `l`).
+    split: u32,
+    /// A split lane's product since its error.
+    own: [Option<M2>; L],
+}
+
+impl<const L: usize> PendingRun<L> {
+    const EMPTY: Self = PendingRun {
+        shared: None,
+        split: 0,
+        own: [None; L],
+    };
+
+    /// Appends gate `u` to the run of every lane.
+    fn push(&mut self, u: &M2) {
+        let fuse = |prev: Option<M2>| match prev {
+            Some(prev) => u.mul(&prev),
+            None => *u,
+        };
+        self.shared = Some(fuse(self.shared));
+        let mut split = self.split;
+        while split != 0 {
+            let l = split.trailing_zeros() as usize;
+            self.own[l] = Some(fuse(self.own[l]));
+            split &= split - 1;
+        }
+    }
+
+    /// Takes lane `l`'s pending product, splitting the lane off the run.
+    fn take_lane(&mut self, l: usize) -> Option<M2> {
+        if self.split & (1 << l) != 0 {
+            self.own[l].take()
+        } else {
+            self.split |= 1 << l;
+            self.shared
+        }
+    }
+}
+
+/// Buffers reused across every shot of a job: the lanes' states, their
+/// quasi-static environments, and the per-qubit pending fused runs (each
+/// group ends with every run flushed, so the next starts with none).
 #[derive(Debug)]
-struct TrajectoryScratch {
-    sv: StateVector,
-    detuning: Vec<f64>,
-    telegraph_sign: Vec<f64>,
-    pending: Vec<Option<M2>>,
+struct TrajectoryScratch<S, const L: usize> {
+    state: S,
+    /// Per qubit, each lane's detuning.
+    detuning: Vec<[f64; L]>,
+    /// Per qubit, each lane's telegraph sign.
+    telegraph_sign: Vec<[f64; L]>,
+    /// Per segment length and qubit, each lane's last detuning phase and
+    /// the angle's bits it was computed from. `cis` is a pure function, so
+    /// an entry stays valid for any later shot whose angle matches.
+    phases: Vec<[Option<(u64, Complex64)>; L]>,
+    pending: Vec<PendingRun<L>>,
 }
 
-impl TrajectoryScratch {
-    fn new(num_qubits: usize) -> Self {
+impl<S: LaneState<L>, const L: usize> TrajectoryScratch<S, L> {
+    fn new(compiled: &CompiledSchedule) -> Self {
+        assert!(L <= 32, "a pending run tracks lanes in a u32 mask");
+        let num_qubits = compiled.num_qubits;
         TrajectoryScratch {
-            sv: StateVector::zero_state(num_qubits),
-            detuning: vec![0.0; num_qubits],
-            telegraph_sign: vec![1.0; num_qubits],
-            pending: vec![None; num_qubits],
+            state: S::zero_state(num_qubits),
+            detuning: vec![[0.0; L]; num_qubits],
+            telegraph_sign: vec![[1.0; L]; num_qubits],
+            phases: vec![[None; L]; compiled.lengths * num_qubits],
+            pending: vec![PendingRun::EMPTY; num_qubits],
         }
     }
 
-    /// Applies and clears the pending fused product on `q`, if any.
-    fn flush(&mut self, q: usize) {
-        if let Some(u) = self.pending[q].take() {
-            self.sv.apply_m2(&u, q);
+    /// Applies and clears the pending fused run on `q`: one sweep over all
+    /// lanes while none has split off, lane by lane once one has.
+    fn flush(&mut self, q: usize, active: usize) {
+        let run = &mut self.pending[q];
+        if run.split == 0 {
+            if let Some(u) = run.shared.take() {
+                self.state.apply_m2(&u, q);
+            }
+            return;
         }
+        for l in 0..active {
+            if let Some(u) = run.take_lane(l) {
+                self.state.apply_m2_lane(&u, q, l);
+            }
+        }
+        *run = PendingRun::EMPTY;
     }
 
-    fn flush_all(&mut self) {
+    fn flush_all(&mut self, active: usize) {
         for q in 0..self.pending.len() {
-            self.flush(q);
+            self.flush(q, active);
         }
     }
 }
@@ -344,57 +485,106 @@ impl MachineExecutor {
             "noise parameters must cover the register"
         );
         let compiled = CompiledSchedule::compile(scheduled, &self.noise);
-        let seed_base = self.seeds.child_seed("machine-trajectory");
-        let mut scratch = TrajectoryScratch::new(n);
+        let shots = ShotStreams {
+            seed_base: self.seeds.child_seed("machine-trajectory"),
+            job_index,
+        };
         let mut hist = vec![0u64; 1usize << n];
-        for shot in shot_range {
-            let mut rng = StdRng::seed_from_u64(indexed_seed(
-                seed_base,
-                job_index.wrapping_mul(1_000_003) ^ shot,
-            ));
-            let outcome = run_trajectory(&compiled, &mut scratch, &mut rng);
-            hist[outcome] += 1;
+        if n <= MAX_LANE_QUBITS {
+            run_shots::<LaneMajor<LANES>, LANES>(&compiled, shots, shot_range, &mut hist);
+        } else {
+            run_shots::<StateVector, 1>(&compiled, shots, shot_range, &mut hist);
         }
         Counts::from_index_histogram(n, &hist)
     }
 }
 
-/// Runs one trajectory through a compiled schedule and returns the measured
-/// basis index (with readout error applied). Consumes the RNG stream in
-/// exactly the order of the original per-op path.
-fn run_trajectory(
+/// Where a job's per-shot RNG streams come from.
+#[derive(Debug, Clone, Copy)]
+struct ShotStreams {
+    seed_base: u64,
+    job_index: u64,
+}
+
+impl ShotStreams {
+    /// The seed of shot `shot`'s stream.
+    fn seed(&self, shot: u64) -> u64 {
+        indexed_seed(
+            self.seed_base,
+            self.job_index.wrapping_mul(1_000_003) ^ shot,
+        )
+    }
+}
+
+/// Runs `shot_range` in groups of `L` consecutive shots, lane `l` of a
+/// group being its `l`-th shot, and counts each outcome into `hist`. The
+/// last group may leave lanes idle: their streams are never read and their
+/// outcomes are not counted.
+fn run_shots<S: LaneState<L>, const L: usize>(
     compiled: &CompiledSchedule,
-    scratch: &mut TrajectoryScratch,
-    rng: &mut StdRng,
-) -> usize {
+    streams: ShotStreams,
+    shot_range: std::ops::Range<u64>,
+    hist: &mut [u64],
+) {
+    let mut scratch = TrajectoryScratch::<S, L>::new(compiled);
+    let mut first = shot_range.start;
+    while first < shot_range.end {
+        let active = (shot_range.end - first).min(L as u64) as usize;
+        let mut rngs =
+            std::array::from_fn(|l| StdRng::seed_from_u64(streams.seed(first + l as u64)));
+        let outcomes = run_group(compiled, &mut scratch, &mut rngs, active);
+        for &index in &outcomes[..active] {
+            hist[index] += 1;
+        }
+        first += active as u64;
+    }
+}
+
+/// Runs the first `active` lanes' trajectories through a compiled schedule
+/// in lock-step and returns each lane's measured basis index (with readout
+/// error applied). Lane `l` consumes `rngs[l]` in exactly the order of the
+/// original per-op path.
+fn run_group<S: LaneState<L>, const L: usize>(
+    compiled: &CompiledSchedule,
+    scratch: &mut TrajectoryScratch<S, L>,
+    rngs: &mut [StdRng; L],
+    active: usize,
+) -> [usize; L] {
     let n = compiled.num_qubits;
-    scratch.sv.reset_zero();
+    scratch.state.reset_zero();
 
     // Per-trajectory quasi-static environment.
-    for q in 0..n {
-        scratch.detuning[q] = compiled.sigma[q] * sample_standard_normal(rng);
-        scratch.telegraph_sign[q] = if rng.gen::<bool>() { -1.0 } else { 1.0 };
-        scratch.pending[q] = None;
+    for (l, rng) in rngs[..active].iter_mut().enumerate() {
+        for q in 0..n {
+            scratch.detuning[q][l] = compiled.sigma[q] * sample_standard_normal(rng);
+            scratch.telegraph_sign[q][l] = if rng.gen::<bool>() { -1.0 } else { 1.0 };
+        }
     }
 
     for step in &compiled.steps {
         match step {
             Step::Free(seg) => {
                 // Free evolution does not commute with pending products.
-                scratch.flush_all();
-                free_evolution(seg, scratch, rng);
+                scratch.flush_all(active);
+                free_evolution(seg, scratch, rngs, active);
             }
             Step::Gate1 { q, u, err_p } => {
                 let q = *q;
-                scratch.pending[q] = Some(match scratch.pending[q].take() {
-                    Some(prev) => u.mul(&prev),
-                    None => *u,
-                });
-                if *err_p > 0.0 && rng.gen::<f64>() < *err_p {
-                    // The Pauli lands after this gate: flush the fused run
-                    // up to and including it, then apply the error.
-                    scratch.flush(q);
-                    apply_pauli_index(&mut scratch.sv, q, rng.gen_range(1..4u8));
+                scratch.pending[q].push(u);
+                if *err_p > 0.0 {
+                    let draws = uniform_all(rngs);
+                    for (l, &draw) in draws[..active].iter().enumerate() {
+                        if draw < *err_p {
+                            // The Pauli lands after this gate: flush the
+                            // lane's fused run up to and including it, then
+                            // apply the error.
+                            if let Some(run) = scratch.pending[q].take_lane(l) {
+                                scratch.state.apply_m2_lane(&run, q, l);
+                            }
+                            let pauli = pauli(rngs[l].gen_range(1..4u8));
+                            scratch.state.apply_m2_lane(pauli, q, l);
+                        }
+                    }
                 }
             }
             Step::Gate2 {
@@ -403,44 +593,62 @@ fn run_trajectory(
                 u,
                 err_p,
             } => {
-                scratch.flush(*q_hi);
-                scratch.flush(*q_lo);
-                scratch.sv.apply_m4(u, *q_hi, *q_lo);
-                if *err_p > 0.0 && rng.gen::<f64>() < *err_p {
-                    // Uniform non-identity two-qubit Pauli.
-                    loop {
-                        let (a, b) = (rng.gen_range(0..4u8), rng.gen_range(0..4u8));
-                        if a == 0 && b == 0 {
-                            continue;
+                scratch.flush(*q_hi, active);
+                scratch.flush(*q_lo, active);
+                scratch.state.apply_m4(u, *q_hi, *q_lo);
+                if *err_p > 0.0 {
+                    let draws = uniform_all(rngs);
+                    for (l, &draw) in draws[..active].iter().enumerate() {
+                        if draw < *err_p {
+                            // Uniform non-identity two-qubit Pauli.
+                            let rng = &mut rngs[l];
+                            loop {
+                                let (a, b) = (rng.gen_range(0..4u8), rng.gen_range(0..4u8));
+                                if a == 0 && b == 0 {
+                                    continue;
+                                }
+                                if a != 0 {
+                                    scratch.state.apply_m2_lane(pauli(a), *q_hi, l);
+                                }
+                                if b != 0 {
+                                    scratch.state.apply_m2_lane(pauli(b), *q_lo, l);
+                                }
+                                break;
+                            }
                         }
-                        if a != 0 {
-                            apply_pauli_index(&mut scratch.sv, *q_hi, a);
-                        }
-                        if b != 0 {
-                            apply_pauli_index(&mut scratch.sv, *q_lo, b);
-                        }
-                        break;
                     }
                 }
             }
         }
     }
-    scratch.flush_all();
+    scratch.flush_all(active);
 
-    // Sample the outcome and apply readout flips.
-    let mut index = scratch.sv.sample_index(rng);
+    // Sample the outcomes and apply readout flips.
+    let mut outcomes = [0usize; L];
+    for (l, index) in outcomes[..active].iter_mut().enumerate() {
+        *index = scratch.state.sample_lane(&mut rngs[l], l);
+    }
     for (q, &(p01, p10)) in compiled.readout.iter().enumerate() {
         let bit = 1usize << q;
-        let flip_p = if index & bit != 0 { p10 } else { p01 };
-        if rng.gen::<f64>() < flip_p {
-            index ^= bit;
+        let draws = uniform_all(rngs);
+        for (index, draw) in outcomes[..active].iter_mut().zip(draws) {
+            let flip_p = if *index & bit != 0 { p10 } else { p01 };
+            if draw < flip_p {
+                *index ^= bit;
+            }
         }
     }
-    index
+    outcomes
 }
 
-/// Applies one precompiled free-evolution segment: quasi-static phase with
-/// telegraph switching, T1/T2 stochastic jumps, and ZZ coupling.
+/// `gen::<f64>()` on every lane's stream.
+fn uniform_all<const L: usize>(rngs: &mut [StdRng; L]) -> [f64; L] {
+    rngs.each_mut().map(|rng| rng.gen())
+}
+
+/// Applies one precompiled free-evolution segment to every lane:
+/// quasi-static phase with telegraph switching, T1/T2 stochastic jumps, and
+/// ZZ coupling.
 ///
 /// The detuning phase and the excited-population measurement the damping
 /// draw needs fuse into one half sweep, and both MCWF branches fold their
@@ -453,83 +661,153 @@ fn run_trajectory(
 /// accumulated unit-norm float drift), and every RNG draw happens at the
 /// same stream position with a probability computed from the same sweep
 /// arithmetic.
-fn free_evolution(seg: &FreeSegment, scratch: &mut TrajectoryScratch, rng: &mut StdRng) {
+///
+/// A lane without detuning takes the phase `1`, which leaves every non-zero
+/// amplitude component unchanged bit for bit (only the sign of a zero can
+/// differ, and no count depends on it); in practice the detuning is zero
+/// exactly when the qubit's sigma is, so no lane takes a phase at all.
+fn free_evolution<S: LaneState<L>, const L: usize>(
+    seg: &FreeSegment,
+    scratch: &mut TrajectoryScratch<S, L>,
+    rngs: &mut [StdRng; L],
+    active: usize,
+) {
+    let n = scratch.detuning.len();
+    let state = &mut scratch.state;
     for fq in &seg.qubits {
         let q = fq.q;
         let bit = 1usize << q;
 
-        // Quasi-static phase with telegraph switching: integrate the
-        // signed detuning over dt, flipping the sign at Poisson times.
-        let mut phase = None;
-        if scratch.detuning[q] != 0.0 {
-            let mut remaining = seg.dt;
-            let mut signed_time = 0.0;
+        // Quasi-static phase with telegraph switching. Each lane's signed
+        // time is `sign * dt` unless its first telegraph draw lands above
+        // the no-flip threshold.
+        let detuning = &scratch.detuning[q];
+        let signs = &mut scratch.telegraph_sign[q];
+        let mut phase = [Complex64::ONE; L];
+        let mut any_phase = false;
+        if detuning[..active].iter().any(|&d| d != 0.0) {
+            let mut time: [f64; L] = std::array::from_fn(|l| signs[l] * seg.dt);
             if fq.telegraph_rate > 0.0 {
-                loop {
-                    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                    let next_flip = -u.ln() / fq.telegraph_rate;
-                    if next_flip >= remaining {
-                        signed_time += scratch.telegraph_sign[q] * remaining;
-                        break;
+                for (l, rng) in rngs[..active].iter_mut().enumerate() {
+                    if detuning[l] == 0.0 {
+                        continue;
                     }
-                    signed_time += scratch.telegraph_sign[q] * next_flip;
-                    scratch.telegraph_sign[q] = -scratch.telegraph_sign[q];
-                    remaining -= next_flip;
+                    let first = rng.gen_range(f64::MIN_POSITIVE..1.0);
+                    if first >= fq.no_flip_below {
+                        time[l] = telegraph_time(fq, seg.dt, &mut signs[l], first, rng);
+                    }
                 }
-            } else {
-                signed_time = scratch.telegraph_sign[q] * seg.dt;
             }
-            phase = Some(Complex64::cis(scratch.detuning[q] * signed_time));
+            let memo = &mut scratch.phases[seg.length * n + q];
+            for l in 0..active {
+                if detuning[l] == 0.0 {
+                    continue;
+                }
+                let angle = detuning[l] * time[l];
+                phase[l] = match memo[l] {
+                    Some((bits, z)) if bits == angle.to_bits() => z,
+                    _ => {
+                        let z = Complex64::cis(angle);
+                        memo[l] = Some((angle.to_bits(), z));
+                        z
+                    }
+                };
+                any_phase = true;
+            }
         }
 
         // Amplitude damping as an MCWF jump/no-jump step, with the phase
         // (when present) applied by the same sweep that measures P(|1>).
         if fq.gamma > 0.0 {
-            let amps = scratch.sv.amps_mut();
-            let p1 = match phase {
-                Some(ph) => kernels::phase_and_excited_population(amps, bit, ph),
-                None => kernels::excited_population(amps, bit),
-            };
-            let p_jump = fq.gamma * p1;
-            if rng.gen::<f64>() < p_jump {
-                // Jump: |...1...> -> |...0...>; post-jump norm^2 is p1.
-                let inv = if p1 > 1e-300 { 1.0 / p1.sqrt() } else { 1.0 };
-                kernels::mcwf_jump(amps, bit, inv);
+            let p1 = if any_phase {
+                state.phase_and_population(bit, &phase)
             } else {
-                // No jump: damp the |1> branch; post norm^2 is 1 - p_jump.
-                let inv = 1.0 / (1.0 - p_jump).sqrt();
-                kernels::mcwf_no_jump(amps, bit, inv, fq.damp * inv);
+                state.population(bit)
+            };
+            // No-jump scales for every lane; a lane that jumps keeps 1.
+            let mut scale0 = [0.0; L];
+            let mut scale1 = [0.0; L];
+            for l in 0..L {
+                let inv = 1.0 / (1.0 - fq.gamma * p1[l]).sqrt();
+                scale0[l] = inv;
+                scale1[l] = fq.damp * inv;
             }
-        } else if let Some(ph) = phase {
-            kernels::phase_if_one(scratch.sv.amps_mut(), bit, ph);
+            let draws = uniform_all(rngs);
+            let mut jumps = 0;
+            for l in 0..active {
+                let p_jump = fq.gamma * p1[l];
+                if draws[l] < p_jump {
+                    // Jump: |...1...> -> |...0...>; post-jump norm^2 is p1.
+                    let inv = if p1[l] > 1e-300 {
+                        1.0 / p1[l].sqrt()
+                    } else {
+                        1.0
+                    };
+                    state.mcwf_jump_lane(bit, inv, l);
+                    scale0[l] = 1.0;
+                    scale1[l] = 1.0;
+                    jumps += 1;
+                }
+            }
+            if jumps < active {
+                state.mcwf_no_jump(bit, &scale0, &scale1);
+            }
+        } else if any_phase {
+            state.phase_if_one(bit, &phase);
         }
 
         // Pure dephasing as a stochastic Z flip.
         if let Some(p) = fq.dephase_p {
-            if rng.gen::<f64>() < p {
-                scratch.sv.apply_phase_if_one(std::f64::consts::PI, q);
+            let draws = uniform_all(rngs);
+            for (l, &draw) in draws[..active].iter().enumerate() {
+                if draw < p {
+                    state.phase_if_one_lane(bit, Complex64::cis(std::f64::consts::PI), l);
+                }
             }
         }
     }
     // Always-on ZZ between started pairs.
-    for &(a, b, theta) in &seg.zz {
-        scratch.sv.apply_zz(theta, a, b);
+    if !seg.zz.is_empty() {
+        state.apply_zz(&seg.zz);
     }
 }
 
-fn apply_pauli_index(sv: &mut StateVector, q: usize, which: u8) {
-    let g = match which {
-        1 => Gate::X,
-        2 => Gate::Y,
-        _ => Gate::Z,
-    };
-    sv.apply_gate(&g, &[q]).expect("paulis are concrete");
+/// The telegraph no-flip threshold of a segment (see [`TELEGRAPH_GUARD`]):
+/// a first draw `u` below it has `-ln(u)/rate >= dt`.
+fn no_flip_below(rate: f64, dt: f64) -> f64 {
+    if rate > 0.0 {
+        (-rate * dt).exp() * (1.0 - TELEGRAPH_GUARD)
+    } else {
+        0.0
+    }
+}
+
+/// Integrates one lane's telegraph-signed time over a segment of length
+/// `dt` from a first draw `u` at or above the segment's no-flip threshold,
+/// flipping `sign` at Poisson times and drawing again from `rng` after each
+/// flip: the original draw loop. A first draw under the threshold would
+/// exit it at once with `sign * dt`, so callers skip its `ln`.
+fn telegraph_time(fq: &FreeQubit, dt: f64, sign: &mut f64, mut u: f64, rng: &mut impl Rng) -> f64 {
+    let mut remaining = dt;
+    let mut signed_time = 0.0;
+    loop {
+        let next_flip = -u.ln() / fq.telegraph_rate;
+        if next_flip >= remaining {
+            return signed_time + *sign * remaining;
+        }
+        signed_time += *sign * next_flip;
+        *sign = -*sign;
+        remaining -= next_flip;
+        u = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::naive;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use vaqem_circuit::circuit::QuantumCircuit;
     use vaqem_circuit::schedule::{schedule, DurationModel, ScheduleKind};
     use vaqem_device::noise::QubitNoise;
@@ -608,6 +886,25 @@ mod tests {
         let fast = exec.run_job(&s, 3);
         let slow = naive::machine_run_job_with_shots(&noise, &seeds, &s, 2048, 3);
         assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn telegraph_threshold_never_skips_a_flip() {
+        // The largest draw under the threshold must still exit the flip
+        // loop on its first `ln`. Rates and segment lengths are
+        // log-uniform; without the guard band about one pair in 200 fails.
+        let mut rng = StdRng::seed_from_u64(31);
+        for _ in 0..20_000 {
+            let rate = 10f64.powf(rng.gen_range(-9.0..1.0));
+            let dt = 10f64.powf(rng.gen_range(-8.0..6.0));
+            let below = no_flip_below(rate, dt);
+            if below <= f64::MIN_POSITIVE {
+                continue; // no draw can be under it
+            }
+            let u = f64::from_bits(below.to_bits() - 1);
+            assert!(-u.ln() / rate >= dt, "rate {rate}, dt {dt}");
+        }
+        assert_eq!(no_flip_below(0.0, 35.0), 0.0);
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //! * exact-counts apportionment always totals the requested shots;
 //! * the trajectory machine is deterministic and shot-range splitting
 //!   merges back to the sequential run bit for bit;
+//! * the machine's counts equal the per-op reference trajectory loop on
+//!   both sides of its lane cutoff, under noise that makes every rare
+//!   per-lane event common;
 //! * the density engine's sub-block sweeps match the embed-and-multiply
 //!   originals to 1e-12.
 //!
@@ -26,11 +29,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vaqem_circuit::circuit::QuantumCircuit;
 use vaqem_circuit::schedule::{schedule, DurationModel, ScheduleKind, ScheduledCircuit};
-use vaqem_device::noise::NoiseParameters;
+use vaqem_device::noise::{NoiseParameters, QubitNoise};
 use vaqem_mathkit::c64;
 use vaqem_mathkit::complex::Complex64;
 use vaqem_mathkit::rng::SeedStream;
-use vaqem_sim::machine::MachineExecutor;
+use vaqem_sim::machine::{MachineExecutor, LANES, MAX_LANE_QUBITS};
 use vaqem_sim::statevector::StateVector;
 use vaqem_sim::{density, naive};
 
@@ -175,6 +178,33 @@ proptest! {
     }
 }
 
+/// Noise under which every rare trajectory event is common: telegraph flips
+/// within a gate slot, amplitude-damping jumps (T1 of a few segments),
+/// dephasing flips, gate-error Paulis on one gate in five (splitting fused
+/// runs), ZZ on every pair, and qubits with no quasi-static detuning beside
+/// ones with a strong one.
+fn eventful_noise(n: usize) -> NoiseParameters {
+    let qubits = (0..n)
+        .map(|q| QubitNoise {
+            t1_ns: 400.0,
+            t2_ns: 500.0,
+            quasi_static_sigma_rad_ns: if q % 3 == 1 { 0.0 } else { 4.0e-3 },
+            telegraph_rate_per_ns: 1.0e-3,
+            readout_p01: 0.05,
+            readout_p10: 0.08,
+            gate_error_1q: 0.2,
+        })
+        .collect();
+    let mut noise = NoiseParameters::from_qubits(qubits);
+    for a in 0..n {
+        for b in a + 1..n {
+            noise.set_zz(a, b, 5.0e-4);
+            noise.set_cx_error(a, b, 0.2);
+        }
+    }
+    noise
+}
+
 proptest! {
     // Trajectory properties run whole shot loops per case, so fewer cases.
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -200,5 +230,31 @@ proptest! {
         let mut merged = exec.run_job_shot_range(&s, job, 0..k);
         merged.merge(&exec.run_job_shot_range(&s, job, k..shots));
         prop_assert_eq!(&full, &merged);
+    }
+
+    #[test]
+    fn trajectory_lanes_match_naive_reference_at_every_split(
+        n in 1usize..MAX_LANE_QUBITS + 2,
+        ops in collection::vec(op_strategy(), 1..12),
+        groups in 0u64..4,
+        rest in 1u64..LANES as u64,
+        job in 0u64..32,
+    ) {
+        // Registers up to the cutoff run lanes abreast, one wider runs one
+        // shot at a time; shot counts leave the last lane group part-full.
+        let shots = groups * LANES as u64 + rest;
+        let s = sched(&build_circuit(n, &ops));
+        let noise = eventful_noise(n);
+        let seeds = SeedStream::new(4321);
+        let exec = MachineExecutor::new(noise.clone(), seeds);
+        let full = exec.run_job_with_shots(&s, shots, job);
+        let reference = naive::machine_run_job_with_shots(&noise, &seeds, &s, shots, job);
+        prop_assert_eq!(&full, &reference);
+        // Every split point, so ranges start and end mid-group.
+        for k in 0..=shots {
+            let mut merged = exec.run_job_shot_range(&s, job, 0..k);
+            merged.merge(&exec.run_job_shot_range(&s, job, k..shots));
+            prop_assert_eq!(&full, &merged);
+        }
     }
 }
