@@ -31,7 +31,7 @@ use vaqem_device::noise::NoiseParameters;
 use vaqem_mathkit::rng::SeedStream;
 use vaqem_mathkit::smallmat::{M2, M4};
 use vaqem_sim::density::run_markovian;
-use vaqem_sim::machine::MachineExecutor;
+use vaqem_sim::machine::{LaneBuild, MachineExecutor};
 use vaqem_sim::naive;
 use vaqem_sim::statevector::StateVector;
 
@@ -382,6 +382,12 @@ fn print_job_split(rows: &[Row]) {
 }
 
 fn main() {
+    // The machine rows run the widest trajectory lane build this CPU
+    // supports; their ratios depend on it.
+    println!(
+        "trajectory lane interpreter: {} build",
+        LaneBuild::detected().name()
+    );
     benches();
     let rows = build_rows(&criterion::drain_measurements());
     print_job_split(&rows);

@@ -3,7 +3,10 @@
 //! The simulator crates in this workspace need a small, fast, dependency-free
 //! complex type. [`Complex64`] is a `#[repr(C)]` pair of `f64`s with the full
 //! arithmetic surface required by quantum state evolution: ring operations,
-//! conjugation, modulus, polar form and the complex exponential.
+//! conjugation, modulus, polar form and the complex exponential. The
+//! operations the trajectory simulator's lane sweeps use are
+//! `#[inline(always)]`, so that each CPU-specific build of those sweeps
+//! compiles them for its own vector unit.
 //!
 //! # Examples
 //!
@@ -39,7 +42,7 @@ impl Complex64 {
     pub const I: Complex64 = Complex64 { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from its real and imaginary parts.
-    #[inline]
+    #[inline(always)]
     pub const fn new(re: f64, im: f64) -> Self {
         Complex64 { re, im }
     }
@@ -51,13 +54,13 @@ impl Complex64 {
     }
 
     /// Creates a complex number from polar coordinates `r * e^{i*theta}`.
-    #[inline]
+    #[inline(always)]
     pub fn from_polar(r: f64, theta: f64) -> Self {
         Complex64::new(r * theta.cos(), r * theta.sin())
     }
 
     /// Returns `e^{i*theta}`, a unit-modulus phase factor.
-    #[inline]
+    #[inline(always)]
     pub fn cis(theta: f64) -> Self {
         Complex64::from_polar(1.0, theta)
     }
@@ -71,7 +74,7 @@ impl Complex64 {
     /// Squared modulus `|z|^2 = re^2 + im^2`.
     ///
     /// For quantum amplitudes this is the Born-rule probability weight.
-    #[inline]
+    #[inline(always)]
     pub fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
@@ -106,7 +109,7 @@ impl Complex64 {
     }
 
     /// Scales by a real factor.
-    #[inline]
+    #[inline(always)]
     pub fn scale(self, s: f64) -> Self {
         Complex64::new(self.re * s, self.im * s)
     }
@@ -142,7 +145,7 @@ impl fmt::Display for Complex64 {
 
 impl Add for Complex64 {
     type Output = Complex64;
-    #[inline]
+    #[inline(always)]
     fn add(self, rhs: Complex64) -> Complex64 {
         Complex64::new(self.re + rhs.re, self.im + rhs.im)
     }
@@ -150,7 +153,7 @@ impl Add for Complex64 {
 
 impl Sub for Complex64 {
     type Output = Complex64;
-    #[inline]
+    #[inline(always)]
     fn sub(self, rhs: Complex64) -> Complex64 {
         Complex64::new(self.re - rhs.re, self.im - rhs.im)
     }
@@ -158,7 +161,7 @@ impl Sub for Complex64 {
 
 impl Mul for Complex64 {
     type Output = Complex64;
-    #[inline]
+    #[inline(always)]
     fn mul(self, rhs: Complex64) -> Complex64 {
         Complex64::new(
             self.re * rhs.re - self.im * rhs.im,
@@ -178,7 +181,7 @@ impl Div for Complex64 {
 
 impl Mul<f64> for Complex64 {
     type Output = Complex64;
-    #[inline]
+    #[inline(always)]
     fn mul(self, rhs: f64) -> Complex64 {
         self.scale(rhs)
     }
@@ -209,7 +212,7 @@ impl Neg for Complex64 {
 }
 
 impl AddAssign for Complex64 {
-    #[inline]
+    #[inline(always)]
     fn add_assign(&mut self, rhs: Complex64) {
         self.re += rhs.re;
         self.im += rhs.im;
@@ -225,14 +228,14 @@ impl SubAssign for Complex64 {
 }
 
 impl MulAssign for Complex64 {
-    #[inline]
+    #[inline(always)]
     fn mul_assign(&mut self, rhs: Complex64) {
         *self = *self * rhs;
     }
 }
 
 impl MulAssign<f64> for Complex64 {
-    #[inline]
+    #[inline(always)]
     fn mul_assign(&mut self, rhs: f64) {
         self.re *= rhs;
         self.im *= rhs;

@@ -131,10 +131,20 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Samples a standard normal variate via Box-Muller.
+/// Samples a standard normal variate via Box-Muller, from the uniforms
+/// `rng.gen_range(f64::MIN_POSITIVE..1.0)` and `rng.gen::<f64>()` in that
+/// order (see [`box_muller`]).
 pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen();
+    box_muller(u1, u2)
+}
+
+/// The standard normal variate Box-Muller maps `u1` in `(0, 1)` and `u2`
+/// in `[0, 1)` to: the arithmetic of [`sample_standard_normal`], for
+/// callers that draw the uniforms themselves.
+#[inline(always)]
+pub fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 

@@ -62,6 +62,7 @@ impl M2 {
     }
 
     /// Matrix product `self * rhs` (apply `rhs` first, then `self`).
+    #[inline(always)]
     pub fn mul(&self, rhs: &M2) -> M2 {
         let a = &self.m;
         let b = &rhs.m;

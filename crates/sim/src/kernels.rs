@@ -15,44 +15,18 @@
 //! the property `tests/sim_kernel_props.rs` pins against the preserved
 //! naive implementations in [`crate::naive`].
 //!
-//! For large states the pair space is split recursively with
-//! [`rayon::join`] into contiguous disjoint sub-slices (amplitude
-//! parallelism *inside* one job, complementing the across-job parallelism
-//! of the core executor). Since each amplitude group is written by exactly
-//! one task and the per-group arithmetic is unchanged, the parallel path
-//! is bit-identical to the sequential one. Parallelism engages only above
-//! [`PAR_MIN_AMPS`] amplitudes so small trajectory states never pay the
-//! fork overhead.
+//! Every sweep runs on the calling thread. Parallelism lives across jobs
+//! and shot ranges (the core executor's batch fan-out), not inside one
+//! state: no workload simulates more than 10 qubits, far below the size
+//! where splitting a sweep over threads pays for starting them.
 
 use crate::lanes::ZzPhase;
 use vaqem_mathkit::complex::Complex64;
 use vaqem_mathkit::smallmat::{M2, M4};
 
-/// Minimum state length (amplitudes) before kernels fork across threads.
-pub const PAR_MIN_AMPS: usize = 1 << 16;
-
-/// Smallest contiguous sub-slice a parallel split will hand one task.
-pub const PAR_GRAIN: usize = 1 << 14;
-
-/// Whether the parallel path can pay off at all: forking on a single-thread
-/// pool only adds scheduling overhead, so such hosts always run sequential.
-#[inline]
-fn pool_is_parallel() -> bool {
-    rayon::current_num_threads() > 1
-}
-
-/// Applies a 2x2 matrix to the pairs selected by `bit`, choosing the
-/// parallel path for large states.
+/// Applies a 2x2 matrix to the `(|0>, |1>)` pairs selected by `bit`: a
+/// sweep over the half index space.
 pub fn apply_m2(amps: &mut [Complex64], bit: usize, u: &M2) {
-    if amps.len() >= PAR_MIN_AMPS && pool_is_parallel() {
-        apply_m2_par(amps, bit, u, PAR_GRAIN);
-    } else {
-        apply_m2_seq(amps, bit, u);
-    }
-}
-
-/// Sequential single-qubit sweep over the half index space.
-pub(crate) fn apply_m2_seq(amps: &mut [Complex64], bit: usize, u: &M2) {
     let [u00, u01, u10, u11] = u.m;
     let stride = bit << 1;
     let mut base = 0;
@@ -68,62 +42,10 @@ pub(crate) fn apply_m2_seq(amps: &mut [Complex64], bit: usize, u: &M2) {
     }
 }
 
-/// Recursive parallel split along contiguous block boundaries.
-pub(crate) fn apply_m2_par(amps: &mut [Complex64], bit: usize, u: &M2, grain: usize) {
-    let stride = bit << 1;
-    if amps.len() > stride && amps.len() > grain {
-        let mid = amps.len() / 2;
-        let (a, b) = amps.split_at_mut(mid);
-        rayon::join(
-            || apply_m2_par(a, bit, u, grain),
-            || apply_m2_par(b, bit, u, grain),
-        );
-    } else if amps.len() == stride && amps.len() > grain {
-        // A single block: pairs span the two halves, so zip-split them.
-        let (lo, hi) = amps.split_at_mut(bit);
-        apply_m2_zip_par(lo, hi, u, grain);
-    } else {
-        apply_m2_seq(amps, bit, u);
-    }
-}
-
-fn apply_m2_zip_par(lo: &mut [Complex64], hi: &mut [Complex64], u: &M2, grain: usize) {
-    if lo.len() > grain {
-        let mid = lo.len() / 2;
-        let (l0, l1) = lo.split_at_mut(mid);
-        let (h0, h1) = hi.split_at_mut(mid);
-        rayon::join(
-            || apply_m2_zip_par(l0, h0, u, grain),
-            || apply_m2_zip_par(l1, h1, u, grain),
-        );
-        return;
-    }
-    let [u00, u01, u10, u11] = u.m;
-    for (a0, a1) in lo.iter_mut().zip(hi.iter_mut()) {
-        let x0 = *a0;
-        let x1 = *a1;
-        *a0 = u00 * x0 + u01 * x1;
-        *a1 = u10 * x0 + u11 * x1;
-    }
-}
-
 /// Applies a 4x4 matrix to the quadruples selected by `(bit_hi, bit_lo)`
-/// (gate-space meaning: `bit_hi` is the more significant gate operand),
-/// choosing the parallel path for large states.
+/// (gate-space meaning: `bit_hi` is the more significant gate operand): a
+/// sweep over the quarter index space.
 pub fn apply_m4(amps: &mut [Complex64], bit_hi: usize, bit_lo: usize, u: &M4) {
-    let big = bit_hi.max(bit_lo);
-    if amps.len() >= PAR_MIN_AMPS && amps.len() > big << 1 && pool_is_parallel() {
-        apply_m4_par(amps, bit_hi, bit_lo, u, PAR_GRAIN);
-    } else {
-        apply_m4_seq(amps, bit_hi, bit_lo, u);
-    }
-}
-
-/// Sequential two-qubit sweep over the quarter index space. `amps` must be
-/// an aligned window whose length is a multiple of `2 * max(bit)` (the full
-/// state always qualifies), so every quadruple lies inside it and indices
-/// can be window-relative.
-fn apply_m4_seq(amps: &mut [Complex64], bit_hi: usize, bit_lo: usize, u: &M4) {
     let small = bit_hi.min(bit_lo);
     let big = bit_hi.max(bit_lo);
     let groups = amps.len() >> 2;
@@ -146,23 +68,6 @@ fn apply_m4_seq(amps: &mut [Complex64], bit_hi: usize, bit_lo: usize, u: &M4) {
             amps[i] = acc;
         }
     }
-}
-
-/// Recursive parallel split along `2 * max(bit)` block boundaries. Halving
-/// a power-of-two window keeps sub-windows aligned, so the sequential
-/// kernel's window-relative enumeration stays valid at every leaf.
-fn apply_m4_par(amps: &mut [Complex64], bit_hi: usize, bit_lo: usize, u: &M4, grain: usize) {
-    let big_stride = bit_hi.max(bit_lo) << 1;
-    if amps.len() > big_stride && amps.len() > grain {
-        let mid = amps.len() / 2;
-        let (a, b) = amps.split_at_mut(mid);
-        rayon::join(
-            || apply_m4_par(a, bit_hi, bit_lo, u, grain),
-            || apply_m4_par(b, bit_hi, bit_lo, u, grain),
-        );
-        return;
-    }
-    apply_m4_seq(amps, bit_hi, bit_lo, u);
 }
 
 /// Multiplies every amplitude whose `bit` is set by `phase`, iterating the
@@ -413,39 +318,6 @@ mod tests {
         (0..1usize << n)
             .map(|_| c64(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
             .collect()
-    }
-
-    #[test]
-    fn parallel_m2_is_bit_identical_to_sequential() {
-        let u = M2::from_cmatrix(&gates2x2::ry(0.83));
-        for n in [6usize, 9] {
-            for q in 0..n {
-                let mut a = random_state(n, 42 + q as u64);
-                let mut b = a.clone();
-                apply_m2_seq(&mut a, 1 << q, &u);
-                // Tiny grain forces deep splits including the zip path.
-                apply_m2_par(&mut b, 1 << q, &u, 8);
-                assert_eq!(a, b, "qubit {q} of {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_m4_is_bit_identical_to_sequential() {
-        let u = M4::from_cmatrix(&gates2x2::rx(0.4).kron(&gates2x2::hadamard()));
-        let n = 8usize;
-        for qh in 0..n {
-            for ql in 0..n {
-                if qh == ql {
-                    continue;
-                }
-                let mut a = random_state(n, 7);
-                let mut b = a.clone();
-                apply_m4_seq(&mut a, 1 << qh, 1 << ql, &u);
-                apply_m4_par(&mut b, 1 << qh, 1 << ql, &u, 16);
-                assert_eq!(a, b, "pair ({qh},{ql})");
-            }
-        }
     }
 
     fn random_matrix(n: usize, seed: u64) -> vaqem_mathkit::matrix::CMatrix {

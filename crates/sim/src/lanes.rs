@@ -13,7 +13,7 @@
 //!   sweep walks the index space once and updates all lanes with the same
 //!   gate coefficients.
 //! * [`StateVector`] — one lane in the ordinary layout, through the
-//!   sweeps in [`crate::kernels`] (amplitude-parallel for large states).
+//!   sweeps in [`crate::kernels`].
 //!
 //! Every lane performs the *same arithmetic in the same order* as the
 //! single-trajectory kernels: each sweep is the [`Complex64`] expression of
@@ -21,7 +21,12 @@
 //! place (which the compiler vectorizes across lanes), sums keep their
 //! association, and Rust never contracts `a * b + c` into a fused
 //! multiply-add. A lane's amplitudes are therefore bit-identical to the
-//! single-trajectory state it stands for.
+//! single-trajectory state it stands for, whatever vector width the
+//! compiler picks.
+//!
+//! [`LaneMajor`]'s sweeps are `#[inline(always)]` so that each build of the
+//! lane interpreter (`machine::LaneBuild`) compiles them for its own
+//! vector unit.
 //!
 //! [`ZzPhase`] is a segment's ZZ coupling with its phase factors resolved
 //! once per job.
@@ -157,6 +162,7 @@ impl<const L: usize> LaneMajor<L> {
 }
 
 impl<const L: usize> LaneState<L> for LaneMajor<L> {
+    #[inline(always)]
     fn zero_state(num_qubits: usize) -> Self {
         let mut state = LaneMajor {
             amps: vec![LaneAmp::ZERO; 1 << num_qubits],
@@ -165,11 +171,13 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         state
     }
 
+    #[inline(always)]
     fn reset_zero(&mut self) {
         self.amps.fill(LaneAmp::ZERO);
         self.amps[0].re = [1.0; L];
     }
 
+    #[inline(always)]
     fn apply_m2(&mut self, u: &M2, q: usize) {
         self.for_pairs(1 << q, |a0, a1| {
             for l in 0..L {
@@ -178,10 +186,12 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         });
     }
 
+    #[inline(always)]
     fn apply_m2_lane(&mut self, u: &M2, q: usize, lane: usize) {
         self.for_pairs(1 << q, |a0, a1| m2_lane(u, a0, a1, lane));
     }
 
+    #[inline(always)]
     fn apply_m4(&mut self, u: &M4, q_hi: usize, q_lo: usize) {
         let (bit_hi, bit_lo) = (1usize << q_hi, 1usize << q_lo);
         let small = bit_hi.min(bit_lo);
@@ -207,6 +217,7 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         }
     }
 
+    #[inline(always)]
     fn phase_and_population(&mut self, bit: usize, phase: &[Complex64; L]) -> [f64; L] {
         let mut acc = [0.0; L];
         self.for_pairs(bit, |_, a| {
@@ -219,6 +230,7 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         acc
     }
 
+    #[inline(always)]
     fn population(&self, bit: usize) -> [f64; L] {
         let mut acc = [0.0; L];
         for block in self.amps.chunks_exact(bit << 1) {
@@ -231,6 +243,7 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         acc
     }
 
+    #[inline(always)]
     fn phase_if_one(&mut self, bit: usize, phase: &[Complex64; L]) {
         self.for_pairs(bit, |_, a| {
             for (l, &z) in phase.iter().enumerate() {
@@ -239,10 +252,12 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         });
     }
 
+    #[inline(always)]
     fn phase_if_one_lane(&mut self, bit: usize, phase: Complex64, lane: usize) {
         self.for_pairs(bit, |_, a| a.set(lane, a.get(lane) * phase));
     }
 
+    #[inline(always)]
     fn mcwf_no_jump(&mut self, bit: usize, scale0: &[f64; L], scale1: &[f64; L]) {
         self.for_pairs(bit, |a0, a1| {
             for l in 0..L {
@@ -254,6 +269,7 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         });
     }
 
+    #[inline(always)]
     fn mcwf_jump_lane(&mut self, bit: usize, inv_norm: f64, lane: usize) {
         self.for_pairs(bit, |a0, a1| {
             a0.re[lane] = a1.re[lane] * inv_norm;
@@ -263,6 +279,7 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         });
     }
 
+    #[inline(always)]
     fn apply_zz(&mut self, couplings: &[ZzPhase]) {
         for (i, a) in self.amps.iter_mut().enumerate() {
             for zz in couplings {
@@ -274,6 +291,7 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         }
     }
 
+    #[inline(always)]
     fn sample_lane<R: Rng>(&self, rng: &mut R, lane: usize) -> usize {
         let r: f64 = rng.gen();
         let mut acc = 0.0;
@@ -354,7 +372,7 @@ mod tests {
     use vaqem_circuit::gate::Gate;
     use vaqem_mathkit::c64;
 
-    const L: usize = 4;
+    const L: usize = crate::machine::LANES;
 
     /// Lane-major states whose lanes hold distinct random amplitudes, and
     /// the same lanes as ordinary state vectors.
@@ -395,31 +413,37 @@ mod tests {
             m: std::array::from_fn(|_| c64(entries.gen::<f64>() - 0.5, entries.gen::<f64>() - 0.5)),
         };
         let phases: [Complex64; L] = std::array::from_fn(|l| Complex64::cis(0.3 + l as f64));
+        // Distinct no-jump scales per lane, one lane left unscaled.
+        let scale0: [f64; L] = std::array::from_fn(|l| 0.8 + 0.05 * l as f64);
+        let scale1: [f64; L] =
+            std::array::from_fn(|l| if l == 2 { 1.0 } else { 0.55 + 0.03 * l as f64 });
         let zz = [ZzPhase::new(1, 3, 0.77), ZzPhase::new(0, 2, -0.31)];
+        // The one-lane sweeps hit a lane in the first vector, one in the
+        // middle and the last.
+        let (m2_lane, phase_lane, jump_lane) = (2, L / 2 + 1, L - 1);
         for q in 0..n {
             let bit = 1 << q;
             let (mut lanes, mut svs) = random_lanes(n, 40 + q as u64);
             lanes.apply_m2(&u2, q);
-            lanes.apply_m2_lane(&u2, q, 2);
+            lanes.apply_m2_lane(&u2, q, m2_lane);
             let pop = lanes.phase_and_population(bit, &phases);
-            lanes.phase_if_one_lane(bit, Complex64::cis(std::f64::consts::PI), 1);
-            lanes.mcwf_no_jump(bit, &[1.1, 0.9, 1.0, 1.3], &[0.7, 0.8, 1.0, 0.6]);
-            lanes.mcwf_jump_lane(bit, 1.7, 3);
+            lanes.phase_if_one_lane(bit, Complex64::cis(std::f64::consts::PI), phase_lane);
+            lanes.mcwf_no_jump(bit, &scale0, &scale1);
+            lanes.mcwf_jump_lane(bit, 1.7, jump_lane);
             lanes.apply_m4(&u4, q, (q + 2) % n);
             lanes.apply_zz(&zz);
             for (l, sv) in svs.iter_mut().enumerate() {
                 LaneState::apply_m2(sv, &u2, q);
-                if l == 2 {
+                if l == m2_lane {
                     LaneState::apply_m2(sv, &u2, q);
                 }
                 let p = LaneState::phase_and_population(sv, bit, &[phases[l]]);
                 assert_eq!(p[0], pop[l], "population, lane {l}");
-                if l == 1 {
+                if l == phase_lane {
                     sv.phase_if_one_lane(bit, Complex64::cis(std::f64::consts::PI), 0);
                 }
-                let s = [[1.1, 0.7], [0.9, 0.8], [1.0, 1.0], [1.3, 0.6]][l];
-                LaneState::mcwf_no_jump(sv, bit, &[s[0]], &[s[1]]);
-                if l == 3 {
+                LaneState::mcwf_no_jump(sv, bit, &[scale0[l]], &[scale1[l]]);
+                if l == jump_lane {
                     sv.mcwf_jump_lane(bit, 1.7, 0);
                 }
                 LaneState::apply_m4(sv, &u4, q, (q + 2) % n);

@@ -21,8 +21,7 @@
 //! all three substrates interchangeably.
 //!
 //! The hot paths of all three engines run through shared infrastructure:
-//! [`kernels`] (half/quarter-index-space amplitude sweeps, parallel for
-//! large states), [`fusion`] (single-qubit gate fusion and unpacked gate
+//! [`kernels`] (half/quarter-index-space amplitude sweeps), [`fusion`] (single-qubit gate fusion and unpacked gate
 //! matrices), and [`sampling`] (build-once CDF shot sampling). [`naive`]
 //! preserves the original implementations as the parity oracle and the
 //! benchmark baseline.

@@ -34,11 +34,21 @@
 //! Registers of up to [`MAX_LANE_QUBITS`] qubits run [`LANES`] consecutive
 //! shots in lock-step through one step interpreter over a lane-major state
 //! (`sim/lanes.rs`): every gate, phase and damping sweep updates all lanes
-//! at once, while each lane draws from its own `(job, shot)` stream in the
-//! original order. Rare per-lane events — telegraph flips, MCWF jumps,
-//! dephasing flips, gate-error Paulis and the fused product an error
+//! at once. The lanes draw from a lane-major generator ([`LaneRng`]): one
+//! vector step makes every draw all lanes make, and a one-lane view serves
+//! the rest, so each lane still consumes its own `(job, shot)` stream in the
+//! original order. The lanes an event selects come from one vector compare
+//! as a bit mask, and the rare per-lane events — telegraph flips, MCWF
+//! jumps, dephasing flips, gate-error Paulis and the fused product an error
 //! splits — run on that lane alone. Wider registers run the same
 //! interpreter one shot at a time over an ordinary [`StateVector`].
+//!
+//! The lane interpreter is compiled three times ([`LaneBuild`]): for
+//! AVX-512 and for AVX2 with FMA, both at [`LANES`] lanes, and for the
+//! target's default features at eight. The widest build the CPU supports
+//! runs every job. All three compute the same bits: every lane does the
+//! one-shot arithmetic, and Rust never contracts a multiply and an add
+//! into a fused multiply-add.
 //!
 //! Runs of same-qubit single-qubit gates with no free evolution between
 //! them (e.g. virtual-RZ clusters) fuse optimistically into one 2x2 product:
@@ -52,25 +62,32 @@ use crate::counts::Counts;
 use crate::fusion;
 use crate::lanes::{LaneMajor, LaneState, ZzPhase};
 use crate::statevector::StateVector;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::rngs::LaneRng;
+use rand::Rng;
+use std::ops::Range;
 use std::sync::OnceLock;
-use vaqem_circuit::gate::Gate;
+use vaqem_circuit::gate::{Angle, Gate};
 use vaqem_circuit::schedule::ScheduledCircuit;
 use vaqem_device::noise::NoiseParameters;
-use vaqem_mathkit::rng::{indexed_seed, sample_standard_normal, SeedStream};
+use vaqem_mathkit::rng::{box_muller, indexed_seed, SeedStream};
 use vaqem_mathkit::smallmat::{M2, M4};
 use vaqem_mathkit::Complex64;
 
 /// Default number of shots per execution, matching common IBM submissions.
 pub const DEFAULT_SHOTS: u64 = 2048;
 
-/// Shots a small register runs abreast.
-pub const LANES: usize = 8;
+/// Shots a small register runs abreast on the AVX2 and AVX-512 builds: two
+/// AVX-512 vectors of `f64` per amplitude component.
+pub const LANES: usize = 16;
 
-/// The widest register that runs [`LANES`] shots abreast. It covers every
-/// width the fleet fixtures and the scenario matrix serve (2, 3, 4 and 6);
-/// at 64 amplitudes a lane-major state is 8 KiB, still well inside L1.
+/// Shots a small register runs abreast on the default build. At two `f64`
+/// per vector operation, sixteen lanes ran 6-qubit jobs about 15% slower
+/// than eight.
+const DEFAULT_BUILD_LANES: usize = 8;
+
+/// The widest register that runs shots abreast. It covers every width the
+/// fleet fixtures and the scenario matrix serve (2, 3, 4 and 6); at 64
+/// amplitudes a sixteen-lane state is 16 KiB.
 pub const MAX_LANE_QUBITS: usize = 6;
 
 /// Relative guard band under a segment's telegraph no-flip threshold. A
@@ -87,6 +104,63 @@ pub struct MachineExecutor {
     noise: NoiseParameters,
     seeds: SeedStream,
     shots: u64,
+}
+
+/// A build of the lane interpreter. Each is the same code compiled for
+/// wider vector units; the widest one the CPU supports
+/// ([`LaneBuild::detected`]) runs every small-register job. The AVX builds
+/// run [`LANES`] shots abreast, the default build eight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneBuild {
+    /// x86-64 with AVX-512 F, VL and DQ: eight `f64` per vector operation.
+    Avx512,
+    /// x86-64 with AVX2 and FMA: four `f64` per vector operation.
+    Avx2,
+    /// The target's default features (SSE2 on x86-64): two `f64` per
+    /// vector operation. The only build on other architectures.
+    Default,
+}
+
+impl LaneBuild {
+    /// Every build, widest first.
+    pub const ALL: [LaneBuild; 3] = [LaneBuild::Avx512, LaneBuild::Avx2, LaneBuild::Default];
+
+    /// The build's name, as benchmark reports print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            LaneBuild::Avx512 => "avx512",
+            LaneBuild::Avx2 => "avx2",
+            LaneBuild::Default => "default",
+        }
+    }
+
+    /// Whether this CPU has every feature the build is compiled for.
+    pub fn is_supported(self) -> bool {
+        match self {
+            LaneBuild::Default => true,
+            #[cfg(target_arch = "x86_64")]
+            LaneBuild::Avx512 => {
+                is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512vl")
+                    && is_x86_feature_detected!("avx512dq")
+            }
+            #[cfg(target_arch = "x86_64")]
+            LaneBuild::Avx2 => is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"),
+            #[cfg(not(target_arch = "x86_64"))]
+            LaneBuild::Avx512 | LaneBuild::Avx2 => false,
+        }
+    }
+
+    /// The widest build this CPU supports, chosen once per process.
+    pub fn detected() -> LaneBuild {
+        static DETECTED: OnceLock<LaneBuild> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            LaneBuild::ALL
+                .into_iter()
+                .find(|build| build.is_supported())
+                .unwrap_or(LaneBuild::Default)
+        })
+    }
 }
 
 /// Per-qubit free-evolution parameters for one timeline segment, resolved
@@ -147,25 +221,28 @@ struct FreeSegment {
     /// lane's phase angle repeats across segments of one length until its
     /// telegraph sign flips, so phases are memoized per length.
     length: usize,
-    /// Started qubits in ascending order (the original iteration order).
-    qubits: Vec<FreeQubit>,
-    /// Started coupled pairs' phase factors for `zeta * dt`, in pair order.
-    zz: Vec<ZzPhase>,
+    /// Started qubits in ascending order (the original iteration order), as
+    /// a range of [`CompiledSchedule::free_qubits`].
+    qubits: Range<usize>,
+    /// Started coupled pairs' phase factors for `zeta * dt`, in pair order,
+    /// as a range of [`CompiledSchedule::free_zz`].
+    zz: Range<usize>,
 }
 
-/// One step of the compiled per-job program.
+/// One step of the compiled per-job program. A gate refers to its matrix
+/// by index into [`CompiledSchedule::m2`] or [`CompiledSchedule::m4`].
 #[derive(Debug, Clone)]
 enum Step {
     Free(FreeSegment),
     Gate1 {
         q: usize,
-        u: M2,
+        u: usize,
         err_p: f64,
     },
     Gate2 {
         q_hi: usize,
         q_lo: usize,
-        u: M4,
+        u: usize,
         err_p: f64,
     },
 }
@@ -177,12 +254,47 @@ enum Step {
 struct CompiledSchedule {
     num_qubits: usize,
     steps: Vec<Step>,
+    /// Each distinct single-qubit gate and its matrix, in order of first
+    /// use.
+    m2: Vec<(Gate, M2)>,
+    /// Each distinct two-qubit gate and its matrix, in order of first use.
+    m4: Vec<(Gate, M4)>,
+    /// Every free segment's qubit parameters, segment after segment.
+    free_qubits: Vec<FreeQubit>,
+    /// Every free segment's ZZ phase factors, segment after segment.
+    free_zz: Vec<ZzPhase>,
     /// Per-qubit quasi-static detuning sigma.
     sigma: Vec<f64>,
     /// Per-qubit readout flip probabilities `(p01, p10)`.
     readout: Vec<(f64, f64)>,
     /// Distinct free-segment lengths (see [`FreeSegment::length`]).
     lengths: usize,
+}
+
+/// Gates that share a matrix. `Gate`'s `==` equates angles `0.0` and
+/// `-0.0`, whose matrices differ in the sign of a zero, so angles compare
+/// by their bits.
+fn same_matrix(a: &Gate, b: &Gate) -> bool {
+    let angle_bits = |g: &Gate| match *g {
+        Gate::Rx(Angle::Fixed(t))
+        | Gate::Ry(Angle::Fixed(t))
+        | Gate::Rz(Angle::Fixed(t))
+        | Gate::P(Angle::Fixed(t)) => Some(t.to_bits()),
+        _ => None,
+    };
+    a == b && angle_bits(a) == angle_bits(b)
+}
+
+/// The index of `gate`'s matrix in `matrices`, fetching the matrix on the
+/// gate's first use.
+fn matrix_index<M>(matrices: &mut Vec<(Gate, M)>, gate: &Gate, fetch: fn(&Gate) -> M) -> usize {
+    match matrices.iter().position(|(g, _)| same_matrix(g, gate)) {
+        Some(i) => i,
+        None => {
+            matrices.push((*gate, fetch(gate)));
+            matrices.len() - 1
+        }
+    }
 }
 
 impl CompiledSchedule {
@@ -197,39 +309,66 @@ impl CompiledSchedule {
             .zz_couplings()
             .filter(|((a, b), _)| *a < n && *b < n)
             .collect();
-        let mut steps = Vec::new();
+        let mut compiled = CompiledSchedule {
+            num_qubits: n,
+            steps: Vec::with_capacity(2 * scheduled.ops().len() + 1),
+            m2: Vec::new(),
+            m4: Vec::new(),
+            free_qubits: Vec::new(),
+            free_zz: Vec::new(),
+            sigma: (0..n)
+                .map(|q| noise.qubit(q).quasi_static_sigma_rad_ns)
+                .collect(),
+            readout: (0..n)
+                .map(|q| {
+                    let qn = noise.qubit(q);
+                    (qn.readout_p01, qn.readout_p10)
+                })
+                .collect(),
+            lengths: 0,
+        };
         let mut now = 0.0f64;
         let mut started = vec![false; n];
         // A segment's parameters depend only on its length, so each
-        // distinct length is resolved once for every qubit and coupling,
-        // and a segment keeps the started ones.
-        let mut lengths: Vec<(u64, Vec<FreeQubit>, Vec<ZzPhase>)> = Vec::new();
-        let mut segment = |dt: f64, started: &[bool]| -> FreeSegment {
-            let length = match lengths.iter().position(|(bits, ..)| *bits == dt.to_bits()) {
+        // distinct length is resolved once for every qubit and coupling
+        // (length `i`'s are entries `i * n..` and `i * zz.len()..` of the
+        // flat tables), and a segment copies the started ones.
+        let mut length_bits: Vec<u64> = Vec::new();
+        let mut length_qubits: Vec<FreeQubit> = Vec::new();
+        let mut length_zz: Vec<ZzPhase> = Vec::new();
+        let mut segment = |dt: f64, started: &[bool], compiled: &mut CompiledSchedule| {
+            let length = match length_bits.iter().position(|&bits| bits == dt.to_bits()) {
                 Some(i) => i,
                 None => {
-                    lengths.push((
-                        dt.to_bits(),
-                        (0..n).map(|q| FreeQubit::new(q, noise, dt)).collect(),
+                    length_bits.push(dt.to_bits());
+                    length_qubits.extend((0..n).map(|q| FreeQubit::new(q, noise, dt)));
+                    length_zz.extend(
                         zz.iter()
-                            .map(|&((a, b), zeta)| ZzPhase::new(a, b, zeta * dt))
-                            .collect(),
-                    ));
-                    lengths.len() - 1
+                            .map(|&((a, b), zeta)| ZzPhase::new(a, b, zeta * dt)),
+                    );
+                    length_bits.len() - 1
                 }
             };
-            let (_, qubits, phases) = &lengths[length];
-            FreeSegment {
+            let qubits = compiled.free_qubits.len();
+            compiled.free_qubits.extend(
+                length_qubits[length * n..][..n]
+                    .iter()
+                    .filter(|fq| started[fq.q])
+                    .cloned(),
+            );
+            let pairs = compiled.free_zz.len();
+            compiled.free_zz.extend(
+                zz.iter()
+                    .zip(&length_zz[length * zz.len()..][..zz.len()])
+                    .filter(|(((a, b), _), _)| started[*a] && started[*b])
+                    .map(|(_, phase)| *phase),
+            );
+            compiled.steps.push(Step::Free(FreeSegment {
                 dt,
                 length,
-                qubits: qubits.iter().filter(|fq| started[fq.q]).cloned().collect(),
-                zz: zz
-                    .iter()
-                    .zip(phases)
-                    .filter(|(((a, b), _), _)| started[*a] && started[*b])
-                    .map(|(_, phase)| *phase)
-                    .collect(),
-            }
+                qubits: qubits..compiled.free_qubits.len(),
+                zz: pairs..compiled.free_zz.len(),
+            }));
         };
         for op in scheduled.ops() {
             if matches!(op.gate, Gate::Barrier) {
@@ -237,21 +376,25 @@ impl CompiledSchedule {
             }
             let dt = op.start_ns - now;
             if dt > 1e-9 {
-                steps.push(Step::Free(segment(dt, &started)));
+                segment(dt, &started, &mut compiled);
                 now = op.start_ns;
             }
             match op.gate {
                 Gate::Measure | Gate::Delay { .. } | Gate::I => {}
                 ref g => match op.qubits.len() {
-                    1 => steps.push(Step::Gate1 {
+                    1 => compiled.steps.push(Step::Gate1 {
                         q: op.qubits[0],
-                        u: fusion::gate_m2(g).expect("scheduled circuits are concrete"),
+                        u: matrix_index(&mut compiled.m2, g, |g| {
+                            fusion::gate_m2(g).expect("scheduled circuits are concrete")
+                        }),
                         err_p: noise.qubit(op.qubits[0]).gate_error_1q,
                     }),
-                    2 => steps.push(Step::Gate2 {
+                    2 => compiled.steps.push(Step::Gate2 {
                         q_hi: op.qubits[0],
                         q_lo: op.qubits[1],
-                        u: fusion::gate_m4(g).expect("scheduled circuits are concrete"),
+                        u: matrix_index(&mut compiled.m4, g, |g| {
+                            fusion::gate_m4(g).expect("scheduled circuits are concrete")
+                        }),
                         err_p: noise.cx_error(op.qubits[0], op.qubits[1]),
                     }),
                     k => panic!("unsupported arity {k}"),
@@ -263,23 +406,10 @@ impl CompiledSchedule {
         }
         let tail = scheduled.total_ns() - now;
         if tail > 1e-9 {
-            steps.push(Step::Free(segment(tail, &started)));
+            segment(tail, &started, &mut compiled);
         }
-        let lengths = lengths.len();
-        CompiledSchedule {
-            num_qubits: n,
-            steps,
-            sigma: (0..n)
-                .map(|q| noise.qubit(q).quasi_static_sigma_rad_ns)
-                .collect(),
-            readout: (0..n)
-                .map(|q| {
-                    let qn = noise.qubit(q);
-                    (qn.readout_p01, qn.readout_p10)
-                })
-                .collect(),
-            lengths,
-        }
+        compiled.lengths = length_bits.len();
+        compiled
     }
 }
 
@@ -313,21 +443,20 @@ impl<const L: usize> PendingRun<L> {
     };
 
     /// Appends gate `u` to the run of every lane.
+    #[inline(always)]
     fn push(&mut self, u: &M2) {
         let fuse = |prev: Option<M2>| match prev {
             Some(prev) => u.mul(&prev),
             None => *u,
         };
         self.shared = Some(fuse(self.shared));
-        let mut split = self.split;
-        while split != 0 {
-            let l = split.trailing_zeros() as usize;
+        for l in lanes(self.split) {
             self.own[l] = Some(fuse(self.own[l]));
-            split &= split - 1;
         }
     }
 
     /// Takes lane `l`'s pending product, splitting the lane off the run.
+    #[inline(always)]
     fn take_lane(&mut self, l: usize) -> Option<M2> {
         if self.split & (1 << l) != 0 {
             self.own[l].take()
@@ -336,6 +465,35 @@ impl<const L: usize> PendingRun<L> {
             self.shared
         }
     }
+}
+
+/// The lanes set in `mask` (bit `l` for lane `l`), lowest first.
+#[inline(always)]
+fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            l
+        })
+    })
+}
+
+/// The lanes where `hit` holds, as a mask. Written over every lane, so the
+/// tests compile to vector compares.
+#[inline(always)]
+fn lane_mask<const L: usize>(hit: impl Fn(usize) -> bool) -> u32 {
+    (0..L).fold(0, |mask, l| mask | u32::from(hit(l)) << l)
+}
+
+/// Each lane's last detuning phase for one segment length and qubit, and
+/// the bits of the angle it was computed from. `cis` is a pure function,
+/// so an entry stays valid for any later shot whose angle matches; entries
+/// start as the phase of angle `0.0`.
+#[derive(Debug, Clone, Copy)]
+struct PhaseMemo<const L: usize> {
+    angle_bits: [u64; L],
+    phase: [Complex64; L],
 }
 
 /// Buffers reused across every shot of a job: the lanes' states, their
@@ -348,10 +506,8 @@ struct TrajectoryScratch<S, const L: usize> {
     detuning: Vec<[f64; L]>,
     /// Per qubit, each lane's telegraph sign.
     telegraph_sign: Vec<[f64; L]>,
-    /// Per segment length and qubit, each lane's last detuning phase and
-    /// the angle's bits it was computed from. `cis` is a pure function, so
-    /// an entry stays valid for any later shot whose angle matches.
-    phases: Vec<[Option<(u64, Complex64)>; L]>,
+    /// Per segment length and qubit, the lanes' detuning phases.
+    phases: Vec<PhaseMemo<L>>,
     pending: Vec<PendingRun<L>>,
 }
 
@@ -363,13 +519,20 @@ impl<S: LaneState<L>, const L: usize> TrajectoryScratch<S, L> {
             state: S::zero_state(num_qubits),
             detuning: vec![[0.0; L]; num_qubits],
             telegraph_sign: vec![[1.0; L]; num_qubits],
-            phases: vec![[None; L]; compiled.lengths * num_qubits],
+            phases: vec![
+                PhaseMemo {
+                    angle_bits: [0.0f64.to_bits(); L],
+                    phase: [Complex64::cis(0.0); L],
+                };
+                compiled.lengths * num_qubits
+            ],
             pending: vec![PendingRun::EMPTY; num_qubits],
         }
     }
 
     /// Applies and clears the pending fused run on `q`: one sweep over all
     /// lanes while none has split off, lane by lane once one has.
+    #[inline(always)]
     fn flush(&mut self, q: usize, active: usize) {
         let run = &mut self.pending[q];
         if run.split == 0 {
@@ -386,6 +549,7 @@ impl<S: LaneState<L>, const L: usize> TrajectoryScratch<S, L> {
         *run = PendingRun::EMPTY;
     }
 
+    #[inline(always)]
     fn flush_all(&mut self, active: usize) {
         for q in 0..self.pending.len() {
             self.flush(q, active);
@@ -477,7 +641,26 @@ impl MachineExecutor {
         &self,
         scheduled: &ScheduledCircuit,
         job_index: u64,
-        shot_range: std::ops::Range<u64>,
+        shot_range: Range<u64>,
+    ) -> Counts {
+        self.run_job_shot_range_on(LaneBuild::detected(), scheduled, job_index, shot_range)
+    }
+
+    /// [`Self::run_job_shot_range`] on a given build of the lane
+    /// interpreter, so that tests and benchmarks can run every build the
+    /// CPU supports. Counts do not depend on the build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CPU cannot run `build`, or if `scheduled` references
+    /// qubits beyond the noise description.
+    #[doc(hidden)]
+    pub fn run_job_shot_range_on(
+        &self,
+        build: LaneBuild,
+        scheduled: &ScheduledCircuit,
+        job_index: u64,
+        shot_range: Range<u64>,
     ) -> Counts {
         let n = scheduled.num_qubits();
         assert!(
@@ -491,7 +674,7 @@ impl MachineExecutor {
         };
         let mut hist = vec![0u64; 1usize << n];
         if n <= MAX_LANE_QUBITS {
-            run_shots::<LaneMajor<LANES>, LANES>(&compiled, shots, shot_range, &mut hist);
+            run_lanes(build, &compiled, shots, shot_range, &mut hist);
         } else {
             run_shots::<StateVector, 1>(&compiled, shots, shot_range, &mut hist);
         }
@@ -508,6 +691,7 @@ struct ShotStreams {
 
 impl ShotStreams {
     /// The seed of shot `shot`'s stream.
+    #[inline(always)]
     fn seed(&self, shot: u64) -> u64 {
         indexed_seed(
             self.seed_base,
@@ -516,14 +700,81 @@ impl ShotStreams {
     }
 }
 
+/// The first `active` lanes, as a mask.
+#[inline(always)]
+fn live_lanes(active: usize) -> u32 {
+    u32::MAX >> (32 - active)
+}
+
+/// Runs a small register's shots on `build`'s lane interpreter.
+fn run_lanes(
+    build: LaneBuild,
+    compiled: &CompiledSchedule,
+    streams: ShotStreams,
+    shot_range: Range<u64>,
+    hist: &mut [u64],
+) {
+    assert!(
+        build.is_supported(),
+        "this CPU cannot run the {} lane build",
+        build.name()
+    );
+    match build {
+        #[cfg(target_arch = "x86_64")]
+        LaneBuild::Avx512 => {
+            // SAFETY: the assertion above found every feature the build
+            // enables on this CPU.
+            unsafe { run_lanes_avx512(compiled, streams, shot_range, hist) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        LaneBuild::Avx2 => {
+            // SAFETY: the assertion above found every feature the build
+            // enables on this CPU.
+            unsafe { run_lanes_avx2(compiled, streams, shot_range, hist) }
+        }
+        _ => run_shots::<LaneMajor<DEFAULT_BUILD_LANES>, DEFAULT_BUILD_LANES>(
+            compiled, streams, shot_range, hist,
+        ),
+    }
+}
+
+/// The lane interpreter compiled for AVX-512. Everything [`run_shots`]
+/// calls per group is inlined into it, so it all compiles for AVX-512.
+/// Calling it takes `unsafe`: the CPU must have the features it enables.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vl,avx512dq")]
+fn run_lanes_avx512(
+    compiled: &CompiledSchedule,
+    streams: ShotStreams,
+    shot_range: Range<u64>,
+    hist: &mut [u64],
+) {
+    run_shots::<LaneMajor<LANES>, LANES>(compiled, streams, shot_range, hist);
+}
+
+/// The lane interpreter compiled for AVX2 with FMA (see
+/// [`run_lanes_avx512`]). Rust never contracts `a * b + c`, so FMA
+/// changes no result.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn run_lanes_avx2(
+    compiled: &CompiledSchedule,
+    streams: ShotStreams,
+    shot_range: Range<u64>,
+    hist: &mut [u64],
+) {
+    run_shots::<LaneMajor<LANES>, LANES>(compiled, streams, shot_range, hist);
+}
+
 /// Runs `shot_range` in groups of `L` consecutive shots, lane `l` of a
 /// group being its `l`-th shot, and counts each outcome into `hist`. The
-/// last group may leave lanes idle: their streams are never read and their
-/// outcomes are not counted.
+/// last group may leave lanes idle: all-lane draws step their streams, but
+/// no decision reads them and their outcomes are not counted.
+#[inline(always)]
 fn run_shots<S: LaneState<L>, const L: usize>(
     compiled: &CompiledSchedule,
     streams: ShotStreams,
-    shot_range: std::ops::Range<u64>,
+    shot_range: Range<u64>,
     hist: &mut [u64],
 ) {
     let mut scratch = TrajectoryScratch::<S, L>::new(compiled);
@@ -531,7 +782,7 @@ fn run_shots<S: LaneState<L>, const L: usize>(
     while first < shot_range.end {
         let active = (shot_range.end - first).min(L as u64) as usize;
         let mut rngs =
-            std::array::from_fn(|l| StdRng::seed_from_u64(streams.seed(first + l as u64)));
+            LaneRng::seed_from_u64s(std::array::from_fn(|l| streams.seed(first + l as u64)));
         let outcomes = run_group(compiled, &mut scratch, &mut rngs, active);
         for &index in &outcomes[..active] {
             hist[index] += 1;
@@ -542,23 +793,29 @@ fn run_shots<S: LaneState<L>, const L: usize>(
 
 /// Runs the first `active` lanes' trajectories through a compiled schedule
 /// in lock-step and returns each lane's measured basis index (with readout
-/// error applied). Lane `l` consumes `rngs[l]` in exactly the order of the
-/// original per-op path.
+/// error applied). Lane `l` consumes its column of `rngs` in exactly the
+/// order of the original per-op path.
+#[inline(always)]
 fn run_group<S: LaneState<L>, const L: usize>(
     compiled: &CompiledSchedule,
     scratch: &mut TrajectoryScratch<S, L>,
-    rngs: &mut [StdRng; L],
+    rngs: &mut LaneRng<L>,
     active: usize,
 ) -> [usize; L] {
     let n = compiled.num_qubits;
+    let live = live_lanes(active);
     scratch.state.reset_zero();
 
-    // Per-trajectory quasi-static environment.
-    for (l, rng) in rngs[..active].iter_mut().enumerate() {
-        for q in 0..n {
-            scratch.detuning[q][l] = compiled.sigma[q] * sample_standard_normal(rng);
-            scratch.telegraph_sign[q][l] = if rng.gen::<bool>() { -1.0 } else { 1.0 };
+    // Per-trajectory quasi-static environment: each lane draws a normal
+    // and a sign per qubit, in qubit order.
+    for q in 0..n {
+        let u1 = rngs.gen_range_f64s(f64::MIN_POSITIVE..1.0);
+        let u2 = rngs.gen_f64s();
+        let negative = rngs.gen_bools();
+        for l in 0..active {
+            scratch.detuning[q][l] = compiled.sigma[q] * box_muller(u1[l], u2[l]);
         }
+        scratch.telegraph_sign[q] = negative.map(|negative| if negative { -1.0 } else { 1.0 });
     }
 
     for step in &compiled.steps {
@@ -566,24 +823,22 @@ fn run_group<S: LaneState<L>, const L: usize>(
             Step::Free(seg) => {
                 // Free evolution does not commute with pending products.
                 scratch.flush_all(active);
-                free_evolution(seg, scratch, rngs, active);
+                free_evolution(compiled, seg, scratch, rngs, live);
             }
             Step::Gate1 { q, u, err_p } => {
                 let q = *q;
-                scratch.pending[q].push(u);
+                scratch.pending[q].push(&compiled.m2[*u].1);
                 if *err_p > 0.0 {
-                    let draws = uniform_all(rngs);
-                    for (l, &draw) in draws[..active].iter().enumerate() {
-                        if draw < *err_p {
-                            // The Pauli lands after this gate: flush the
-                            // lane's fused run up to and including it, then
-                            // apply the error.
-                            if let Some(run) = scratch.pending[q].take_lane(l) {
-                                scratch.state.apply_m2_lane(&run, q, l);
-                            }
-                            let pauli = pauli(rngs[l].gen_range(1..4u8));
-                            scratch.state.apply_m2_lane(pauli, q, l);
+                    let draws = rngs.gen_f64s();
+                    for l in lanes(lane_mask::<L>(|l| draws[l] < *err_p) & live) {
+                        // The Pauli lands after this gate: flush the lane's
+                        // fused run up to and including it, then apply the
+                        // error.
+                        if let Some(run) = scratch.pending[q].take_lane(l) {
+                            scratch.state.apply_m2_lane(&run, q, l);
                         }
+                        let pauli = pauli(rngs.lane(l).gen_range(1..4u8));
+                        scratch.state.apply_m2_lane(pauli, q, l);
                     }
                 }
             }
@@ -595,26 +850,24 @@ fn run_group<S: LaneState<L>, const L: usize>(
             } => {
                 scratch.flush(*q_hi, active);
                 scratch.flush(*q_lo, active);
-                scratch.state.apply_m4(u, *q_hi, *q_lo);
+                scratch.state.apply_m4(&compiled.m4[*u].1, *q_hi, *q_lo);
                 if *err_p > 0.0 {
-                    let draws = uniform_all(rngs);
-                    for (l, &draw) in draws[..active].iter().enumerate() {
-                        if draw < *err_p {
-                            // Uniform non-identity two-qubit Pauli.
-                            let rng = &mut rngs[l];
-                            loop {
-                                let (a, b) = (rng.gen_range(0..4u8), rng.gen_range(0..4u8));
-                                if a == 0 && b == 0 {
-                                    continue;
-                                }
-                                if a != 0 {
-                                    scratch.state.apply_m2_lane(pauli(a), *q_hi, l);
-                                }
-                                if b != 0 {
-                                    scratch.state.apply_m2_lane(pauli(b), *q_lo, l);
-                                }
-                                break;
+                    let draws = rngs.gen_f64s();
+                    for l in lanes(lane_mask::<L>(|l| draws[l] < *err_p) & live) {
+                        // Uniform non-identity two-qubit Pauli.
+                        let mut rng = rngs.lane(l);
+                        loop {
+                            let (a, b) = (rng.gen_range(0..4u8), rng.gen_range(0..4u8));
+                            if a == 0 && b == 0 {
+                                continue;
                             }
+                            if a != 0 {
+                                scratch.state.apply_m2_lane(pauli(a), *q_hi, l);
+                            }
+                            if b != 0 {
+                                scratch.state.apply_m2_lane(pauli(b), *q_lo, l);
+                            }
+                            break;
                         }
                     }
                 }
@@ -626,12 +879,12 @@ fn run_group<S: LaneState<L>, const L: usize>(
     // Sample the outcomes and apply readout flips.
     let mut outcomes = [0usize; L];
     for (l, index) in outcomes[..active].iter_mut().enumerate() {
-        *index = scratch.state.sample_lane(&mut rngs[l], l);
+        *index = scratch.state.sample_lane(&mut rngs.lane(l), l);
     }
     for (q, &(p01, p10)) in compiled.readout.iter().enumerate() {
         let bit = 1usize << q;
-        let draws = uniform_all(rngs);
-        for (index, draw) in outcomes[..active].iter_mut().zip(draws) {
+        let draws = rngs.gen_f64s();
+        for (index, draw) in outcomes.iter_mut().zip(draws) {
             let flip_p = if *index & bit != 0 { p10 } else { p01 };
             if draw < flip_p {
                 *index ^= bit;
@@ -641,12 +894,7 @@ fn run_group<S: LaneState<L>, const L: usize>(
     outcomes
 }
 
-/// `gen::<f64>()` on every lane's stream.
-fn uniform_all<const L: usize>(rngs: &mut [StdRng; L]) -> [f64; L] {
-    rngs.each_mut().map(|rng| rng.gen())
-}
-
-/// Applies one precompiled free-evolution segment to every lane:
+/// Applies one precompiled free-evolution segment to the lanes in `live`:
 /// quasi-static phase with telegraph switching, T1/T2 stochastic jumps, and
 /// ZZ coupling.
 ///
@@ -666,15 +914,17 @@ fn uniform_all<const L: usize>(rngs: &mut [StdRng; L]) -> [f64; L] {
 /// amplitude component unchanged bit for bit (only the sign of a zero can
 /// differ, and no count depends on it); in practice the detuning is zero
 /// exactly when the qubit's sigma is, so no lane takes a phase at all.
+#[inline(always)]
 fn free_evolution<S: LaneState<L>, const L: usize>(
+    compiled: &CompiledSchedule,
     seg: &FreeSegment,
     scratch: &mut TrajectoryScratch<S, L>,
-    rngs: &mut [StdRng; L],
-    active: usize,
+    rngs: &mut LaneRng<L>,
+    live: u32,
 ) {
     let n = scratch.detuning.len();
     let state = &mut scratch.state;
-    for fq in &seg.qubits {
+    for fq in &compiled.free_qubits[seg.qubits.clone()] {
         let q = fq.q;
         let bit = 1usize << q;
 
@@ -683,38 +933,40 @@ fn free_evolution<S: LaneState<L>, const L: usize>(
         // the no-flip threshold.
         let detuning = &scratch.detuning[q];
         let signs = &mut scratch.telegraph_sign[q];
+        let phased = lane_mask::<L>(|l| detuning[l] != 0.0) & live;
         let mut phase = [Complex64::ONE; L];
-        let mut any_phase = false;
-        if detuning[..active].iter().any(|&d| d != 0.0) {
+        if phased != 0 {
             let mut time: [f64; L] = std::array::from_fn(|l| signs[l] * seg.dt);
             if fq.telegraph_rate > 0.0 {
-                for (l, rng) in rngs[..active].iter_mut().enumerate() {
-                    if detuning[l] == 0.0 {
-                        continue;
+                // Only a lane with detuning draws. Idle lanes' draws decide
+                // nothing, so when every active lane draws, one step makes
+                // all the draws.
+                let first = if phased == live {
+                    rngs.gen_range_f64s(f64::MIN_POSITIVE..1.0)
+                } else {
+                    let mut first = [0.0; L];
+                    for l in lanes(phased) {
+                        first[l] = rngs.lane(l).gen_range(f64::MIN_POSITIVE..1.0);
                     }
-                    let first = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                    if first >= fq.no_flip_below {
-                        time[l] = telegraph_time(fq, seg.dt, &mut signs[l], first, rng);
-                    }
+                    first
+                };
+                for l in lanes(lane_mask::<L>(|l| first[l] >= fq.no_flip_below) & phased) {
+                    let rng = &mut rngs.lane(l);
+                    time[l] = telegraph_time(fq, seg.dt, &mut signs[l], first[l], rng);
                 }
             }
             let memo = &mut scratch.phases[seg.length * n + q];
-            for l in 0..active {
-                if detuning[l] == 0.0 {
-                    continue;
-                }
-                let angle = detuning[l] * time[l];
-                phase[l] = match memo[l] {
-                    Some((bits, z)) if bits == angle.to_bits() => z,
-                    _ => {
-                        let z = Complex64::cis(angle);
-                        memo[l] = Some((angle.to_bits(), z));
-                        z
-                    }
-                };
-                any_phase = true;
+            let angle: [f64; L] = std::array::from_fn(|l| detuning[l] * time[l]);
+            let missed = lane_mask::<L>(|l| angle[l].to_bits() != memo.angle_bits[l]) & phased;
+            for l in lanes(missed) {
+                memo.angle_bits[l] = angle[l].to_bits();
+                memo.phase[l] = Complex64::cis(angle[l]);
+            }
+            for l in lanes(phased) {
+                phase[l] = memo.phase[l];
             }
         }
+        let any_phase = phased != 0;
 
         // Amplitude damping as an MCWF jump/no-jump step, with the phase
         // (when present) applied by the same sweep that measures P(|1>).
@@ -732,24 +984,20 @@ fn free_evolution<S: LaneState<L>, const L: usize>(
                 scale0[l] = inv;
                 scale1[l] = fq.damp * inv;
             }
-            let draws = uniform_all(rngs);
-            let mut jumps = 0;
-            for l in 0..active {
-                let p_jump = fq.gamma * p1[l];
-                if draws[l] < p_jump {
-                    // Jump: |...1...> -> |...0...>; post-jump norm^2 is p1.
-                    let inv = if p1[l] > 1e-300 {
-                        1.0 / p1[l].sqrt()
-                    } else {
-                        1.0
-                    };
-                    state.mcwf_jump_lane(bit, inv, l);
-                    scale0[l] = 1.0;
-                    scale1[l] = 1.0;
-                    jumps += 1;
-                }
+            let draws = rngs.gen_f64s();
+            let jumps = lane_mask::<L>(|l| draws[l] < fq.gamma * p1[l]) & live;
+            for l in lanes(jumps) {
+                // Jump: |...1...> -> |...0...>; post-jump norm^2 is p1.
+                let inv = if p1[l] > 1e-300 {
+                    1.0 / p1[l].sqrt()
+                } else {
+                    1.0
+                };
+                state.mcwf_jump_lane(bit, inv, l);
+                scale0[l] = 1.0;
+                scale1[l] = 1.0;
             }
-            if jumps < active {
+            if jumps != live {
                 state.mcwf_no_jump(bit, &scale0, &scale1);
             }
         } else if any_phase {
@@ -758,17 +1006,15 @@ fn free_evolution<S: LaneState<L>, const L: usize>(
 
         // Pure dephasing as a stochastic Z flip.
         if let Some(p) = fq.dephase_p {
-            let draws = uniform_all(rngs);
-            for (l, &draw) in draws[..active].iter().enumerate() {
-                if draw < p {
-                    state.phase_if_one_lane(bit, Complex64::cis(std::f64::consts::PI), l);
-                }
+            let draws = rngs.gen_f64s();
+            for l in lanes(lane_mask::<L>(|l| draws[l] < p) & live) {
+                state.phase_if_one_lane(bit, Complex64::cis(std::f64::consts::PI), l);
             }
         }
     }
     // Always-on ZZ between started pairs.
     if !seg.zz.is_empty() {
-        state.apply_zz(&seg.zz);
+        state.apply_zz(&compiled.free_zz[seg.zz.clone()]);
     }
 }
 
@@ -866,7 +1112,8 @@ mod tests {
     fn compiled_trajectories_match_naive_reference() {
         // Full noise model on a multi-qubit circuit: the compiled executor
         // must consume the RNG stream exactly as the original per-op path
-        // did, so counts agree shot for shot.
+        // did, so counts agree shot for shot, on every build of the lane
+        // interpreter this CPU runs.
         let mut noise = NoiseParameters::uniform(3);
         noise.set_zz(0, 1, 1.0e-4);
         noise.set_zz(1, 2, 8.0e-5);
@@ -882,10 +1129,21 @@ mod tests {
         qc.measure_all();
         let s = sched(&qc);
         let seeds = SeedStream::new(77);
-        let exec = MachineExecutor::new(noise.clone(), seeds).with_shots(2048);
-        let fast = exec.run_job(&s, 3);
+        let exec = MachineExecutor::new(noise.clone(), seeds);
         let slow = naive::machine_run_job_with_shots(&noise, &seeds, &s, 2048, 3);
-        assert_eq!(fast, slow);
+        for build in LaneBuild::ALL.into_iter().filter(|b| b.is_supported()) {
+            let fast = exec.run_job_shot_range_on(build, &s, 3, 0..2048);
+            assert_eq!(fast, slow, "{} build", build.name());
+        }
+    }
+
+    #[test]
+    fn detected_build_is_the_widest_supported() {
+        let detected = LaneBuild::detected();
+        assert!(detected.is_supported());
+        assert!(LaneBuild::Default.is_supported());
+        let widest = LaneBuild::ALL.into_iter().find(|b| b.is_supported());
+        assert_eq!(Some(detected), widest);
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! (c) exact expectation values `<psi|H|psi>`.
 //!
 //! Gate application runs through the half/quarter-index-space kernels in
-//! [`crate::kernels`] (amplitude-parallel for large states), circuit
-//! execution fuses runs of single-qubit gates via [`crate::fusion`], and
-//! shot sampling goes through the shared build-once CDF in
-//! [`crate::sampling`]. The pre-optimization implementations survive in
-//! [`crate::naive`] as the parity oracle and benchmark baseline.
+//! [`crate::kernels`], circuit execution fuses runs of single-qubit gates
+//! via [`crate::fusion`], and shot sampling goes through the shared
+//! build-once CDF in [`crate::sampling`]. The pre-optimization
+//! implementations survive in [`crate::naive`] as the parity oracle and
+//! benchmark baseline.
 //!
 //! Qubit 0 is the least significant bit of the amplitude index.
 

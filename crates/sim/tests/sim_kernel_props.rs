@@ -33,7 +33,7 @@ use vaqem_device::noise::{NoiseParameters, QubitNoise};
 use vaqem_mathkit::c64;
 use vaqem_mathkit::complex::Complex64;
 use vaqem_mathkit::rng::SeedStream;
-use vaqem_sim::machine::{MachineExecutor, LANES, MAX_LANE_QUBITS};
+use vaqem_sim::machine::{LaneBuild, MachineExecutor, LANES, MAX_LANE_QUBITS};
 use vaqem_sim::statevector::StateVector;
 use vaqem_sim::{density, naive};
 
@@ -247,14 +247,20 @@ proptest! {
         let noise = eventful_noise(n);
         let seeds = SeedStream::new(4321);
         let exec = MachineExecutor::new(noise.clone(), seeds);
-        let full = exec.run_job_with_shots(&s, shots, job);
         let reference = naive::machine_run_job_with_shots(&noise, &seeds, &s, shots, job);
-        prop_assert_eq!(&full, &reference);
-        // Every split point, so ranges start and end mid-group.
-        for k in 0..=shots {
-            let mut merged = exec.run_job_shot_range(&s, job, 0..k);
-            merged.merge(&exec.run_job_shot_range(&s, job, k..shots));
-            prop_assert_eq!(&full, &merged);
+        prop_assert_eq!(&exec.run_job_with_shots(&s, shots, job), &reference);
+        // Every build of the lane interpreter this CPU runs, at every split
+        // point, so ranges start and end mid-group.
+        for build in LaneBuild::ALL.into_iter().filter(|b| b.is_supported()) {
+            for k in 0..=shots {
+                let mut merged = exec.run_job_shot_range_on(build, &s, job, 0..k);
+                merged.merge(&exec.run_job_shot_range_on(build, &s, job, k..shots));
+                prop_assert!(
+                    merged == reference,
+                    "{} build, split {k}: {merged:?} != {reference:?}",
+                    build.name()
+                );
+            }
         }
     }
 }
