@@ -102,12 +102,6 @@ pub fn dd_window_circuit(window_slots: usize) -> Result<QuantumCircuit, CircuitE
     Ok(qc)
 }
 
-/// Ideal output distribution helper: the bitstring the micro-benchmarks
-/// should produce on a noise-free machine.
-pub fn dd_window_ideal_outcome() -> &'static str {
-    "00"
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

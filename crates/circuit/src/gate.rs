@@ -37,11 +37,6 @@ impl Angle {
                 .ok_or(CircuitError::UnboundParameter { param: k }),
         }
     }
-
-    /// Returns `true` if the angle is symbolic.
-    pub fn is_param(self) -> bool {
-        matches!(self, Angle::Param(_))
-    }
 }
 
 impl From<f64> for Angle {

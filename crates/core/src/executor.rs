@@ -120,11 +120,13 @@ impl Executor for MachineExecutor {
     }
 
     /// A batch under 1,024 shots in all runs on the calling thread:
-    /// starting threads would cost more than they save. Larger batches fan
-    /// out. Job-level parallelism saturates the machine only when the batch
-    /// is wide; tuning loops often submit a *few* expensive jobs (sometimes
-    /// one), so when there are fewer jobs than threads this splits each
-    /// job's shot range into slices and fans the slices out instead. Every
+    /// starting threads would cost more than they save. It goes through
+    /// [`MachineExecutor::run_jobs`], which resolves the batch's gate
+    /// matrices and segment tables once. Larger batches fan out. Job-level
+    /// parallelism saturates the machine only when the batch is wide;
+    /// tuning loops often submit a *few* expensive jobs (sometimes one), so
+    /// when there are fewer jobs than threads this splits each job's shot
+    /// range into slices and fans the slices out instead. Every
     /// trajectory's RNG is derived solely from `(job seed, shot index)`
     /// ([`MachineExecutor::run_job_shot_range`]), so merged slice counts
     /// are bit-identical to the sequential run.
@@ -137,10 +139,11 @@ impl Executor for MachineExecutor {
 /// thread count so tests can force the split path regardless of the host.
 fn machine_run_batch(exec: &MachineExecutor, jobs: &[Job], threads: usize) -> Vec<Counts> {
     if jobs.iter().map(|job| job.shots).sum::<u64>() < MIN_SHOTS_TO_FAN_OUT {
-        return jobs
+        let batch: Vec<_> = jobs
             .iter()
-            .map(|job| exec.run_job_with_shots(&job.scheduled, job.shots, job.seed))
+            .map(|job| (&job.scheduled, job.seed, 0..job.shots))
             .collect();
+        return exec.run_jobs(&batch);
     }
     if jobs.len() >= threads {
         return jobs

@@ -146,18 +146,6 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Paper-scale settings (expensive; the bench binaries use this).
-    pub fn paper_scale() -> Self {
-        PipelineConfig {
-            spsa: SpsaConfig::paper_default(),
-            shots: 2048,
-            sweep_resolution: 6,
-            max_repetitions: 24,
-            seeds: SeedStream::default(),
-            eval_repeats: 3,
-        }
-    }
-
     /// Reduced settings for tests and quick runs.
     pub fn quick() -> Self {
         PipelineConfig {

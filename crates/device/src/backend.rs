@@ -79,11 +79,6 @@ impl DeviceModel {
         &self.noise
     }
 
-    /// Mutable noise access (drift application).
-    pub fn noise_mut(&mut self) -> &mut NoiseParameters {
-        &mut self.noise
-    }
-
     /// The 7-qubit "H"-shaped device the paper ran most experiments on.
     pub fn ibmq_casablanca() -> Self {
         Self::falcon7("ibmq_casablanca", 0xCA5A)

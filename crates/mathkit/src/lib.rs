@@ -23,6 +23,7 @@
 
 pub mod complex;
 pub mod eigen;
+pub mod lanemath;
 pub mod linalg;
 pub mod matrix;
 pub mod rng;

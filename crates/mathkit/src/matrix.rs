@@ -206,11 +206,6 @@ impl CMatrix {
         out
     }
 
-    /// Frobenius norm `sqrt(sum |a_ij|^2)`.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute deviation from another matrix.
     ///
     /// # Panics

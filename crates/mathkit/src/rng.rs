@@ -23,6 +23,7 @@
 //! let _ = drift.gen::<f64>();
 //! ```
 
+use crate::lanemath;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -142,10 +143,21 @@ pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// The standard normal variate Box-Muller maps `u1` in `(0, 1)` and `u2`
 /// in `[0, 1)` to: the arithmetic of [`sample_standard_normal`], for
-/// callers that draw the uniforms themselves.
-#[inline(always)]
+/// callers that draw the uniforms themselves. The one-lane case of
+/// [`box_muller_lanes`].
+#[inline]
 pub fn box_muller(u1: f64, u2: f64) -> f64 {
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+    box_muller_lanes([u1], [u2])[0]
+}
+
+/// [`box_muller`] of every lane: `sqrt(-2 ln u1) * cos(2 pi u2)`, with the
+/// `ln` and `cos` of [`crate::lanemath`], so each lane equals the one-lane
+/// call bit for bit.
+#[inline(always)]
+pub fn box_muller_lanes<const L: usize>(u1: [f64; L], u2: [f64; L]) -> [f64; L] {
+    let ln_u1 = lanemath::ln_lanes(u1);
+    let (_, cos) = lanemath::sin_cos_lanes(u2.map(|u| std::f64::consts::TAU * u));
+    std::array::from_fn(|l| (-2.0 * ln_u1[l]).sqrt() * cos[l])
 }
 
 /// Samples `N(mean, std)`.
@@ -224,6 +236,19 @@ mod tests {
         std::env::set_var(SEED_ENV_VAR, "not-a-seed");
         assert_eq!(root_seed_from_env(17), 17, "unparseable falls through");
         std::env::remove_var(SEED_ENV_VAR);
+    }
+
+    #[test]
+    fn box_muller_lanes_equal_one_lane_calls() {
+        let mut rng = SeedStream::new(3).rng("box-muller");
+        for _ in 0..500 {
+            let u1: [f64; 16] = std::array::from_fn(|_| rng.gen_range(f64::MIN_POSITIVE..1.0));
+            let u2: [f64; 16] = std::array::from_fn(|_| rng.gen());
+            let normals = box_muller_lanes(u1, u2);
+            for l in 0..16 {
+                assert_eq!(normals[l].to_bits(), box_muller(u1[l], u2[l]).to_bits());
+            }
+        }
     }
 
     #[test]

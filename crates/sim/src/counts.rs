@@ -80,11 +80,6 @@ impl Counts {
         self.map.get(bitstring).copied().unwrap_or(0)
     }
 
-    /// Raw histogram map.
-    pub fn as_map(&self) -> &HashMap<String, u64> {
-        &self.map
-    }
-
     /// Empirical probability of a bitstring.
     pub fn probability(&self, bitstring: &str) -> f64 {
         let t = self.total();

@@ -24,12 +24,15 @@
 //!
 //! # Hot-path structure
 //!
-//! A job replays one schedule for every shot, so the executor compiles the
-//! schedule once per job (`CompiledSchedule`): gate unitaries are fetched
-//! and unpacked once, and everything about the timeline that no random draw
-//! touches is resolved up front — which qubits have started, per-segment
-//! damping/dephasing probabilities, ZZ phase factors and each segment's
-//! telegraph no-flip threshold, once per distinct segment length.
+//! A job replays one schedule for every shot, and the jobs of a batch
+//! share one noise description, so everything no random draw touches is
+//! resolved before the first shot. Once per batch (`NoiseTables`): each
+//! distinct gate's unpacked matrix, and for each distinct segment length
+//! every qubit's damping/dephasing probabilities and telegraph no-flip
+//! threshold and every coupling's ZZ phase factors. Once per job
+//! (`CompiledSchedule`): the timeline's steps, which qubits have started,
+//! and each segment's entries copied from the batch's tables. One
+//! trajectory scratch serves every job of a batch.
 //!
 //! Registers of up to [`MAX_LANE_QUBITS`] qubits run [`LANES`] consecutive
 //! shots in lock-step through one step interpreter over a lane-major state
@@ -40,7 +43,9 @@
 //! original order. The lanes an event selects come from one vector compare
 //! as a bit mask, and the rare per-lane events — telegraph flips, MCWF
 //! jumps, dephasing flips, gate-error Paulis and the fused product an error
-//! splits — run on that lane alone. Wider registers run the same
+//! splits — run on that lane alone. The quasi-static normals and the
+//! detuning phases come from lane calls of `vaqem_mathkit::lanemath`,
+//! which compute every lane in vector code. Wider registers run the same
 //! interpreter one shot at a time over an ordinary [`StateVector`].
 //!
 //! The lane interpreter is compiled three times ([`LaneBuild`]): for
@@ -69,7 +74,8 @@ use std::sync::OnceLock;
 use vaqem_circuit::gate::{Angle, Gate};
 use vaqem_circuit::schedule::ScheduledCircuit;
 use vaqem_device::noise::NoiseParameters;
-use vaqem_mathkit::rng::{box_muller, indexed_seed, SeedStream};
+use vaqem_mathkit::lanemath;
+use vaqem_mathkit::rng::{box_muller_lanes, indexed_seed, SeedStream};
 use vaqem_mathkit::smallmat::{M2, M4};
 use vaqem_mathkit::Complex64;
 
@@ -163,8 +169,8 @@ impl LaneBuild {
     }
 }
 
-/// Per-qubit free-evolution parameters for one timeline segment, resolved
-/// at compile time (everything here is schedule- and noise-determined).
+/// Per-qubit free-evolution parameters for one segment length, resolved
+/// once per batch (everything here is noise- and length-determined).
 #[derive(Debug, Clone)]
 struct FreeQubit {
     q: usize,
@@ -217,8 +223,8 @@ impl FreeQubit {
 #[derive(Debug, Clone)]
 struct FreeSegment {
     dt: f64,
-    /// Index of `dt` among the schedule's distinct segment lengths: a
-    /// lane's phase angle repeats across segments of one length until its
+    /// Index of `dt` among the batch's distinct segment lengths: a lane's
+    /// phase angle repeats across segments of one length until its
     /// telegraph sign flips, so phases are memoized per length.
     length: usize,
     /// Started qubits in ascending order (the original iteration order), as
@@ -230,7 +236,7 @@ struct FreeSegment {
 }
 
 /// One step of the compiled per-job program. A gate refers to its matrix
-/// by index into [`CompiledSchedule::m2`] or [`CompiledSchedule::m4`].
+/// by index into [`NoiseTables::m2`] or [`NoiseTables::m4`].
 #[derive(Debug, Clone)]
 enum Step {
     Free(FreeSegment),
@@ -247,28 +253,43 @@ enum Step {
     },
 }
 
-/// A schedule compiled against a noise description: unpacked gate matrices
-/// and fully resolved free-evolution segments, shared by every shot of a
-/// job.
+/// A job's schedule compiled against a batch's [`NoiseTables`]: its steps
+/// and its segments' entries, shared by every shot of the job.
 #[derive(Debug, Clone)]
 struct CompiledSchedule {
     num_qubits: usize,
     steps: Vec<Step>,
+    /// Every free segment's qubit parameters, segment after segment.
+    free_qubits: Vec<FreeQubit>,
+    /// Every free segment's ZZ phase factors, segment after segment.
+    free_zz: Vec<ZzPhase>,
+}
+
+/// Everything a batch's jobs share under one noise description, over the
+/// qubits of its widest register: each distinct gate's matrix and each
+/// distinct segment length's per-qubit and ZZ entries, resolved on first
+/// use, and the per-qubit detuning sigmas and readout flips.
+#[derive(Debug)]
+struct NoiseTables<'a> {
+    noise: &'a NoiseParameters,
+    num_qubits: usize,
+    /// Coupled pairs within the register, in pair order.
+    zz: Vec<((usize, usize), f64)>,
     /// Each distinct single-qubit gate and its matrix, in order of first
     /// use.
     m2: Vec<(Gate, M2)>,
     /// Each distinct two-qubit gate and its matrix, in order of first use.
     m4: Vec<(Gate, M4)>,
-    /// Every free segment's qubit parameters, segment after segment.
-    free_qubits: Vec<FreeQubit>,
-    /// Every free segment's ZZ phase factors, segment after segment.
-    free_zz: Vec<ZzPhase>,
+    /// Bits of each distinct segment length, in order of first use.
+    length_bits: Vec<u64>,
+    /// Length `i`'s qubit entries are `i * num_qubits..`.
+    length_qubits: Vec<FreeQubit>,
+    /// Length `i`'s ZZ entries are `i * zz.len()..`.
+    length_zz: Vec<ZzPhase>,
     /// Per-qubit quasi-static detuning sigma.
     sigma: Vec<f64>,
     /// Per-qubit readout flip probabilities `(p01, p10)`.
     readout: Vec<(f64, f64)>,
-    /// Distinct free-segment lengths (see [`FreeSegment::length`]).
-    lengths: usize,
 }
 
 /// Gates that share a matrix. `Gate`'s `==` equates angles `0.0` and
@@ -297,25 +318,22 @@ fn matrix_index<M>(matrices: &mut Vec<(Gate, M)>, gate: &Gate, fetch: fn(&Gate) 
     }
 }
 
-impl CompiledSchedule {
-    /// Resolves `scheduled` against `noise`, replicating the original
-    /// timeline walk: `now` tracks the previous op's start time and only
-    /// advances when a gap above 1 ps opens, gaps therefore accumulate
-    /// across sub-picosecond spacings exactly as before, and `started`
-    /// flips after every non-barrier op (including measure/delay/id).
-    fn compile(scheduled: &ScheduledCircuit, noise: &NoiseParameters) -> Self {
-        let n = scheduled.num_qubits();
-        let zz: Vec<((usize, usize), f64)> = noise
-            .zz_couplings()
-            .filter(|((a, b), _)| *a < n && *b < n)
-            .collect();
-        let mut compiled = CompiledSchedule {
-            num_qubits: n,
-            steps: Vec::with_capacity(2 * scheduled.ops().len() + 1),
+impl<'a> NoiseTables<'a> {
+    /// Empty tables for registers of up to `num_qubits` qubits.
+    fn new(noise: &'a NoiseParameters, num_qubits: usize) -> Self {
+        let n = num_qubits;
+        NoiseTables {
+            noise,
+            num_qubits,
+            zz: noise
+                .zz_couplings()
+                .filter(|((a, b), _)| *a < n && *b < n)
+                .collect(),
             m2: Vec::new(),
             m4: Vec::new(),
-            free_qubits: Vec::new(),
-            free_zz: Vec::new(),
+            length_bits: Vec::new(),
+            length_qubits: Vec::new(),
+            length_zz: Vec::new(),
             sigma: (0..n)
                 .map(|q| noise.qubit(q).quasi_static_sigma_rad_ns)
                 .collect(),
@@ -325,58 +343,89 @@ impl CompiledSchedule {
                     (qn.readout_p01, qn.readout_p10)
                 })
                 .collect(),
-            lengths: 0,
+        }
+    }
+
+    /// Distinct segment lengths resolved so far.
+    fn lengths(&self) -> usize {
+        self.length_bits.len()
+    }
+
+    /// The index of segment length `dt`, resolving its entries on first
+    /// use.
+    fn length_index(&mut self, dt: f64) -> usize {
+        if let Some(i) = self
+            .length_bits
+            .iter()
+            .position(|&bits| bits == dt.to_bits())
+        {
+            return i;
+        }
+        let noise = self.noise;
+        self.length_bits.push(dt.to_bits());
+        self.length_qubits
+            .extend((0..self.num_qubits).map(|q| FreeQubit::new(q, noise, dt)));
+        self.length_zz.extend(
+            self.zz
+                .iter()
+                .map(|&((a, b), zeta)| ZzPhase::new(a, b, zeta * dt)),
+        );
+        self.length_bits.len() - 1
+    }
+
+    /// Appends a free segment of length `dt` over the started qubits and
+    /// pairs (`started` covers the tables' register).
+    fn push_segment(&mut self, dt: f64, started: &[bool], compiled: &mut CompiledSchedule) {
+        let length = self.length_index(dt);
+        let (n, pairs) = (self.num_qubits, self.zz.len());
+        let qubits = compiled.free_qubits.len();
+        compiled.free_qubits.extend(
+            self.length_qubits[length * n..][..n]
+                .iter()
+                .filter(|fq| started[fq.q])
+                .cloned(),
+        );
+        let first_pair = compiled.free_zz.len();
+        compiled.free_zz.extend(
+            self.zz
+                .iter()
+                .zip(&self.length_zz[length * pairs..][..pairs])
+                .filter(|(((a, b), _), _)| started[*a] && started[*b])
+                .map(|(_, phase)| *phase),
+        );
+        compiled.steps.push(Step::Free(FreeSegment {
+            dt,
+            length,
+            qubits: qubits..compiled.free_qubits.len(),
+            zz: first_pair..compiled.free_zz.len(),
+        }));
+    }
+
+    /// Resolves `scheduled` against the tables, replicating the original
+    /// timeline walk: `now` tracks the previous op's start time and only
+    /// advances when a gap above 1 ps opens, gaps therefore accumulate
+    /// across sub-picosecond spacings exactly as before, and `started`
+    /// flips after every non-barrier op (including measure/delay/id).
+    fn compile(&mut self, scheduled: &ScheduledCircuit) -> CompiledSchedule {
+        let n = scheduled.num_qubits();
+        assert!(n <= self.num_qubits, "the tables cover the register");
+        let mut compiled = CompiledSchedule {
+            num_qubits: n,
+            steps: Vec::with_capacity(2 * scheduled.ops().len() + 1),
+            free_qubits: Vec::new(),
+            free_zz: Vec::new(),
         };
         let mut now = 0.0f64;
-        let mut started = vec![false; n];
-        // A segment's parameters depend only on its length, so each
-        // distinct length is resolved once for every qubit and coupling
-        // (length `i`'s are entries `i * n..` and `i * zz.len()..` of the
-        // flat tables), and a segment copies the started ones.
-        let mut length_bits: Vec<u64> = Vec::new();
-        let mut length_qubits: Vec<FreeQubit> = Vec::new();
-        let mut length_zz: Vec<ZzPhase> = Vec::new();
-        let mut segment = |dt: f64, started: &[bool], compiled: &mut CompiledSchedule| {
-            let length = match length_bits.iter().position(|&bits| bits == dt.to_bits()) {
-                Some(i) => i,
-                None => {
-                    length_bits.push(dt.to_bits());
-                    length_qubits.extend((0..n).map(|q| FreeQubit::new(q, noise, dt)));
-                    length_zz.extend(
-                        zz.iter()
-                            .map(|&((a, b), zeta)| ZzPhase::new(a, b, zeta * dt)),
-                    );
-                    length_bits.len() - 1
-                }
-            };
-            let qubits = compiled.free_qubits.len();
-            compiled.free_qubits.extend(
-                length_qubits[length * n..][..n]
-                    .iter()
-                    .filter(|fq| started[fq.q])
-                    .cloned(),
-            );
-            let pairs = compiled.free_zz.len();
-            compiled.free_zz.extend(
-                zz.iter()
-                    .zip(&length_zz[length * zz.len()..][..zz.len()])
-                    .filter(|(((a, b), _), _)| started[*a] && started[*b])
-                    .map(|(_, phase)| *phase),
-            );
-            compiled.steps.push(Step::Free(FreeSegment {
-                dt,
-                length,
-                qubits: qubits..compiled.free_qubits.len(),
-                zz: pairs..compiled.free_zz.len(),
-            }));
-        };
+        // Over the tables' register, so that qubits past this one's never
+        // start.
+        let mut started = vec![false; self.num_qubits];
         for op in scheduled.ops() {
             if matches!(op.gate, Gate::Barrier) {
                 continue;
             }
             let dt = op.start_ns - now;
             if dt > 1e-9 {
-                segment(dt, &started, &mut compiled);
+                self.push_segment(dt, &started, &mut compiled);
                 now = op.start_ns;
             }
             match op.gate {
@@ -384,18 +433,18 @@ impl CompiledSchedule {
                 ref g => match op.qubits.len() {
                     1 => compiled.steps.push(Step::Gate1 {
                         q: op.qubits[0],
-                        u: matrix_index(&mut compiled.m2, g, |g| {
+                        u: matrix_index(&mut self.m2, g, |g| {
                             fusion::gate_m2(g).expect("scheduled circuits are concrete")
                         }),
-                        err_p: noise.qubit(op.qubits[0]).gate_error_1q,
+                        err_p: self.noise.qubit(op.qubits[0]).gate_error_1q,
                     }),
                     2 => compiled.steps.push(Step::Gate2 {
                         q_hi: op.qubits[0],
                         q_lo: op.qubits[1],
-                        u: matrix_index(&mut compiled.m4, g, |g| {
+                        u: matrix_index(&mut self.m4, g, |g| {
                             fusion::gate_m4(g).expect("scheduled circuits are concrete")
                         }),
-                        err_p: noise.cx_error(op.qubits[0], op.qubits[1]),
+                        err_p: self.noise.cx_error(op.qubits[0], op.qubits[1]),
                     }),
                     k => panic!("unsupported arity {k}"),
                 },
@@ -406,9 +455,8 @@ impl CompiledSchedule {
         }
         let tail = scheduled.total_ns() - now;
         if tail > 1e-9 {
-            segment(tail, &started, &mut compiled);
+            self.push_segment(tail, &started, &mut compiled);
         }
-        compiled.lengths = length_bits.len();
         compiled
     }
 }
@@ -487,18 +535,20 @@ fn lane_mask<const L: usize>(hit: impl Fn(usize) -> bool) -> u32 {
 }
 
 /// Each lane's last detuning phase for one segment length and qubit, and
-/// the bits of the angle it was computed from. `cis` is a pure function,
-/// so an entry stays valid for any later shot whose angle matches; entries
-/// start as the phase of angle `0.0`.
+/// the bits of the angle it was computed from. The phase is a pure
+/// function of the angle ([`detuning_phases`]), so an entry stays valid for
+/// any later shot, or job of the batch, whose angle matches; entries start
+/// as the phase of angle `0.0`.
 #[derive(Debug, Clone, Copy)]
 struct PhaseMemo<const L: usize> {
     angle_bits: [u64; L],
     phase: [Complex64; L],
 }
 
-/// Buffers reused across every shot of a job: the lanes' states, their
-/// quasi-static environments, and the per-qubit pending fused runs (each
-/// group ends with every run flushed, so the next starts with none).
+/// Buffers reused across every shot of a batch's jobs of one register
+/// width: the lanes' states, their quasi-static environments, the phase
+/// memo, and the per-qubit pending fused runs (each group ends with every
+/// run flushed, so the next starts with none).
 #[derive(Debug)]
 struct TrajectoryScratch<S, const L: usize> {
     state: S,
@@ -512,9 +562,10 @@ struct TrajectoryScratch<S, const L: usize> {
 }
 
 impl<S: LaneState<L>, const L: usize> TrajectoryScratch<S, L> {
-    fn new(compiled: &CompiledSchedule) -> Self {
+    /// Scratch for registers of `num_qubits` qubits whose segments take
+    /// `lengths` distinct lengths.
+    fn new(num_qubits: usize, lengths: usize) -> Self {
         assert!(L <= 32, "a pending run tracks lanes in a u32 mask");
-        let num_qubits = compiled.num_qubits;
         TrajectoryScratch {
             state: S::zero_state(num_qubits),
             detuning: vec![[0.0; L]; num_qubits],
@@ -522,12 +573,16 @@ impl<S: LaneState<L>, const L: usize> TrajectoryScratch<S, L> {
             phases: vec![
                 PhaseMemo {
                     angle_bits: [0.0f64.to_bits(); L],
-                    phase: [Complex64::cis(0.0); L],
+                    phase: [detuning_phases([0.0])[0]; L],
                 };
-                compiled.lengths * num_qubits
+                lengths * num_qubits
             ],
             pending: vec![PendingRun::EMPTY; num_qubits],
         }
+    }
+
+    fn num_qubits(&self) -> usize {
+        self.detuning.len()
     }
 
     /// Applies and clears the pending fused run on `q`: one sweep over all
@@ -647,8 +702,7 @@ impl MachineExecutor {
     }
 
     /// [`Self::run_job_shot_range`] on a given build of the lane
-    /// interpreter, so that tests and benchmarks can run every build the
-    /// CPU supports. Counts do not depend on the build.
+    /// interpreter: the one-job case of [`Self::run_jobs_on`].
     ///
     /// # Panics
     ///
@@ -662,23 +716,67 @@ impl MachineExecutor {
         job_index: u64,
         shot_range: Range<u64>,
     ) -> Counts {
-        let n = scheduled.num_qubits();
+        let mut counts = self.run_jobs_on(build, &[(scheduled, job_index, shot_range)]);
+        counts.pop().expect("one job, one histogram")
+    }
+
+    /// Executes a batch of jobs, each a `(schedule, job_index, shot_range)`
+    /// as [`Self::run_job_shot_range`] takes them, and returns their counts
+    /// in order. Each job's counts equal its own call's bit for bit; the
+    /// batch resolves each distinct gate matrix and segment length once
+    /// for all its jobs, and runs them through one trajectory scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a schedule references qubits beyond the noise description.
+    pub fn run_jobs(&self, jobs: &[(&ScheduledCircuit, u64, Range<u64>)]) -> Vec<Counts> {
+        self.run_jobs_on(LaneBuild::detected(), jobs)
+    }
+
+    /// [`Self::run_jobs`] on a given build of the lane interpreter, so that
+    /// tests and benchmarks can run every build the CPU supports. Counts do
+    /// not depend on the build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CPU cannot run `build`, or if a schedule references
+    /// qubits beyond the noise description.
+    #[doc(hidden)]
+    pub fn run_jobs_on(
+        &self,
+        build: LaneBuild,
+        jobs: &[(&ScheduledCircuit, u64, Range<u64>)],
+    ) -> Vec<Counts> {
         assert!(
-            self.noise.num_qubits() >= n,
+            build.is_supported(),
+            "this CPU cannot run the {} lane build",
+            build.name()
+        );
+        let width = jobs.iter().map(|(s, ..)| s.num_qubits()).max().unwrap_or(0);
+        assert!(
+            self.noise.num_qubits() >= width,
             "noise parameters must cover the register"
         );
-        let compiled = CompiledSchedule::compile(scheduled, &self.noise);
-        let shots = ShotStreams {
-            seed_base: self.seeds.child_seed("machine-trajectory"),
-            job_index,
-        };
-        let mut hist = vec![0u64; 1usize << n];
-        if n <= MAX_LANE_QUBITS {
-            run_lanes(build, &compiled, shots, shot_range, &mut hist);
-        } else {
-            run_shots::<StateVector, 1>(&compiled, shots, shot_range, &mut hist);
-        }
-        Counts::from_index_histogram(n, &hist)
+        let mut tables = NoiseTables::new(&self.noise, width);
+        let seed_base = self.seeds.child_seed("machine-trajectory");
+        let mut batch: Vec<BatchJob> = jobs
+            .iter()
+            .map(|(scheduled, job_index, shot_range)| BatchJob {
+                compiled: tables.compile(scheduled),
+                streams: ShotStreams {
+                    seed_base,
+                    job_index: *job_index,
+                },
+                shot_range: shot_range.clone(),
+                hist: vec![0; 1 << scheduled.num_qubits()],
+            })
+            .collect();
+        run_lanes(build, &tables, &mut batch);
+        run_batch::<StateVector, 1>(&tables, &mut batch, false);
+        batch
+            .iter()
+            .map(|job| Counts::from_index_histogram(job.compiled.num_qubits, &job.hist))
+            .collect()
     }
 }
 
@@ -700,56 +798,49 @@ impl ShotStreams {
     }
 }
 
+/// One job of a batch: its compiled schedule, streams, shots and the
+/// histogram its outcomes count into.
+#[derive(Debug)]
+struct BatchJob {
+    compiled: CompiledSchedule,
+    streams: ShotStreams,
+    shot_range: Range<u64>,
+    hist: Vec<u64>,
+}
+
 /// The first `active` lanes, as a mask.
 #[inline(always)]
 fn live_lanes(active: usize) -> u32 {
     u32::MAX >> (32 - active)
 }
 
-/// Runs a small register's shots on `build`'s lane interpreter.
-fn run_lanes(
-    build: LaneBuild,
-    compiled: &CompiledSchedule,
-    streams: ShotStreams,
-    shot_range: Range<u64>,
-    hist: &mut [u64],
-) {
-    assert!(
-        build.is_supported(),
-        "this CPU cannot run the {} lane build",
-        build.name()
-    );
+/// Runs a batch's small-register jobs on `build`'s lane interpreter (the
+/// caller has checked that the CPU supports it).
+fn run_lanes(build: LaneBuild, tables: &NoiseTables, batch: &mut [BatchJob]) {
     match build {
         #[cfg(target_arch = "x86_64")]
         LaneBuild::Avx512 => {
-            // SAFETY: the assertion above found every feature the build
-            // enables on this CPU.
-            unsafe { run_lanes_avx512(compiled, streams, shot_range, hist) }
+            // SAFETY: `run_jobs_on` asserted that this CPU has every
+            // feature the build enables.
+            unsafe { run_lanes_avx512(tables, batch) }
         }
         #[cfg(target_arch = "x86_64")]
         LaneBuild::Avx2 => {
-            // SAFETY: the assertion above found every feature the build
-            // enables on this CPU.
-            unsafe { run_lanes_avx2(compiled, streams, shot_range, hist) }
+            // SAFETY: `run_jobs_on` asserted that this CPU has every
+            // feature the build enables.
+            unsafe { run_lanes_avx2(tables, batch) }
         }
-        _ => run_shots::<LaneMajor<DEFAULT_BUILD_LANES>, DEFAULT_BUILD_LANES>(
-            compiled, streams, shot_range, hist,
-        ),
+        _ => run_batch::<LaneMajor<DEFAULT_BUILD_LANES>, DEFAULT_BUILD_LANES>(tables, batch, true),
     }
 }
 
-/// The lane interpreter compiled for AVX-512. Everything [`run_shots`]
+/// The lane interpreter compiled for AVX-512. Everything [`run_batch`]
 /// calls per group is inlined into it, so it all compiles for AVX-512.
 /// Calling it takes `unsafe`: the CPU must have the features it enables.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,avx512dq")]
-fn run_lanes_avx512(
-    compiled: &CompiledSchedule,
-    streams: ShotStreams,
-    shot_range: Range<u64>,
-    hist: &mut [u64],
-) {
-    run_shots::<LaneMajor<LANES>, LANES>(compiled, streams, shot_range, hist);
+fn run_lanes_avx512(tables: &NoiseTables, batch: &mut [BatchJob]) {
+    run_batch::<LaneMajor<LANES>, LANES>(tables, batch, true);
 }
 
 /// The lane interpreter compiled for AVX2 with FMA (see
@@ -757,37 +848,54 @@ fn run_lanes_avx512(
 /// changes no result.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-fn run_lanes_avx2(
-    compiled: &CompiledSchedule,
-    streams: ShotStreams,
-    shot_range: Range<u64>,
-    hist: &mut [u64],
-) {
-    run_shots::<LaneMajor<LANES>, LANES>(compiled, streams, shot_range, hist);
+fn run_lanes_avx2(tables: &NoiseTables, batch: &mut [BatchJob]) {
+    run_batch::<LaneMajor<LANES>, LANES>(tables, batch, true);
 }
 
-/// Runs `shot_range` in groups of `L` consecutive shots, lane `l` of a
-/// group being its `l`-th shot, and counts each outcome into `hist`. The
-/// last group may leave lanes idle: all-lane draws step their streams, but
-/// no decision reads them and their outcomes are not counted.
+/// Runs the batch's jobs whose registers run shots abreast (`abreast`) or
+/// one at a time (`!abreast`) through one scratch, made anew only when the
+/// register width changes.
+#[inline(always)]
+fn run_batch<S: LaneState<L>, const L: usize>(
+    tables: &NoiseTables,
+    batch: &mut [BatchJob],
+    abreast: bool,
+) {
+    let mut scratch: Option<TrajectoryScratch<S, L>> = None;
+    for job in batch
+        .iter_mut()
+        .filter(|job| (job.compiled.num_qubits <= MAX_LANE_QUBITS) == abreast)
+    {
+        let n = job.compiled.num_qubits;
+        let scratch = match &mut scratch {
+            Some(scratch) if scratch.num_qubits() == n => scratch,
+            slot => slot.insert(TrajectoryScratch::new(n, tables.lengths())),
+        };
+        run_shots(tables, job, scratch);
+    }
+}
+
+/// Runs a job's shot range in groups of `L` consecutive shots, lane `l` of
+/// a group being its `l`-th shot, and counts each outcome into its
+/// histogram. The last group may leave lanes idle: all-lane draws step
+/// their streams, but no decision reads them and their outcomes are not
+/// counted.
 #[inline(always)]
 fn run_shots<S: LaneState<L>, const L: usize>(
-    compiled: &CompiledSchedule,
-    streams: ShotStreams,
-    shot_range: Range<u64>,
-    hist: &mut [u64],
+    tables: &NoiseTables,
+    job: &mut BatchJob,
+    scratch: &mut TrajectoryScratch<S, L>,
 ) {
-    let mut scratch = TrajectoryScratch::<S, L>::new(compiled);
-    let mut first = shot_range.start;
-    while first < shot_range.end {
-        let active = (shot_range.end - first).min(L as u64) as usize;
+    let Range { mut start, end } = job.shot_range;
+    while start < end {
+        let active = (end - start).min(L as u64) as usize;
         let mut rngs =
-            LaneRng::seed_from_u64s(std::array::from_fn(|l| streams.seed(first + l as u64)));
-        let outcomes = run_group(compiled, &mut scratch, &mut rngs, active);
+            LaneRng::seed_from_u64s(std::array::from_fn(|l| job.streams.seed(start + l as u64)));
+        let outcomes = run_group(tables, &job.compiled, scratch, &mut rngs, active);
         for &index in &outcomes[..active] {
-            hist[index] += 1;
+            job.hist[index] += 1;
         }
-        first += active as u64;
+        start += active as u64;
     }
 }
 
@@ -797,6 +905,7 @@ fn run_shots<S: LaneState<L>, const L: usize>(
 /// order of the original per-op path.
 #[inline(always)]
 fn run_group<S: LaneState<L>, const L: usize>(
+    tables: &NoiseTables,
     compiled: &CompiledSchedule,
     scratch: &mut TrajectoryScratch<S, L>,
     rngs: &mut LaneRng<L>,
@@ -807,14 +916,14 @@ fn run_group<S: LaneState<L>, const L: usize>(
     scratch.state.reset_zero();
 
     // Per-trajectory quasi-static environment: each lane draws a normal
-    // and a sign per qubit, in qubit order.
+    // and a sign per qubit, in qubit order. Idle lanes' normals decide
+    // nothing (every use is masked by `live`).
     for q in 0..n {
         let u1 = rngs.gen_range_f64s(f64::MIN_POSITIVE..1.0);
         let u2 = rngs.gen_f64s();
         let negative = rngs.gen_bools();
-        for l in 0..active {
-            scratch.detuning[q][l] = compiled.sigma[q] * box_muller(u1[l], u2[l]);
-        }
+        let sigma = tables.sigma[q];
+        scratch.detuning[q] = box_muller_lanes(u1, u2).map(|normal| sigma * normal);
         scratch.telegraph_sign[q] = negative.map(|negative| if negative { -1.0 } else { 1.0 });
     }
 
@@ -827,7 +936,7 @@ fn run_group<S: LaneState<L>, const L: usize>(
             }
             Step::Gate1 { q, u, err_p } => {
                 let q = *q;
-                scratch.pending[q].push(&compiled.m2[*u].1);
+                scratch.pending[q].push(&tables.m2[*u].1);
                 if *err_p > 0.0 {
                     let draws = rngs.gen_f64s();
                     for l in lanes(lane_mask::<L>(|l| draws[l] < *err_p) & live) {
@@ -850,7 +959,7 @@ fn run_group<S: LaneState<L>, const L: usize>(
             } => {
                 scratch.flush(*q_hi, active);
                 scratch.flush(*q_lo, active);
-                scratch.state.apply_m4(&compiled.m4[*u].1, *q_hi, *q_lo);
+                scratch.state.apply_m4(&tables.m4[*u].1, *q_hi, *q_lo);
                 if *err_p > 0.0 {
                     let draws = rngs.gen_f64s();
                     for l in lanes(lane_mask::<L>(|l| draws[l] < *err_p) & live) {
@@ -881,7 +990,7 @@ fn run_group<S: LaneState<L>, const L: usize>(
     for (l, index) in outcomes[..active].iter_mut().enumerate() {
         *index = scratch.state.sample_lane(&mut rngs.lane(l), l);
     }
-    for (q, &(p01, p10)) in compiled.readout.iter().enumerate() {
+    for (q, &(p01, p10)) in tables.readout[..n].iter().enumerate() {
         let bit = 1usize << q;
         let draws = rngs.gen_f64s();
         for (index, draw) in outcomes.iter_mut().zip(draws) {
@@ -958,9 +1067,14 @@ fn free_evolution<S: LaneState<L>, const L: usize>(
             let memo = &mut scratch.phases[seg.length * n + q];
             let angle: [f64; L] = std::array::from_fn(|l| detuning[l] * time[l]);
             let missed = lane_mask::<L>(|l| angle[l].to_bits() != memo.angle_bits[l]) & phased;
-            for l in lanes(missed) {
-                memo.angle_bits[l] = angle[l].to_bits();
-                memo.phase[l] = Complex64::cis(angle[l]);
+            if missed != 0 {
+                // One lane call computes every lane's phase; only the
+                // missed lanes store theirs.
+                let computed = detuning_phases(angle);
+                for l in lanes(missed) {
+                    memo.angle_bits[l] = angle[l].to_bits();
+                    memo.phase[l] = computed[l];
+                }
             }
             for l in lanes(phased) {
                 phase[l] = memo.phase[l];
@@ -1016,6 +1130,15 @@ fn free_evolution<S: LaneState<L>, const L: usize>(
     if !seg.zz.is_empty() {
         state.apply_zz(&compiled.free_zz[seg.zz.clone()]);
     }
+}
+
+/// Each lane's detuning phase `e^{i*angle}`, from
+/// [`lanemath::sin_cos_lanes`]; the naive reference computes its phases
+/// with the same function.
+#[inline(always)]
+fn detuning_phases<const L: usize>(angle: [f64; L]) -> [Complex64; L] {
+    let (sin, cos) = lanemath::sin_cos_lanes(angle);
+    std::array::from_fn(|l| Complex64::new(cos[l], sin[l]))
 }
 
 /// The telegraph no-flip threshold of a segment (see [`TELEGRAPH_GUARD`]):
@@ -1135,6 +1258,64 @@ mod tests {
             let fast = exec.run_job_shot_range_on(build, &s, 3, 0..2048);
             assert_eq!(fast, slow, "{} build", build.name());
         }
+    }
+
+    /// A window on qubit 0 refocused by `reps` X pairs evenly spaced, as
+    /// DD places them, so each repetition count has its own segment
+    /// lengths.
+    fn dd_job(n: usize, reps: usize, extra: Option<Gate>) -> ScheduledCircuit {
+        let window = 4_000.0;
+        let mut qc = QuantumCircuit::new(n);
+        qc.h(0).unwrap();
+        for q in 1..n {
+            qc.cx(q - 1, q).unwrap();
+        }
+        let gap = window / (2 * reps + 1) as f64;
+        qc.delay(gap, 0).unwrap();
+        for _ in 0..2 * reps {
+            qc.x(0).unwrap();
+            qc.delay(gap, 0).unwrap();
+        }
+        if let Some(gate) = extra {
+            qc.push(gate, &[n - 1]).unwrap();
+        }
+        qc.measure_all();
+        sched(&qc)
+    }
+
+    #[test]
+    fn batch_counts_equal_one_job_calls_on_every_build() {
+        // DD repetitions 0-4 give the jobs different segment lengths, the
+        // last 3-qubit job brings a gate no earlier job uses, the widths
+        // change mid-batch (a 7-qubit job runs one shot at a time), and 37
+        // shots leave the last lane group part-full.
+        let mut noise = NoiseParameters::uniform(7);
+        noise.set_zz(0, 1, 1.0e-4);
+        noise.set_zz(1, 2, 8.0e-5);
+        let exec = MachineExecutor::new(noise, SeedStream::new(91));
+        let schedules = [
+            dd_job(3, 0, None),
+            dd_job(3, 2, None),
+            dd_job(2, 1, None),
+            dd_job(7, 1, None),
+            dd_job(3, 4, Some(Gate::Ry(Angle::Fixed(0.37)))),
+            dd_job(3, 1, None),
+        ];
+        let jobs: Vec<_> = schedules
+            .iter()
+            .enumerate()
+            .map(|(j, s)| (s, 40 + j as u64, 3..40))
+            .collect();
+        for build in LaneBuild::ALL.into_iter().filter(|b| b.is_supported()) {
+            let batched = exec.run_jobs_on(build, &jobs);
+            assert_eq!(batched.len(), jobs.len());
+            for (j, (s, job_index, shots)) in jobs.iter().enumerate() {
+                let alone = exec.run_job_shot_range_on(build, s, *job_index, shots.clone());
+                assert_eq!(batched[j], alone, "{} build, job {j}", build.name());
+                assert_eq!(alone.total(), 37);
+            }
+        }
+        assert!(exec.run_jobs(&[]).is_empty());
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //!    naive paths side by side, so the committed `BENCH_simulators.json`
 //!    speedups are measured against real code, not a strawman.
 //!
+//! The one departure from the original code: the trajectory executor's
+//! detuning phase and quasi-static normal call the `vaqem_mathkit::lanemath`
+//! functions the fast path calls, so the two share one definition of each.
+//!
 //! Nothing in the production paths calls into this module.
 
 use crate::channels::KrausChannel;
@@ -26,6 +30,7 @@ use vaqem_circuit::schedule::ScheduledCircuit;
 use vaqem_circuit::unitary::{embed_single, embed_two};
 use vaqem_device::noise::NoiseParameters;
 use vaqem_mathkit::complex::Complex64;
+use vaqem_mathkit::lanemath;
 use vaqem_mathkit::matrix::CMatrix;
 
 /// Original single-qubit gate loop: visits all `2^n` indices and
@@ -154,9 +159,8 @@ pub fn exact_counts_rounded(sv: &StateVector, shots: u64) -> Counts {
 
 /// Original conditional-phase loop: full `2^n` sweep with a branch per
 /// index.
-fn phase_if_one(sv: &mut StateVector, theta: f64, q: usize) {
+fn phase_if_one(sv: &mut StateVector, phase: Complex64, q: usize) {
     let bit = 1usize << q;
-    let phase = Complex64::cis(theta);
     for (i, a) in sv.amps_mut().iter_mut().enumerate() {
         if i & bit != 0 {
             *a *= phase;
@@ -320,7 +324,8 @@ fn machine_free_evolution(
             } else {
                 signed_time = telegraph_sign[q] * dt;
             }
-            phase_if_one(sv, detuning[q] * signed_time, q);
+            let (sin, cos) = lanemath::sin_cos(detuning[q] * signed_time);
+            phase_if_one(sv, Complex64::new(cos, sin), q);
         }
 
         if qn.t1_ns.is_finite() {
@@ -332,7 +337,7 @@ fn machine_free_evolution(
         if rate > 0.0 {
             let p = 0.5 * (1.0 - (-dt * rate).exp());
             if rng.gen::<f64>() < p {
-                phase_if_one(sv, std::f64::consts::PI, q);
+                phase_if_one(sv, Complex64::cis(std::f64::consts::PI), q);
             }
         }
     }
