@@ -122,11 +122,12 @@ impl Executor for MachineExecutor {
     /// A batch under 1,024 shots in all runs on the calling thread:
     /// starting threads would cost more than they save. It goes through
     /// [`MachineExecutor::run_jobs`], which resolves the batch's gate
-    /// matrices and segment tables once. Larger batches fan out. Job-level
-    /// parallelism saturates the machine only when the batch is wide;
-    /// tuning loops often submit a *few* expensive jobs (sometimes one), so
-    /// when there are fewer jobs than threads this splits each job's shot
-    /// range into slices and fans the slices out instead. Every
+    /// matrices and segment tables once. Larger batches fan out as shot
+    /// slices: each job is cut into `threads / jobs` slices, at least one
+    /// and at most one per 64 shots. A batch with at least as many jobs as
+    /// threads therefore fans out one whole-range slice per job, while the
+    /// *few* expensive jobs a tuning loop often submits (sometimes one)
+    /// split their shot ranges to fill the pool. Every
     /// trajectory's RNG is derived solely from `(job seed, shot index)`
     /// ([`MachineExecutor::run_job_shot_range`]), so merged slice counts
     /// are bit-identical to the sequential run.
@@ -144,12 +145,6 @@ fn machine_run_batch(exec: &MachineExecutor, jobs: &[Job], threads: usize) -> Ve
             .map(|job| (&job.scheduled, job.seed, 0..job.shots))
             .collect();
         return exec.run_jobs(&batch);
-    }
-    if jobs.len() >= threads {
-        return jobs
-            .par_iter()
-            .map(|job| exec.run_job_with_shots(&job.scheduled, job.shots, job.seed))
-            .collect();
     }
     let mut slices: Vec<(usize, std::ops::Range<u64>)> = Vec::new();
     for (j, job) in jobs.iter().enumerate() {

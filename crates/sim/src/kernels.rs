@@ -1,4 +1,5 @@
-//! Cache-friendly amplitude kernels for the statevector engine.
+//! Cache-friendly amplitude kernels for the statevector and density
+//! engines.
 //!
 //! The original gate-application loops visited all `2^n` indices and
 //! branch-skipped the half (or three quarters) that are not the canonical
@@ -13,14 +14,16 @@
 //! Every kernel performs the *same arithmetic on the same amplitudes in
 //! the same order* as the original loops, so results are bit-identical —
 //! the property `tests/sim_kernel_props.rs` pins against the preserved
-//! naive implementations in [`crate::naive`].
+//! naive implementations in [`crate::naive`]. The trajectory engine's
+//! sweeps are methods of its lane-major state (`sim/lanes.rs`), whose gate
+//! sweeps evaluate [`apply_m2`]'s and [`apply_m4`]'s expressions lane by
+//! lane.
 //!
 //! Every sweep runs on the calling thread. Parallelism lives across jobs
 //! and shot ranges (the core executor's batch fan-out), not inside one
 //! state: no workload simulates more than 10 qubits, far below the size
 //! where splitting a sweep over threads pays for starting them.
 
-use crate::lanes::ZzPhase;
 use vaqem_mathkit::complex::Complex64;
 use vaqem_mathkit::smallmat::{M2, M4};
 
@@ -66,102 +69,6 @@ pub fn apply_m4(amps: &mut [Complex64], bit_hi: usize, bit_lo: usize, u: &M4) {
                 acc += u.m[r * 4 + c] * ac;
             }
             amps[i] = acc;
-        }
-    }
-}
-
-/// Multiplies every amplitude whose `bit` is set by `phase`, iterating the
-/// upper halves of each block directly.
-pub fn phase_if_one(amps: &mut [Complex64], bit: usize, phase: Complex64) {
-    let stride = bit << 1;
-    let mut base = bit;
-    while base < amps.len() {
-        for a in amps[base..base + bit].iter_mut() {
-            *a *= phase;
-        }
-        base += stride;
-    }
-}
-
-/// Sum of `|a|^2` over amplitudes whose `bit` is set, in ascending index
-/// order (bit-identical to a filtered full-index sweep).
-pub fn excited_population(amps: &[Complex64], bit: usize) -> f64 {
-    let stride = bit << 1;
-    let mut acc = 0.0;
-    let mut base = bit;
-    while base < amps.len() {
-        for a in amps[base..base + bit].iter() {
-            acc += a.norm_sqr();
-        }
-        base += stride;
-    }
-    acc
-}
-
-/// Fused detuning-phase + excited-population sweep: multiplies every
-/// amplitude whose `bit` is set by `phase` and returns the sum of their
-/// `|a|^2` taken *after* the multiply — the same values, in the same
-/// accumulation order, as a [`phase_if_one`] sweep followed by an
-/// [`excited_population`] sweep, for half the memory traffic.
-pub fn phase_and_excited_population(amps: &mut [Complex64], bit: usize, phase: Complex64) -> f64 {
-    let stride = bit << 1;
-    let mut acc = 0.0;
-    let mut base = bit;
-    while base < amps.len() {
-        for a in amps[base..base + bit].iter_mut() {
-            *a *= phase;
-            acc += a.norm_sqr();
-        }
-        base += stride;
-    }
-    acc
-}
-
-/// MCWF no-jump update with the renormalization folded in: one sweep
-/// scaling `bit`-clear amplitudes by `scale0` and `bit`-set amplitudes by
-/// `scale1`. The trajectory engine passes `scale0 = 1/sqrt(1 - gamma*p1)`
-/// and `scale1 = sqrt(1-gamma) * scale0`, using the analytic post-damping
-/// norm of a normalized input state instead of re-measuring it.
-pub fn mcwf_no_jump(amps: &mut [Complex64], bit: usize, scale0: f64, scale1: f64) {
-    let stride = bit << 1;
-    let mut base = 0;
-    while base < amps.len() {
-        let (lo, hi) = amps[base..base + stride].split_at_mut(bit);
-        for a in lo.iter_mut() {
-            *a *= scale0;
-        }
-        for a in hi.iter_mut() {
-            *a *= scale1;
-        }
-        base += stride;
-    }
-}
-
-/// MCWF jump update with the renormalization folded in: the `bit`-set
-/// branch collapses onto the `bit`-clear one scaled by `inv_norm`
-/// (`1/sqrt(p1)` — the post-jump norm of a normalized input state), and the
-/// `bit`-set half zeroes.
-pub fn mcwf_jump(amps: &mut [Complex64], bit: usize, inv_norm: f64) {
-    let stride = bit << 1;
-    let mut base = 0;
-    while base < amps.len() {
-        let (lo, hi) = amps[base..base + stride].split_at_mut(bit);
-        for (a0, a1) in lo.iter_mut().zip(hi.iter_mut()) {
-            *a0 = *a1 * inv_norm;
-            *a1 = Complex64::ZERO;
-        }
-        base += stride;
-    }
-}
-
-/// Always-on ZZ couplings: multiplies every amplitude by each coupling's
-/// parity factor in turn (`plus` where its two bits agree, `minus` where
-/// they differ), in one sweep. An amplitude takes the same products in the
-/// same order as one sweep per coupling would give it.
-pub(crate) fn zz_phase(amps: &mut [Complex64], couplings: &[ZzPhase]) {
-    for (i, a) in amps.iter_mut().enumerate() {
-        for zz in couplings {
-            *a *= zz.factor(i);
         }
     }
 }
@@ -313,13 +220,6 @@ mod tests {
     use vaqem_mathkit::c64;
     use vaqem_mathkit::matrix::gates2x2;
 
-    fn random_state(n: usize, seed: u64) -> Vec<Complex64> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        (0..1usize << n)
-            .map(|_| c64(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
-            .collect()
-    }
-
     fn random_matrix(n: usize, seed: u64) -> vaqem_mathkit::matrix::CMatrix {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let dim = 1usize << n;
@@ -390,63 +290,5 @@ mod tests {
         let mut fast = reference.clone();
         dm_depolarize_two_qubit(fast.as_mut_slice(), dim, 1 << a, 1 << b, p);
         assert!(fast.max_abs_diff(&expect) < 1e-12);
-    }
-
-    #[test]
-    fn fused_phase_population_matches_separate_sweeps() {
-        let phase = Complex64::cis(0.73);
-        for q in 0..6 {
-            let bit = 1usize << q;
-            let mut fused = random_state(6, 17);
-            let mut separate = fused.clone();
-            let p_fused = phase_and_excited_population(&mut fused, bit, phase);
-            phase_if_one(&mut separate, bit, phase);
-            let p_sep = excited_population(&separate, bit);
-            assert_eq!(fused, separate, "qubit {q}");
-            assert_eq!(p_fused, p_sep, "qubit {q}");
-        }
-    }
-
-    #[test]
-    fn mcwf_sweeps_match_index_filtered_loops() {
-        let (s0, s1) = (1.07, 0.85);
-        for q in 0..5 {
-            let bit = 1usize << q;
-            let mut fast = random_state(5, 23);
-            let mut slow = fast.clone();
-            mcwf_no_jump(&mut fast, bit, s0, s1);
-            for (i, a) in slow.iter_mut().enumerate() {
-                *a *= if i & bit != 0 { s1 } else { s0 };
-            }
-            assert_eq!(fast, slow, "no-jump on {q}");
-
-            let mut fast = random_state(5, 29);
-            let mut slow = fast.clone();
-            mcwf_jump(&mut fast, bit, s0);
-            let prev = slow.clone();
-            for (i, a) in slow.iter_mut().enumerate() {
-                *a = if i & bit != 0 {
-                    Complex64::ZERO
-                } else {
-                    prev[i | bit] * s0
-                };
-            }
-            assert_eq!(fast, slow, "jump on {q}");
-        }
-    }
-
-    #[test]
-    fn excited_population_matches_filtered_sum() {
-        let amps = random_state(7, 3);
-        for q in 0..7 {
-            let bit = 1usize << q;
-            let expect: f64 = amps
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i & bit != 0)
-                .map(|(_, a)| a.norm_sqr())
-                .sum();
-            assert_eq!(excited_population(&amps, bit), expect);
-        }
     }
 }

@@ -1,38 +1,34 @@
 //! Amplitude storage and random streams for trajectories run abreast.
 //!
 //! The trajectory engine ([`crate::machine`]) runs one step interpreter
-//! over `L` shots at a time. [`LaneState`] is the state that interpreter
-//! drives: every method acts on all `L` lanes at once unless its name ends
-//! in `_lane`, and per-lane arguments arrive as `[_; L]` arrays. Two layouts
-//! implement it:
+//! over `L` shots at a time, whatever the register's width. [`LaneMajor`]
+//! is the state that interpreter drives: `L` register states interleaved
+//! amplitude by amplitude, amplitude `i` holding the real parts of all
+//! lanes, then their imaginary parts. A 3-qubit register is only 8
+//! amplitudes, too few to fill a vector unit, so the vectors run across
+//! shots instead: each sweep walks the index space once and updates all
+//! lanes with the same coefficients. Every method acts on all `L` lanes at
+//! once unless its name ends in `_lane`, and per-lane arguments arrive as
+//! `[_; L]` arrays.
 //!
-//! * [`LaneMajor`] — `L` small-register states interleaved amplitude by
-//!   amplitude: amplitude `i` holds the real parts of all lanes, then their
-//!   imaginary parts. A 3-qubit register is only 8 amplitudes, too few to
-//!   fill a vector unit, so the vectors run across shots instead: each
-//!   sweep walks the index space once and updates all lanes with the same
-//!   gate coefficients.
-//! * [`StateVector`] — one lane in the ordinary layout, through the
-//!   sweeps in [`crate::kernels`].
-//!
-//! Every lane performs the *same arithmetic in the same order* as the
-//! single-trajectory kernels: each sweep is the [`Complex64`] expression of
-//! the matching kernel in [`crate::kernels`], evaluated lane by lane in
-//! place (which the compiler vectorizes across lanes), sums keep their
+//! Every lane performs the *same arithmetic in the same order* as one
+//! trajectory of the per-op reference ([`crate::naive`]): the gate sweeps
+//! are the [`Complex64`] expressions of [`crate::kernels`]' `apply_m2` and
+//! `apply_m4`, the phase, population, damping and ZZ sweeps those of the
+//! reference's index-filtered loops, each evaluated lane by lane in place
+//! (which the compiler vectorizes across lanes). Sums keep their
 //! association, and Rust never contracts `a * b + c` into a fused
 //! multiply-add. A lane's amplitudes are therefore bit-identical to the
 //! single-trajectory state it stands for, whatever vector width the
 //! compiler picks.
 //!
-//! [`LaneMajor`]'s sweeps are `#[inline(always)]` so that each build of the
-//! lane interpreter (`machine::LaneBuild`) compiles them for its own
-//! vector unit.
+//! The sweeps are `#[inline(always)]` so that each build of the lane
+//! interpreter (`machine::LaneBuild`) compiles them for its own vector
+//! unit.
 //!
 //! [`ZzPhase`] is a segment's ZZ coupling with its phase factors resolved
-//! once per job.
+//! once per batch.
 
-use crate::kernels;
-use crate::statevector::StateVector;
 use rand::Rng;
 use vaqem_mathkit::complex::Complex64;
 use vaqem_mathkit::smallmat::{M2, M4};
@@ -49,8 +45,8 @@ pub(crate) struct ZzPhase {
 }
 
 impl ZzPhase {
-    /// The factors of `exp(-i theta Z_a Z_b / 2)`, computed exactly as
-    /// [`StateVector::apply_zz`] computes them.
+    /// The factors of `exp(-i theta Z_a Z_b / 2)`, computed exactly as the
+    /// statevector engine's `apply_zz` computes them.
     pub(crate) fn new(a: usize, b: usize, theta: f64) -> Self {
         ZzPhase {
             bit_a: 1 << a,
@@ -69,40 +65,6 @@ impl ZzPhase {
             self.minus
         }
     }
-}
-
-/// `L` trajectory states advanced in lock-step.
-pub(crate) trait LaneState<const L: usize> {
-    /// All lanes in `|0...0>`.
-    fn zero_state(num_qubits: usize) -> Self;
-    /// Resets every lane to `|0...0>` without reallocating.
-    fn reset_zero(&mut self);
-    /// Applies `u` to qubit `q`.
-    fn apply_m2(&mut self, u: &M2, q: usize);
-    /// Applies `u` to qubit `q` of one lane.
-    fn apply_m2_lane(&mut self, u: &M2, q: usize, lane: usize);
-    /// Applies `u` to `(q_hi, q_lo)`.
-    fn apply_m4(&mut self, u: &M4, q_hi: usize, q_lo: usize);
-    /// Multiplies each lane's `bit`-set amplitudes by its phase and returns
-    /// each lane's excited population taken after the multiply.
-    fn phase_and_population(&mut self, bit: usize, phase: &[Complex64; L]) -> [f64; L];
-    /// Each lane's excited population on `bit`.
-    fn population(&self, bit: usize) -> [f64; L];
-    /// Multiplies each lane's `bit`-set amplitudes by its phase.
-    fn phase_if_one(&mut self, bit: usize, phase: &[Complex64; L]);
-    /// Multiplies one lane's `bit`-set amplitudes by `phase`.
-    fn phase_if_one_lane(&mut self, bit: usize, phase: Complex64, lane: usize);
-    /// MCWF no-jump update: each lane's `bit`-clear amplitudes scale by
-    /// `scale0`, its `bit`-set ones by `scale1`.
-    fn mcwf_no_jump(&mut self, bit: usize, scale0: &[f64; L], scale1: &[f64; L]);
-    /// MCWF jump on one lane: its `bit`-set branch moves to the `bit`-clear
-    /// one scaled by `inv_norm`.
-    fn mcwf_jump_lane(&mut self, bit: usize, inv_norm: f64, lane: usize);
-    /// Applies the couplings' phase factors in order, one sweep for all.
-    fn apply_zz(&mut self, couplings: &[ZzPhase]);
-    /// Samples one lane's basis index: one uniform draw against the
-    /// running sum of `|a|^2` in ascending index order.
-    fn sample_lane<R: Rng>(&self, rng: &mut R, lane: usize) -> usize;
 }
 
 /// One amplitude index across `L` lanes.
@@ -142,7 +104,8 @@ fn m2_lane<const L: usize>(u: &M2, a0: &mut LaneAmp<L>, a1: &mut LaneAmp<L>, l: 
     a1.set(l, u10 * x0 + u11 * x1);
 }
 
-/// `L` small-register states stored lane-major (see the module docs).
+/// `L` trajectory states advanced in lock-step, stored lane-major (see the
+/// module docs).
 #[derive(Debug, Clone)]
 pub(crate) struct LaneMajor<const L: usize> {
     amps: Vec<LaneAmp<L>>,
@@ -159,11 +122,10 @@ impl<const L: usize> LaneMajor<L> {
             }
         }
     }
-}
 
-impl<const L: usize> LaneState<L> for LaneMajor<L> {
+    /// All lanes in `|0...0>`.
     #[inline(always)]
-    fn zero_state(num_qubits: usize) -> Self {
+    pub(crate) fn zero_state(num_qubits: usize) -> Self {
         let mut state = LaneMajor {
             amps: vec![LaneAmp::ZERO; 1 << num_qubits],
         };
@@ -171,14 +133,16 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         state
     }
 
+    /// Resets every lane to `|0...0>` without reallocating.
     #[inline(always)]
-    fn reset_zero(&mut self) {
+    pub(crate) fn reset_zero(&mut self) {
         self.amps.fill(LaneAmp::ZERO);
         self.amps[0].re = [1.0; L];
     }
 
+    /// Applies `u` to qubit `q`.
     #[inline(always)]
-    fn apply_m2(&mut self, u: &M2, q: usize) {
+    pub(crate) fn apply_m2(&mut self, u: &M2, q: usize) {
         self.for_pairs(1 << q, |a0, a1| {
             for l in 0..L {
                 m2_lane(u, a0, a1, l);
@@ -186,13 +150,15 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         });
     }
 
+    /// Applies `u` to qubit `q` of one lane.
     #[inline(always)]
-    fn apply_m2_lane(&mut self, u: &M2, q: usize, lane: usize) {
+    pub(crate) fn apply_m2_lane(&mut self, u: &M2, q: usize, lane: usize) {
         self.for_pairs(1 << q, |a0, a1| m2_lane(u, a0, a1, lane));
     }
 
+    /// Applies `u` to `(q_hi, q_lo)`.
     #[inline(always)]
-    fn apply_m4(&mut self, u: &M4, q_hi: usize, q_lo: usize) {
+    pub(crate) fn apply_m4(&mut self, u: &M4, q_hi: usize, q_lo: usize) {
         let (bit_hi, bit_lo) = (1usize << q_hi, 1usize << q_lo);
         let small = bit_hi.min(bit_lo);
         let big = bit_hi.max(bit_lo);
@@ -217,8 +183,12 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         }
     }
 
+    /// Multiplies each lane's `bit`-set amplitudes by its phase and returns
+    /// each lane's excited population taken after the multiply: the values
+    /// of a [`Self::phase_if_one`] sweep followed by a [`Self::population`]
+    /// sweep, in one pass.
     #[inline(always)]
-    fn phase_and_population(&mut self, bit: usize, phase: &[Complex64; L]) -> [f64; L] {
+    pub(crate) fn phase_and_population(&mut self, bit: usize, phase: &[Complex64; L]) -> [f64; L] {
         let mut acc = [0.0; L];
         self.for_pairs(bit, |_, a| {
             for l in 0..L {
@@ -230,8 +200,10 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         acc
     }
 
+    /// Each lane's excited population on `bit`: the sum of `|a|^2` over its
+    /// `bit`-set amplitudes in ascending index order.
     #[inline(always)]
-    fn population(&self, bit: usize) -> [f64; L] {
+    pub(crate) fn population(&self, bit: usize) -> [f64; L] {
         let mut acc = [0.0; L];
         for block in self.amps.chunks_exact(bit << 1) {
             for a in &block[bit..] {
@@ -243,8 +215,9 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         acc
     }
 
+    /// Multiplies each lane's `bit`-set amplitudes by its phase.
     #[inline(always)]
-    fn phase_if_one(&mut self, bit: usize, phase: &[Complex64; L]) {
+    pub(crate) fn phase_if_one(&mut self, bit: usize, phase: &[Complex64; L]) {
         self.for_pairs(bit, |_, a| {
             for (l, &z) in phase.iter().enumerate() {
                 a.set(l, a.get(l) * z);
@@ -252,13 +225,19 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         });
     }
 
+    /// Multiplies one lane's `bit`-set amplitudes by `phase`.
     #[inline(always)]
-    fn phase_if_one_lane(&mut self, bit: usize, phase: Complex64, lane: usize) {
+    pub(crate) fn phase_if_one_lane(&mut self, bit: usize, phase: Complex64, lane: usize) {
         self.for_pairs(bit, |_, a| a.set(lane, a.get(lane) * phase));
     }
 
+    /// MCWF no-jump update with the renormalization folded in: each lane's
+    /// `bit`-clear amplitudes scale by `scale0`, its `bit`-set ones by
+    /// `scale1`. The trajectory engine passes `scale0 = 1/sqrt(1 - gamma*p1)`
+    /// and `scale1 = sqrt(1-gamma) * scale0`, the analytic post-damping norm
+    /// of a normalized input state.
     #[inline(always)]
-    fn mcwf_no_jump(&mut self, bit: usize, scale0: &[f64; L], scale1: &[f64; L]) {
+    pub(crate) fn mcwf_no_jump(&mut self, bit: usize, scale0: &[f64; L], scale1: &[f64; L]) {
         self.for_pairs(bit, |a0, a1| {
             for l in 0..L {
                 a0.re[l] *= scale0[l];
@@ -269,8 +248,11 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         });
     }
 
+    /// MCWF jump on one lane: its `bit`-set branch moves to the `bit`-clear
+    /// one scaled by `inv_norm` (`1/sqrt(p1)`, the post-jump norm of a
+    /// normalized input state), and the `bit`-set half zeroes.
     #[inline(always)]
-    fn mcwf_jump_lane(&mut self, bit: usize, inv_norm: f64, lane: usize) {
+    pub(crate) fn mcwf_jump_lane(&mut self, bit: usize, inv_norm: f64, lane: usize) {
         self.for_pairs(bit, |a0, a1| {
             a0.re[lane] = a1.re[lane] * inv_norm;
             a0.im[lane] = a1.im[lane] * inv_norm;
@@ -279,8 +261,11 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         });
     }
 
+    /// Applies the couplings' phase factors in order, one sweep for all: an
+    /// amplitude takes the same products in the same order as one sweep
+    /// per coupling would give it.
     #[inline(always)]
-    fn apply_zz(&mut self, couplings: &[ZzPhase]) {
+    pub(crate) fn apply_zz(&mut self, couplings: &[ZzPhase]) {
         for (i, a) in self.amps.iter_mut().enumerate() {
             for zz in couplings {
                 let z = zz.factor(i);
@@ -291,8 +276,10 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
         }
     }
 
+    /// Samples one lane's basis index: one uniform draw against the
+    /// running sum of `|a|^2` in ascending index order.
     #[inline(always)]
-    fn sample_lane<R: Rng>(&self, rng: &mut R, lane: usize) -> usize {
+    pub(crate) fn sample_lane<R: Rng>(&self, rng: &mut R, lane: usize) -> usize {
         let r: f64 = rng.gen();
         let mut acc = 0.0;
         for (i, a) in self.amps.iter().enumerate() {
@@ -305,80 +292,28 @@ impl<const L: usize> LaneState<L> for LaneMajor<L> {
     }
 }
 
-/// One trajectory in the ordinary layout: the width-independent path.
-impl LaneState<1> for StateVector {
-    fn zero_state(num_qubits: usize) -> Self {
-        StateVector::zero_state(num_qubits)
-    }
-
-    fn reset_zero(&mut self) {
-        StateVector::reset_zero(self);
-    }
-
-    fn apply_m2(&mut self, u: &M2, q: usize) {
-        StateVector::apply_m2(self, u, q);
-    }
-
-    fn apply_m2_lane(&mut self, u: &M2, q: usize, _lane: usize) {
-        StateVector::apply_m2(self, u, q);
-    }
-
-    fn apply_m4(&mut self, u: &M4, q_hi: usize, q_lo: usize) {
-        StateVector::apply_m4(self, u, q_hi, q_lo);
-    }
-
-    fn phase_and_population(&mut self, bit: usize, phase: &[Complex64; 1]) -> [f64; 1] {
-        [kernels::phase_and_excited_population(
-            self.amps_mut(),
-            bit,
-            phase[0],
-        )]
-    }
-
-    fn population(&self, bit: usize) -> [f64; 1] {
-        [kernels::excited_population(self.amplitudes(), bit)]
-    }
-
-    fn phase_if_one(&mut self, bit: usize, phase: &[Complex64; 1]) {
-        kernels::phase_if_one(self.amps_mut(), bit, phase[0]);
-    }
-
-    fn phase_if_one_lane(&mut self, bit: usize, phase: Complex64, _lane: usize) {
-        kernels::phase_if_one(self.amps_mut(), bit, phase);
-    }
-
-    fn mcwf_no_jump(&mut self, bit: usize, scale0: &[f64; 1], scale1: &[f64; 1]) {
-        kernels::mcwf_no_jump(self.amps_mut(), bit, scale0[0], scale1[0]);
-    }
-
-    fn mcwf_jump_lane(&mut self, bit: usize, inv_norm: f64, _lane: usize) {
-        kernels::mcwf_jump(self.amps_mut(), bit, inv_norm);
-    }
-
-    fn apply_zz(&mut self, couplings: &[ZzPhase]) {
-        kernels::zz_phase(self.amps_mut(), couplings);
-    }
-
-    fn sample_lane<R: Rng>(&self, rng: &mut R, _lane: usize) -> usize {
-        self.sample_index(rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::naive;
+    use crate::statevector::StateVector;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::f64::consts::PI;
     use vaqem_circuit::gate::Gate;
     use vaqem_mathkit::c64;
 
     const L: usize = crate::machine::LANES;
 
+    /// The lanes the one-lane sweeps are checked on: one in the middle and
+    /// the last.
+    const ONE_LANE_CHECKS: [usize; 2] = [L / 2 + 1, L - 1];
+
     /// Lane-major states whose lanes hold distinct random amplitudes, and
     /// the same lanes as ordinary state vectors.
     fn random_lanes(n: usize, seed: u64) -> (LaneMajor<L>, Vec<StateVector>) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut lanes = <LaneMajor<L> as LaneState<L>>::zero_state(n);
+        let mut lanes = LaneMajor::<L>::zero_state(n);
         let mut svs = Vec::new();
         for l in 0..L {
             let amps: Vec<Complex64> = (0..1usize << n)
@@ -399,6 +334,43 @@ mod tests {
                 let got = (lanes.amps[i].re[l], lanes.amps[i].im[l]);
                 assert_eq!(got, (a.re, a.im), "{what}: lane {l}, amplitude {i}");
             }
+        }
+    }
+
+    // The reference trajectory's index-filtered loops: a full sweep with a
+    // branch per index.
+
+    fn filtered_phase(sv: &mut StateVector, bit: usize, phase: Complex64) {
+        for (i, a) in sv.amps_mut().iter_mut().enumerate() {
+            if i & bit != 0 {
+                *a *= phase;
+            }
+        }
+    }
+
+    fn filtered_population(sv: &StateVector, bit: usize) -> f64 {
+        sv.amplitudes()
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i & bit != 0)
+            .map(|(_, a)| a.norm_sqr())
+            .sum()
+    }
+
+    fn filtered_no_jump(sv: &mut StateVector, bit: usize, scale0: f64, scale1: f64) {
+        for (i, a) in sv.amps_mut().iter_mut().enumerate() {
+            *a *= if i & bit != 0 { scale1 } else { scale0 };
+        }
+    }
+
+    fn filtered_jump(sv: &mut StateVector, bit: usize, inv_norm: f64) {
+        let prev = sv.amplitudes().to_vec();
+        for (i, a) in sv.amps_mut().iter_mut().enumerate() {
+            *a = if i & bit != 0 {
+                Complex64::ZERO
+            } else {
+                prev[i | bit] * inv_norm
+            };
         }
     }
 
@@ -427,43 +399,107 @@ mod tests {
             lanes.apply_m2(&u2, q);
             lanes.apply_m2_lane(&u2, q, m2_lane);
             let pop = lanes.phase_and_population(bit, &phases);
-            lanes.phase_if_one_lane(bit, Complex64::cis(std::f64::consts::PI), phase_lane);
+            lanes.phase_if_one_lane(bit, Complex64::cis(PI), phase_lane);
             lanes.mcwf_no_jump(bit, &scale0, &scale1);
             lanes.mcwf_jump_lane(bit, 1.7, jump_lane);
             lanes.apply_m4(&u4, q, (q + 2) % n);
             lanes.apply_zz(&zz);
             for (l, sv) in svs.iter_mut().enumerate() {
-                LaneState::apply_m2(sv, &u2, q);
+                sv.apply_m2(&u2, q);
                 if l == m2_lane {
-                    LaneState::apply_m2(sv, &u2, q);
+                    sv.apply_m2(&u2, q);
                 }
-                let p = LaneState::phase_and_population(sv, bit, &[phases[l]]);
-                assert_eq!(p[0], pop[l], "population, lane {l}");
+                filtered_phase(sv, bit, phases[l]);
+                assert_eq!(filtered_population(sv, bit), pop[l], "population, lane {l}");
                 if l == phase_lane {
-                    sv.phase_if_one_lane(bit, Complex64::cis(std::f64::consts::PI), 0);
+                    filtered_phase(sv, bit, Complex64::cis(PI));
                 }
-                LaneState::mcwf_no_jump(sv, bit, &[scale0[l]], &[scale1[l]]);
+                filtered_no_jump(sv, bit, scale0[l], scale1[l]);
                 if l == jump_lane {
-                    sv.mcwf_jump_lane(bit, 1.7, 0);
+                    filtered_jump(sv, bit, 1.7);
                 }
-                LaneState::apply_m4(sv, &u4, q, (q + 2) % n);
-                // The one-lane layout's fused ZZ sweep against one sweep
-                // per coupling, as the reference path runs them.
-                let mut fused = sv.clone();
-                LaneState::apply_zz(&mut fused, &zz);
+                sv.apply_m4(&u4, q, (q + 2) % n);
+                // One sweep per coupling, as the reference path runs them.
                 sv.apply_zz(0.77, 1, 3);
                 sv.apply_zz(-0.31, 0, 2);
-                for (a, b) in fused.amplitudes().iter().zip(sv.amplitudes()) {
-                    assert_eq!((a.re, a.im), (b.re, b.im), "one-lane ZZ, lane {l}");
-                }
             }
             assert_lanes_eq(&lanes, &svs, &format!("qubit {q}"));
             let populations = lanes.population(bit);
             for (l, sv) in svs.iter().enumerate() {
-                assert_eq!(LaneState::population(sv, bit)[0], populations[l]);
+                assert_eq!(filtered_population(sv, bit), populations[l]);
                 let mut a = StdRng::seed_from_u64(l as u64);
                 let mut b = a.clone();
-                assert_eq!(lanes.sample_lane(&mut a, l), sv.sample_lane(&mut b, 0));
+                assert_eq!(
+                    lanes.sample_lane(&mut a, l),
+                    naive::sample_index(sv, &mut b)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_phase_population_matches_separate_sweeps() {
+        let phases: [Complex64; L] = std::array::from_fn(|l| Complex64::cis(0.73 + 0.1 * l as f64));
+        for q in 0..6 {
+            let bit = 1usize << q;
+            let (mut fused, mut svs) = random_lanes(6, 17);
+            let mut separate = fused.clone();
+            let p_fused = fused.phase_and_population(bit, &phases);
+            separate.phase_if_one(bit, &phases);
+            let p_separate = separate.population(bit);
+            for (l, sv) in svs.iter_mut().enumerate() {
+                filtered_phase(sv, bit, phases[l]);
+                let expect = filtered_population(sv, bit);
+                assert_eq!(p_fused[l], expect, "fused, qubit {q}, lane {l}");
+                assert_eq!(p_separate[l], expect, "separate, qubit {q}, lane {l}");
+            }
+            assert_lanes_eq(&fused, &svs, &format!("fused, qubit {q}"));
+            assert_lanes_eq(&separate, &svs, &format!("separate, qubit {q}"));
+            // One lane takes a phase of its own; the others keep theirs.
+            for lane in ONE_LANE_CHECKS {
+                let phase = Complex64::cis(-1.1 + lane as f64);
+                fused.phase_if_one_lane(bit, phase, lane);
+                filtered_phase(&mut svs[lane], bit, phase);
+                assert_lanes_eq(&fused, &svs, &format!("lane {lane}, qubit {q}"));
+            }
+        }
+    }
+
+    #[test]
+    fn mcwf_sweeps_match_index_filtered_loops() {
+        let scale0: [f64; L] = std::array::from_fn(|l| 1.07 + 0.01 * l as f64);
+        let scale1: [f64; L] = std::array::from_fn(|l| 0.85 - 0.02 * l as f64);
+        for q in 0..5 {
+            let bit = 1usize << q;
+            let (mut lanes, mut svs) = random_lanes(5, 23);
+            lanes.mcwf_no_jump(bit, &scale0, &scale1);
+            for (l, sv) in svs.iter_mut().enumerate() {
+                filtered_no_jump(sv, bit, scale0[l], scale1[l]);
+            }
+            assert_lanes_eq(&lanes, &svs, &format!("no-jump on {q}"));
+
+            // A jump moves one lane's branch; the others stay as they are.
+            let (mut lanes, mut svs) = random_lanes(5, 29);
+            for lane in ONE_LANE_CHECKS {
+                lanes.mcwf_jump_lane(bit, scale0[lane], lane);
+                filtered_jump(&mut svs[lane], bit, scale0[lane]);
+                assert_lanes_eq(&lanes, &svs, &format!("jump on {q}, lane {lane}"));
+            }
+        }
+    }
+
+    #[test]
+    fn excited_population_matches_filtered_sum() {
+        let (lanes, svs) = random_lanes(7, 3);
+        for q in 0..7 {
+            let bit = 1usize << q;
+            let populations = lanes.population(bit);
+            for (l, sv) in svs.iter().enumerate() {
+                assert_eq!(
+                    populations[l],
+                    filtered_population(sv, bit),
+                    "qubit {q}, lane {l}"
+                );
             }
         }
     }

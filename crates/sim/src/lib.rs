@@ -20,11 +20,14 @@
 //! shape as [`machine`], so the core crate's `Executor` trait can drive
 //! all three substrates interchangeably.
 //!
-//! The hot paths of all three engines run through shared infrastructure:
-//! [`kernels`] (half/quarter-index-space amplitude sweeps), [`fusion`] (single-qubit gate fusion and unpacked gate
-//! matrices), and [`sampling`] (build-once CDF shot sampling). [`naive`]
-//! preserves the original implementations as the parity oracle and the
-//! benchmark baseline.
+//! The engines' hot paths run through shared infrastructure: [`kernels`]
+//! (half/quarter-index-space amplitude sweeps of the statevector and
+//! density engines), [`fusion`] (single-qubit gate fusion and unpacked gate
+//! matrices, which all three use), and [`sampling`] (build-once CDF shot
+//! sampling). The [`machine`] runs every trajectory, whatever the
+//! register's width, in a lane-major state that holds
+//! [`machine::LANES`] shots abreast. [`naive`] preserves the original
+//! implementations as the parity oracle and the benchmark baseline.
 
 pub mod channels;
 pub mod counts;

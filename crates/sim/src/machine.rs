@@ -31,29 +31,29 @@
 //! every qubit's damping/dephasing probabilities and telegraph no-flip
 //! threshold and every coupling's ZZ phase factors. Once per job
 //! (`CompiledSchedule`): the timeline's steps, which qubits have started,
-//! and each segment's entries copied from the batch's tables. One
-//! trajectory scratch serves every job of a batch.
+//! and each segment's entries copied from the batch's tables. Consecutive
+//! jobs of one register width share one trajectory scratch.
 //!
-//! Registers of up to [`MAX_LANE_QUBITS`] qubits run [`LANES`] consecutive
-//! shots in lock-step through one step interpreter over a lane-major state
+//! Every register, whatever its width, runs [`LANES`] consecutive shots in
+//! lock-step through one step interpreter over a lane-major state
 //! (`sim/lanes.rs`): every gate, phase and damping sweep updates all lanes
-//! at once. The lanes draw from a lane-major generator ([`LaneRng`]): one
-//! vector step makes every draw all lanes make, and a one-lane view serves
-//! the rest, so each lane still consumes its own `(job, shot)` stream in the
-//! original order. The lanes an event selects come from one vector compare
-//! as a bit mask, and the rare per-lane events — telegraph flips, MCWF
-//! jumps, dephasing flips, gate-error Paulis and the fused product an error
-//! splits — run on that lane alone. The quasi-static normals and the
-//! detuning phases come from lane calls of `vaqem_mathkit::lanemath`,
-//! which compute every lane in vector code. Wider registers run the same
-//! interpreter one shot at a time over an ordinary [`StateVector`].
+//! at once. The state takes `L * 2^n * 16` bytes, 256 KiB for a 10-qubit
+//! register at sixteen lanes. The lanes draw from a lane-major generator
+//! ([`LaneRng`]): one vector step makes every draw all lanes make, and a
+//! one-lane view serves the rest, so each lane still consumes its own
+//! `(job, shot)` stream in the original order. The lanes an event selects
+//! come from one vector compare as a bit mask, and the rare per-lane
+//! events — telegraph flips, MCWF jumps, dephasing flips, gate-error
+//! Paulis and the fused product an error splits — run on that lane alone.
+//! The quasi-static normals and the detuning phases come from lane calls
+//! of `vaqem_mathkit::lanemath`, which compute every lane in vector code.
 //!
 //! The lane interpreter is compiled three times ([`LaneBuild`]): for
 //! AVX-512 and for AVX2 with FMA, both at [`LANES`] lanes, and for the
 //! target's default features at eight. The widest build the CPU supports
 //! runs every job. All three compute the same bits: every lane does the
-//! one-shot arithmetic, and Rust never contracts a multiply and an add
-//! into a fused multiply-add.
+//! arithmetic of one trajectory of the per-op reference, and Rust never
+//! contracts a multiply and an add into a fused multiply-add.
 //!
 //! Runs of same-qubit single-qubit gates with no free evolution between
 //! them (e.g. virtual-RZ clusters) fuse optimistically into one 2x2 product:
@@ -65,8 +65,7 @@
 
 use crate::counts::Counts;
 use crate::fusion;
-use crate::lanes::{LaneMajor, LaneState, ZzPhase};
-use crate::statevector::StateVector;
+use crate::lanes::{LaneMajor, ZzPhase};
 use rand::rngs::LaneRng;
 use rand::Rng;
 use std::ops::Range;
@@ -82,19 +81,14 @@ use vaqem_mathkit::Complex64;
 /// Default number of shots per execution, matching common IBM submissions.
 pub const DEFAULT_SHOTS: u64 = 2048;
 
-/// Shots a small register runs abreast on the AVX2 and AVX-512 builds: two
+/// Shots a register runs abreast on the AVX2 and AVX-512 builds: two
 /// AVX-512 vectors of `f64` per amplitude component.
 pub const LANES: usize = 16;
 
-/// Shots a small register runs abreast on the default build. At two `f64`
+/// Shots a register runs abreast on the default build. At two `f64`
 /// per vector operation, sixteen lanes ran 6-qubit jobs about 15% slower
 /// than eight.
 const DEFAULT_BUILD_LANES: usize = 8;
-
-/// The widest register that runs shots abreast. It covers every width the
-/// fleet fixtures and the scenario matrix serve (2, 3, 4 and 6); at 64
-/// amplitudes a sixteen-lane state is 16 KiB.
-pub const MAX_LANE_QUBITS: usize = 6;
 
 /// Relative guard band under a segment's telegraph no-flip threshold. A
 /// draw below `exp(-rate*dt) * (1 - TELEGRAPH_GUARD)` is far enough from the
@@ -114,7 +108,7 @@ pub struct MachineExecutor {
 
 /// A build of the lane interpreter. Each is the same code compiled for
 /// wider vector units; the widest one the CPU supports
-/// ([`LaneBuild::detected`]) runs every small-register job. The AVX builds
+/// ([`LaneBuild::detected`]) runs every job. The AVX builds
 /// run [`LANES`] shots abreast, the default build eight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneBuild {
@@ -550,8 +544,8 @@ struct PhaseMemo<const L: usize> {
 /// memo, and the per-qubit pending fused runs (each group ends with every
 /// run flushed, so the next starts with none).
 #[derive(Debug)]
-struct TrajectoryScratch<S, const L: usize> {
-    state: S,
+struct TrajectoryScratch<const L: usize> {
+    state: LaneMajor<L>,
     /// Per qubit, each lane's detuning.
     detuning: Vec<[f64; L]>,
     /// Per qubit, each lane's telegraph sign.
@@ -561,13 +555,13 @@ struct TrajectoryScratch<S, const L: usize> {
     pending: Vec<PendingRun<L>>,
 }
 
-impl<S: LaneState<L>, const L: usize> TrajectoryScratch<S, L> {
+impl<const L: usize> TrajectoryScratch<L> {
     /// Scratch for registers of `num_qubits` qubits whose segments take
     /// `lengths` distinct lengths.
     fn new(num_qubits: usize, lengths: usize) -> Self {
         assert!(L <= 32, "a pending run tracks lanes in a u32 mask");
         TrajectoryScratch {
-            state: S::zero_state(num_qubits),
+            state: LaneMajor::zero_state(num_qubits),
             detuning: vec![[0.0; L]; num_qubits],
             telegraph_sign: vec![[1.0; L]; num_qubits],
             phases: vec![
@@ -772,7 +766,6 @@ impl MachineExecutor {
             })
             .collect();
         run_lanes(build, &tables, &mut batch);
-        run_batch::<StateVector, 1>(&tables, &mut batch, false);
         batch
             .iter()
             .map(|job| Counts::from_index_histogram(job.compiled.num_qubits, &job.hist))
@@ -814,8 +807,8 @@ fn live_lanes(active: usize) -> u32 {
     u32::MAX >> (32 - active)
 }
 
-/// Runs a batch's small-register jobs on `build`'s lane interpreter (the
-/// caller has checked that the CPU supports it).
+/// Runs a batch's jobs on `build`'s lane interpreter (the caller has
+/// checked that the CPU supports it).
 fn run_lanes(build: LaneBuild, tables: &NoiseTables, batch: &mut [BatchJob]) {
     match build {
         #[cfg(target_arch = "x86_64")]
@@ -830,7 +823,7 @@ fn run_lanes(build: LaneBuild, tables: &NoiseTables, batch: &mut [BatchJob]) {
             // feature the build enables.
             unsafe { run_lanes_avx2(tables, batch) }
         }
-        _ => run_batch::<LaneMajor<DEFAULT_BUILD_LANES>, DEFAULT_BUILD_LANES>(tables, batch, true),
+        _ => run_batch::<DEFAULT_BUILD_LANES>(tables, batch),
     }
 }
 
@@ -840,7 +833,7 @@ fn run_lanes(build: LaneBuild, tables: &NoiseTables, batch: &mut [BatchJob]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,avx512dq")]
 fn run_lanes_avx512(tables: &NoiseTables, batch: &mut [BatchJob]) {
-    run_batch::<LaneMajor<LANES>, LANES>(tables, batch, true);
+    run_batch::<LANES>(tables, batch);
 }
 
 /// The lane interpreter compiled for AVX2 with FMA (see
@@ -849,23 +842,15 @@ fn run_lanes_avx512(tables: &NoiseTables, batch: &mut [BatchJob]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 fn run_lanes_avx2(tables: &NoiseTables, batch: &mut [BatchJob]) {
-    run_batch::<LaneMajor<LANES>, LANES>(tables, batch, true);
+    run_batch::<LANES>(tables, batch);
 }
 
-/// Runs the batch's jobs whose registers run shots abreast (`abreast`) or
-/// one at a time (`!abreast`) through one scratch, made anew only when the
-/// register width changes.
+/// Runs the batch's jobs `L` shots abreast through one scratch, made anew
+/// only when the register width changes.
 #[inline(always)]
-fn run_batch<S: LaneState<L>, const L: usize>(
-    tables: &NoiseTables,
-    batch: &mut [BatchJob],
-    abreast: bool,
-) {
-    let mut scratch: Option<TrajectoryScratch<S, L>> = None;
-    for job in batch
-        .iter_mut()
-        .filter(|job| (job.compiled.num_qubits <= MAX_LANE_QUBITS) == abreast)
-    {
+fn run_batch<const L: usize>(tables: &NoiseTables, batch: &mut [BatchJob]) {
+    let mut scratch: Option<TrajectoryScratch<L>> = None;
+    for job in batch.iter_mut() {
         let n = job.compiled.num_qubits;
         let scratch = match &mut scratch {
             Some(scratch) if scratch.num_qubits() == n => scratch,
@@ -881,10 +866,10 @@ fn run_batch<S: LaneState<L>, const L: usize>(
 /// their streams, but no decision reads them and their outcomes are not
 /// counted.
 #[inline(always)]
-fn run_shots<S: LaneState<L>, const L: usize>(
+fn run_shots<const L: usize>(
     tables: &NoiseTables,
     job: &mut BatchJob,
-    scratch: &mut TrajectoryScratch<S, L>,
+    scratch: &mut TrajectoryScratch<L>,
 ) {
     let Range { mut start, end } = job.shot_range;
     while start < end {
@@ -904,10 +889,10 @@ fn run_shots<S: LaneState<L>, const L: usize>(
 /// error applied). Lane `l` consumes its column of `rngs` in exactly the
 /// order of the original per-op path.
 #[inline(always)]
-fn run_group<S: LaneState<L>, const L: usize>(
+fn run_group<const L: usize>(
     tables: &NoiseTables,
     compiled: &CompiledSchedule,
-    scratch: &mut TrajectoryScratch<S, L>,
+    scratch: &mut TrajectoryScratch<L>,
     rngs: &mut LaneRng<L>,
     active: usize,
 ) -> [usize; L] {
@@ -1024,10 +1009,10 @@ fn run_group<S: LaneState<L>, const L: usize>(
 /// differ, and no count depends on it); in practice the detuning is zero
 /// exactly when the qubit's sigma is, so no lane takes a phase at all.
 #[inline(always)]
-fn free_evolution<S: LaneState<L>, const L: usize>(
+fn free_evolution<const L: usize>(
     compiled: &CompiledSchedule,
     seg: &FreeSegment,
-    scratch: &mut TrajectoryScratch<S, L>,
+    scratch: &mut TrajectoryScratch<L>,
     rngs: &mut LaneRng<L>,
     live: u32,
 ) {
@@ -1287,8 +1272,9 @@ mod tests {
     fn batch_counts_equal_one_job_calls_on_every_build() {
         // DD repetitions 0-4 give the jobs different segment lengths, the
         // last 3-qubit job brings a gate no earlier job uses, the widths
-        // change mid-batch (a 7-qubit job runs one shot at a time), and 37
-        // shots leave the last lane group part-full.
+        // change mid-batch (each change makes a new scratch, and the batch's
+        // tables span the 7-qubit register), and 37 shots leave the last
+        // lane group part-full.
         let mut noise = NoiseParameters::uniform(7);
         noise.set_zz(0, 1, 1.0e-4);
         noise.set_zz(1, 2, 8.0e-5);

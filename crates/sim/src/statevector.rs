@@ -69,17 +69,10 @@ impl StateVector {
         &self.amps
     }
 
-    /// Mutable amplitude access for in-crate engines (trajectory executor,
-    /// naive reference) that manipulate the state directly.
+    /// Mutable amplitude access for the naive reference loops, which
+    /// manipulate the state directly.
     pub(crate) fn amps_mut(&mut self) -> &mut [Complex64] {
         &mut self.amps
-    }
-
-    /// Resets to `|0...0>` without reallocating — the trajectory executor
-    /// reuses one state buffer across all shots of a job.
-    pub fn reset_zero(&mut self) {
-        self.amps.fill(Complex64::ZERO);
-        self.amps[0] = Complex64::ONE;
     }
 
     /// Two-norm of the state.
@@ -140,12 +133,6 @@ impl StateVector {
     pub fn apply_two(&mut self, u: &CMatrix, q_hi: usize, q_lo: usize) {
         assert_eq!(u.rows(), 4, "expected 4x4");
         self.apply_m4(&M4::from_cmatrix(u), q_hi, q_lo);
-    }
-
-    /// Applies a phase `e^{i theta}` to every basis state where qubit `q` is 1
-    /// (fast diagonal path used by the noisy executor's detuning model).
-    pub fn apply_phase_if_one(&mut self, theta: f64, q: usize) {
-        kernels::phase_if_one(&mut self.amps, 1 << q, Complex64::cis(theta));
     }
 
     /// Applies `exp(-i theta Z_a Z_b / 2)` (always-on ZZ coupling step).
@@ -225,25 +212,6 @@ impl StateVector {
     /// Born-rule probabilities for every basis state.
     pub fn probabilities(&self) -> Vec<f64> {
         self.amps.iter().map(|a| a.norm_sqr()).collect()
-    }
-
-    /// Probability that qubit `q` reads 1.
-    pub fn excited_probability(&self, q: usize) -> f64 {
-        kernels::excited_population(&self.amps, 1 << q)
-    }
-
-    /// Samples one basis-state index (one `O(2^n)` scan; for shot loops use
-    /// [`Self::sample_counts`], which amortizes the scan into one CDF).
-    pub fn sample_index<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let r: f64 = rng.gen();
-        let mut acc = 0.0;
-        for (i, a) in self.amps.iter().enumerate() {
-            acc += a.norm_sqr();
-            if r < acc {
-                return i;
-            }
-        }
-        self.amps.len() - 1
     }
 
     /// Samples a histogram of `shots` measurements of all qubits: one CDF
@@ -396,26 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_zero_restores_ground_state() {
-        let mut qc = QuantumCircuit::new(3);
-        qc.h(0).unwrap();
-        qc.cx(0, 2).unwrap();
-        let mut sv = StateVector::run(&qc).unwrap();
-        sv.reset_zero();
-        assert_eq!(sv, StateVector::zero_state(3));
-    }
-
-    #[test]
-    fn phase_if_one_only_touches_one_branch() {
-        let mut sv = StateVector::zero_state(1);
-        sv.apply_single(&Gate::H.unitary().unwrap(), 0);
-        sv.apply_phase_if_one(std::f64::consts::PI, 0);
-        // H then Z = |->; applying H again gives |1>.
-        sv.apply_single(&Gate::H.unitary().unwrap(), 0);
-        assert!(sv.probabilities()[1] > 1.0 - 1e-12);
-    }
-
-    #[test]
     fn zz_phase_parity() {
         // |11> picks up e^{-i theta/2}; |01> picks up e^{+i theta/2}.
         let theta = 0.8;
@@ -495,24 +443,6 @@ mod tests {
         }
         let sv = StateVector::run(&qc).unwrap();
         assert_eq!(sv.exact_counts(1000).total(), 1000);
-    }
-
-    #[test]
-    fn excited_probability_matches_full_sum() {
-        let mut qc = QuantumCircuit::new(3);
-        qc.ry(0.9, 0).unwrap();
-        qc.cx(0, 2).unwrap();
-        let sv = StateVector::run(&qc).unwrap();
-        for q in 0..3 {
-            let expect: f64 = sv
-                .probabilities()
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i & (1 << q) != 0)
-                .map(|(_, p)| p)
-                .sum();
-            assert!((sv.excited_probability(q) - expect).abs() < 1e-15);
-        }
     }
 
     #[test]
