@@ -82,7 +82,7 @@ fn bench_store_operations(c: &mut Criterion) {
     let cache = problem
         .schedule_groups(&backend, &params)
         .expect("schedules");
-    let scheduled = vaqem_mitigation::combined::MitigationConfig::baseline().apply_under(
+    let scheduled = vaqem_mitigation::combined::MitigationConfig::baseline().apply(
         cache.schedules().first().expect("group"),
         backend.durations(),
     );

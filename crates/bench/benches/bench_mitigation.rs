@@ -10,7 +10,7 @@ use vaqem_sim::counts::Counts;
 
 fn bench_dd_pass(c: &mut Criterion) {
     let scheduled = alap(&dd_window_circuit(200).expect("builds"));
-    let pass = DdPass::new(DdSequence::Xy4, 35.56, 35.56);
+    let pass = DdPass::new(DdSequence::Xy4, 35.56);
     c.bench_function("dd_pass_apply_uniform_8", |b| {
         b.iter(|| pass.apply_uniform(&scheduled, 8))
     });

@@ -4,7 +4,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use vaqem::benchmarks::BenchmarkId;
 use vaqem_mathkit::eigen::hermitian_eigenvalues;
 use vaqem_mathkit::rng::SeedStream;
-use vaqem_optim::nelder_mead::{self, NelderMeadConfig};
 use vaqem_optim::spsa::{self, SpsaConfig};
 
 fn bench_spsa_quadratic(c: &mut Criterion) {
@@ -16,22 +15,6 @@ fn bench_spsa_quadratic(c: &mut Criterion) {
                 &vec![1.0; 36],
                 &config,
                 &SeedStream::new(1),
-            )
-        })
-    });
-}
-
-fn bench_nelder_mead(c: &mut Criterion) {
-    let config = NelderMeadConfig {
-        max_evaluations: 500,
-        ..Default::default()
-    };
-    c.bench_function("nelder_mead_500_evals_8_params", |b| {
-        b.iter(|| {
-            nelder_mead::minimize(
-                |x| x.iter().map(|v| (v - 0.5) * (v - 0.5)).sum::<f64>(),
-                &[0.0; 8],
-                &config,
             )
         })
     });
@@ -56,7 +39,6 @@ fn bench_exact_diagonalization(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_spsa_quadratic,
-    bench_nelder_mead,
     bench_ideal_objective,
     bench_exact_diagonalization
 );

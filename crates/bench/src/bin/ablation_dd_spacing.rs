@@ -29,10 +29,10 @@ fn main() {
     let mut periodic_wins = 0usize;
     let mut rows = 0usize;
     for reps in [1usize, 2, 4, 8, 16] {
-        let periodic = DdPass::new(DdSequence::Xy4, SLOT_NS, SLOT_NS)
+        let periodic = DdPass::new(DdSequence::Xy4, SLOT_NS)
             .with_spacing(DdSpacing::Periodic)
             .apply_uniform(&scheduled, reps);
-        let packed = DdPass::new(DdSequence::Xy4, SLOT_NS, SLOT_NS)
+        let packed = DdPass::new(DdSequence::Xy4, SLOT_NS)
             .with_spacing(DdSpacing::FrontPacked)
             .apply_uniform(&scheduled, reps);
         let f_p = executor

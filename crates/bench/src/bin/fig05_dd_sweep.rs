@@ -38,7 +38,7 @@ fn main() {
     }
     let executor = MachineExecutor::new(noise, SeedStream::new(505)).with_shots(shots);
 
-    let pass = DdPass::new(DdSequence::Xy4, SLOT_NS, SLOT_NS);
+    let pass = DdPass::new(DdSequence::Xy4, SLOT_NS);
     let windows = pass.windows(&scheduled);
     let max = windows
         .iter()

@@ -3,8 +3,8 @@
 //! Quantum circuit intermediate representation for the VAQEM (HPCA 2022)
 //! reproduction: a Qiskit-shaped gate set with symbolic parameters, a
 //! duration-aware ASAP/ALAP scheduler, idle-window extraction (the
-//! substrate both mitigation techniques operate on), full-circuit unitary
-//! synthesis for semantics checks, and OpenQASM text emission.
+//! substrate both mitigation techniques operate on), and full-circuit
+//! unitary synthesis for semantics checks.
 //!
 //! # Examples
 //!
@@ -29,7 +29,6 @@
 pub mod circuit;
 pub mod error;
 pub mod gate;
-pub mod qasm;
 pub mod schedule;
 pub mod unitary;
 

@@ -127,7 +127,7 @@ impl<E: Executor> QuantumBackend<E> {
         job_index: u64,
     ) -> Job {
         Job {
-            scheduled: config.apply_under(base, &self.durations),
+            scheduled: config.apply(base, &self.durations),
             shots: self.shots,
             seed: job_index,
         }
@@ -146,7 +146,7 @@ impl<E: Executor> QuantumBackend<E> {
         folds: usize,
         job_index: u64,
     ) -> Job {
-        let mitigated = config.apply_under(base, &self.durations);
+        let mitigated = config.apply(base, &self.durations);
         Job {
             scheduled: vaqem_mitigation::zne::fold_schedule(&mitigated, folds),
             shots: self.shots,

@@ -469,7 +469,7 @@ fn fixed_config<E: Executor>(
             message: "no measurement groups".into(),
         })?;
     let pulse = backend.durations().single_qubit_ns();
-    let n = DdPass::new(sequence, pulse, pulse).windows(scheduled).len();
+    let n = DdPass::new(sequence, pulse).windows(scheduled).len();
     Ok(MitigationConfig::dynamical_decoupling(sequence, vec![1; n]))
 }
 

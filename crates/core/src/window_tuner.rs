@@ -749,7 +749,7 @@ impl Stage {
             }
             Stage::Dd => {
                 let s = tuner.canonical_schedule(cache, base)?;
-                let windows = DdPass::new(seq, pulse, pulse).windows(&s);
+                let windows = DdPass::new(seq, pulse).windows(&s);
                 untuned.dd_repetitions = vec![0; windows.len()];
                 untuned.dd_sequence = Some(seq);
                 (TuningMode::Dd(seq), s, windows)
@@ -968,7 +968,7 @@ impl<'a, E: Executor> WindowTuner<'a, E> {
             .ok_or_else(|| VaqemError::Config {
                 message: "hamiltonian has no measurement groups".into(),
             })?;
-        Ok(base.apply_under(first, self.backend.durations()))
+        Ok(base.apply(first, self.backend.durations()))
     }
 
     /// The circuit-level cache key, read off the unmitigated schedule.
@@ -1624,8 +1624,8 @@ mod tests {
         let cfg = tiny_config();
         let params = vec![0.3; p.num_params()];
         let cache = p.schedule_groups(&b, &params).unwrap();
-        let scheduled = MitigationConfig::baseline()
-            .apply_under(cache.schedules().first().unwrap(), b.durations());
+        let scheduled =
+            MitigationConfig::baseline().apply(cache.schedules().first().unwrap(), b.durations());
         let pulse = b.durations().single_qubit_ns();
         let windows = scheduled.idle_windows(pulse);
         assert!(!windows.is_empty());
@@ -1971,8 +1971,8 @@ mod tests {
         let cfg = tiny_config();
         let params = vec![0.3; p.num_params()];
         let cache = p.schedule_groups(&b, &params).unwrap();
-        let scheduled = MitigationConfig::baseline()
-            .apply_under(cache.schedules().first().unwrap(), b.durations());
+        let scheduled =
+            MitigationConfig::baseline().apply(cache.schedules().first().unwrap(), b.durations());
         let pulse = b.durations().single_qubit_ns();
         let noise = NoiseParameters::uniform(3);
         let zne = circuit_fingerprint(TuningMode::Zne, &scheduled, &noise, pulse, &cfg);

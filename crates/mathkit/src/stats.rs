@@ -6,52 +6,39 @@
 //! values (Fig. 16). This module implements all of those plus small helpers
 //! (linear spacing, summary accumulators) shared by the bench binaries.
 
-use std::collections::HashMap;
-
-/// Hellinger distance between two discrete probability distributions given as
-/// maps from outcome label to probability.
+/// Hellinger distance between two discrete probability distributions over
+/// the same outcomes, given as slices indexed by outcome.
 ///
-/// `H(p, q) = sqrt(1 - sum_i sqrt(p_i q_i))`, in `[0, 1]`.
-///
-/// Outcomes missing from one distribution are treated as probability zero.
-pub fn hellinger_distance(p: &HashMap<String, f64>, q: &HashMap<String, f64>) -> f64 {
+/// `H(p, q) = sqrt(1 - sum_i sqrt(p_i q_i))`, in `[0, 1]`. Panics as
+/// [`bhattacharyya`] does.
+pub fn hellinger_distance(p: &[f64], q: &[f64]) -> f64 {
     let bc = bhattacharyya(p, q);
     (1.0 - bc.min(1.0)).max(0.0).sqrt()
 }
 
 /// Hellinger fidelity `(1 - H^2)^2 = BC^2`, matching
 /// `qiskit.quantum_info.hellinger_fidelity` and the metric used in the paper's
-/// micro-benchmarks (Fig. 6).
-pub fn hellinger_fidelity(p: &HashMap<String, f64>, q: &HashMap<String, f64>) -> f64 {
+/// micro-benchmarks (Fig. 6). Panics as [`bhattacharyya`] does.
+pub fn hellinger_fidelity(p: &[f64], q: &[f64]) -> f64 {
     let bc = bhattacharyya(p, q).min(1.0);
     bc * bc
 }
 
-/// Bhattacharyya coefficient `sum_i sqrt(p_i q_i)`.
-pub fn bhattacharyya(p: &HashMap<String, f64>, q: &HashMap<String, f64>) -> f64 {
+/// Bhattacharyya coefficient `sum_i sqrt(p_i q_i)`, summed in index order so
+/// the same two distributions give the same bits in every process.
+///
+/// # Panics
+///
+/// Panics unless `p` and `q` have the same length.
+pub fn bhattacharyya(p: &[f64], q: &[f64]) -> f64 {
+    assert_eq!(p.len(), q.len(), "distributions differ in length");
     let mut bc = 0.0;
-    for (k, &pv) in p {
-        if let Some(&qv) = q.get(k) {
-            if pv > 0.0 && qv > 0.0 {
-                bc += (pv * qv).sqrt();
-            }
+    for (&pv, &qv) in p.iter().zip(q) {
+        if pv > 0.0 && qv > 0.0 {
+            bc += (pv * qv).sqrt();
         }
     }
     bc
-}
-
-/// Normalizes integer counts into a probability distribution.
-///
-/// Returns an empty map when the total count is zero.
-pub fn normalize_counts(counts: &HashMap<String, u64>) -> HashMap<String, f64> {
-    let total: u64 = counts.values().sum();
-    if total == 0 {
-        return HashMap::new();
-    }
-    counts
-        .iter()
-        .map(|(k, &v)| (k.clone(), v as f64 / total as f64))
-        .collect()
 }
 
 /// Apportions `total` integer units across `weights` by the largest-remainder
@@ -264,21 +251,17 @@ impl FromIterator<f64> for Summary {
 mod tests {
     use super::*;
 
-    fn dist(pairs: &[(&str, f64)]) -> HashMap<String, f64> {
-        pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
-    }
-
     #[test]
     fn hellinger_identical_distributions() {
-        let p = dist(&[("00", 0.5), ("11", 0.5)]);
+        let p = [0.5, 0.0, 0.0, 0.5];
         assert!((hellinger_fidelity(&p, &p) - 1.0).abs() < 1e-12);
         assert!(hellinger_distance(&p, &p) < 1e-12);
     }
 
     #[test]
     fn hellinger_disjoint_distributions() {
-        let p = dist(&[("00", 1.0)]);
-        let q = dist(&[("11", 1.0)]);
+        let p = [1.0, 0.0, 0.0, 0.0];
+        let q = [0.0, 0.0, 0.0, 1.0];
         assert!(hellinger_fidelity(&p, &q) < 1e-12);
         assert!((hellinger_distance(&p, &q) - 1.0).abs() < 1e-12);
     }
@@ -286,35 +269,19 @@ mod tests {
     #[test]
     fn hellinger_known_value() {
         // p = (1, 0), q = (0.5, 0.5): BC = sqrt(0.5), fidelity = 0.5.
-        let p = dist(&[("0", 1.0)]);
-        let q = dist(&[("0", 0.5), ("1", 0.5)]);
+        let p = [1.0, 0.0];
+        let q = [0.5, 0.5];
         assert!((hellinger_fidelity(&p, &q) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn fidelity_is_symmetric_and_bounded() {
-        let p = dist(&[("a", 0.2), ("b", 0.3), ("c", 0.5)]);
-        let q = dist(&[("a", 0.4), ("b", 0.4), ("c", 0.2)]);
+        let p = [0.2, 0.3, 0.5];
+        let q = [0.4, 0.4, 0.2];
         let f1 = hellinger_fidelity(&p, &q);
         let f2 = hellinger_fidelity(&q, &p);
         assert!((f1 - f2).abs() < 1e-12);
         assert!((0.0..=1.0).contains(&f1));
-    }
-
-    #[test]
-    fn normalize_counts_sums_to_one() {
-        let counts: HashMap<String, u64> =
-            [("00".to_string(), 750u64), ("11".to_string(), 250u64)].into();
-        let p = normalize_counts(&counts);
-        assert!((p["00"] - 0.75).abs() < 1e-12);
-        let total: f64 = p.values().sum();
-        assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_empty_counts() {
-        let counts: HashMap<String, u64> = HashMap::new();
-        assert!(normalize_counts(&counts).is_empty());
     }
 
     #[test]

@@ -76,40 +76,23 @@ impl MitigationConfig {
         self.gate_positions.is_empty() && self.dd_repetitions.is_empty() && self.zne.is_none()
     }
 
-    /// Applies the configuration to a scheduled circuit.
-    ///
-    /// `pulse_ns` is the single-qubit slot duration; `min_window_ns` the
-    /// window detection threshold (both normally from the device's
-    /// [`vaqem_circuit::schedule::DurationModel`]).
+    /// Applies the configuration to a scheduled circuit under the device's
+    /// duration table: its single-qubit slot is both the DD pulse length and
+    /// the shortest window either pass touches.
     pub fn apply(
-        &self,
-        scheduled: &ScheduledCircuit,
-        pulse_ns: f64,
-        min_window_ns: f64,
-    ) -> ScheduledCircuit {
-        let mut current = scheduled.clone();
-        if !self.gate_positions.is_empty() {
-            let gs = GsPass::new(min_window_ns);
-            current = gs.apply(&current, &self.gate_positions);
-        }
-        if let (Some(seq), false) = (self.dd_sequence, self.dd_repetitions.is_empty()) {
-            let dd = DdPass::new(seq, pulse_ns, min_window_ns);
-            current = dd.apply(&current, &self.dd_repetitions);
-        }
-        current
-    }
-
-    /// Applies the configuration under a device duration table: the
-    /// single-qubit slot doubles as pulse length and window-detection
-    /// threshold, which is how every execution path in the workspace
-    /// parameterizes [`Self::apply`].
-    pub fn apply_under(
         &self,
         scheduled: &ScheduledCircuit,
         durations: &DurationModel,
     ) -> ScheduledCircuit {
         let pulse = durations.single_qubit_ns();
-        self.apply(scheduled, pulse, pulse)
+        let mut current = scheduled.clone();
+        if !self.gate_positions.is_empty() {
+            current = GsPass::new(pulse).apply(&current, &self.gate_positions);
+        }
+        if let (Some(seq), false) = (self.dd_sequence, self.dd_repetitions.is_empty()) {
+            current = DdPass::new(seq, pulse).apply(&current, &self.dd_repetitions);
+        }
+        current
     }
 }
 
@@ -118,8 +101,6 @@ mod tests {
     use super::*;
     use vaqem_circuit::circuit::QuantumCircuit;
     use vaqem_circuit::schedule::{schedule, DurationModel, ScheduleKind};
-
-    const SLOT: f64 = 35.56;
 
     fn circuit() -> ScheduledCircuit {
         let mut qc = QuantumCircuit::new(2);
@@ -137,7 +118,7 @@ mod tests {
     #[test]
     fn baseline_is_identity() {
         let s = circuit();
-        let out = MitigationConfig::baseline().apply(&s, SLOT, SLOT);
+        let out = MitigationConfig::baseline().apply(&s, &DurationModel::ibm_default());
         assert_eq!(out.ops().len(), s.ops().len());
     }
 
@@ -150,7 +131,7 @@ mod tests {
             dd_sequence: Some(DdSequence::Xy4),
             ..Default::default()
         };
-        let out = cfg.apply(&s, SLOT, SLOT);
+        let out = cfg.apply(&s, &DurationModel::ibm_default());
         out.validate().unwrap();
         assert!(
             out.ops().len() > s.ops().len(),
@@ -163,8 +144,9 @@ mod tests {
         // Moving the gate to the middle splits the window in two; DD then
         // fills the sub-windows independently.
         let s = circuit();
-        let gs_only = MitigationConfig::gate_scheduling(vec![0.5]).apply(&s, SLOT, SLOT);
-        let windows_after_gs = gs_only.idle_windows(SLOT);
+        let gs_only =
+            MitigationConfig::gate_scheduling(vec![0.5]).apply(&s, &DurationModel::ibm_default());
+        let windows_after_gs = gs_only.idle_windows(DurationModel::ibm_default().single_qubit_ns());
         // At least two windows on qubit 0 now (before and after the moved X).
         let q0: Vec<_> = windows_after_gs.iter().filter(|w| w.qubit == 0).collect();
         assert!(q0.len() >= 2, "{q0:?}");
@@ -174,7 +156,7 @@ mod tests {
             dd_sequence: Some(DdSequence::Xx),
             ..Default::default()
         };
-        let out = cfg.apply(&s, SLOT, SLOT);
+        let out = cfg.apply(&s, &DurationModel::ibm_default());
         out.validate().unwrap();
     }
 
@@ -197,7 +179,7 @@ mod tests {
         // untouched by it (the execution layer folds separately).
         let s = circuit();
         let cfg = MitigationConfig::zero_noise_extrapolation(ZneConfig::standard());
-        let out = cfg.apply(&s, SLOT, SLOT);
+        let out = cfg.apply(&s, &DurationModel::ibm_default());
         assert_eq!(out.ops().len(), s.ops().len());
     }
 }

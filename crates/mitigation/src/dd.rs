@@ -151,18 +151,17 @@ pub struct DdPass {
     sequence: DdSequence,
     spacing: DdSpacing,
     pulse_ns: f64,
-    min_window_ns: f64,
 }
 
 impl DdPass {
-    /// Creates a pass for `sequence` with the given pulse duration; windows
-    /// shorter than `min_window_ns` are left untouched.
-    pub fn new(sequence: DdSequence, pulse_ns: f64, min_window_ns: f64) -> Self {
+    /// Creates a pass for `sequence` with the given pulse duration (the
+    /// device's single-qubit slot); windows shorter than one pulse are left
+    /// untouched.
+    pub fn new(sequence: DdSequence, pulse_ns: f64) -> Self {
         DdPass {
             sequence,
             spacing: DdSpacing::Periodic,
             pulse_ns,
-            min_window_ns,
         }
     }
 
@@ -180,7 +179,7 @@ impl DdPass {
     /// Extracts the tunable windows of a scheduled circuit, in canonical
     /// `(qubit, start)` order — the index space for per-window parameters.
     pub fn windows(&self, scheduled: &ScheduledCircuit) -> Vec<IdleWindow> {
-        scheduled.idle_windows(self.min_window_ns)
+        scheduled.idle_windows(self.pulse_ns)
     }
 
     /// Applies the pass: `repetitions[i]` repetitions in the `i`-th window
@@ -270,7 +269,7 @@ mod tests {
     #[test]
     fn periodic_pulses_fit_inside_window() {
         let s = window_circuit(20);
-        let pass = DdPass::new(DdSequence::Xy4, SLOT, SLOT);
+        let pass = DdPass::new(DdSequence::Xy4, SLOT);
         let windows = pass.windows(&s);
         assert_eq!(windows.len(), 1);
         let w = &windows[0];
@@ -295,7 +294,7 @@ mod tests {
     #[test]
     fn applied_pass_keeps_schedule_valid() {
         let s = window_circuit(16);
-        let pass = DdPass::new(DdSequence::Xx, SLOT, SLOT);
+        let pass = DdPass::new(DdSequence::Xx, SLOT);
         for reps in 0..=6 {
             let out = pass.apply_uniform(&s, reps);
             out.validate()
@@ -309,7 +308,7 @@ mod tests {
     #[test]
     fn clamping_handles_oversized_requests() {
         let s = window_circuit(8);
-        let pass = DdPass::new(DdSequence::Xy8, SLOT, SLOT);
+        let pass = DdPass::new(DdSequence::Xy8, SLOT);
         let out = pass.apply(&s, &[1000]);
         out.validate().unwrap();
     }
@@ -317,7 +316,7 @@ mod tests {
     #[test]
     fn zero_repetitions_is_identity_pass() {
         let s = window_circuit(10);
-        let pass = DdPass::new(DdSequence::Xy4, SLOT, SLOT);
+        let pass = DdPass::new(DdSequence::Xy4, SLOT);
         let out = pass.apply(&s, &[0]);
         assert_eq!(out.ops().len(), s.ops().len());
     }
@@ -325,7 +324,7 @@ mod tests {
     #[test]
     fn front_packed_spacing() {
         let s = window_circuit(12);
-        let pass = DdPass::new(DdSequence::Xx, SLOT, SLOT).with_spacing(DdSpacing::FrontPacked);
+        let pass = DdPass::new(DdSequence::Xx, SLOT).with_spacing(DdSpacing::FrontPacked);
         let out = pass.apply_uniform(&s, 2);
         out.validate().unwrap();
         let w = pass.windows(&s)[0].clone();
@@ -344,7 +343,7 @@ mod tests {
     #[should_panic(expected = "do not fit")]
     fn oversized_direct_insertion_panics() {
         let s = window_circuit(4);
-        let pass = DdPass::new(DdSequence::Xy4, SLOT, SLOT);
+        let pass = DdPass::new(DdSequence::Xy4, SLOT);
         let w = pass.windows(&s)[0].clone();
         let _ = dd_pulse_ops(&w, DdSequence::Xy4, 100, SLOT, DdSpacing::Periodic);
     }

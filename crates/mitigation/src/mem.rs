@@ -3,14 +3,15 @@
 //! The paper's baseline applies measurement error mitigation orthogonally to
 //! VAQEM. This module implements the standard *tensored* scheme: per-qubit
 //! assignment matrices are estimated from two calibration circuits (all-0
-//! and all-1 preparations), inverted, and applied to measured counts,
-//! yielding a quasi-probability distribution that is clipped and
-//! renormalized.
+//! and all-1 preparations), inverted, and applied to a histogram's
+//! per-basis-state tallies with [`vaqem_sim::channels::map_per_qubit`] (the
+//! map the density engine's readout uses forwards), yielding a
+//! quasi-probability distribution that is clipped and renormalized.
 
-use std::collections::HashMap;
 use vaqem_circuit::circuit::QuantumCircuit;
 use vaqem_mathkit::linalg;
-use vaqem_sim::counts::{bitstring_to_index, index_to_bitstring, Counts};
+use vaqem_sim::channels::{assignment_matrix, map_per_qubit};
+use vaqem_sim::counts::Counts;
 
 /// Per-qubit calibrated readout-assignment matrices.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,7 +35,7 @@ impl MeasurementMitigator {
         for &(p01, p10) in rates {
             assert!((0.0..=1.0).contains(&p01), "p01 must be a probability");
             assert!((0.0..=1.0).contains(&p10), "p10 must be a probability");
-            let a = [[1.0 - p01, p10], [p01, 1.0 - p10]];
+            let a = assignment_matrix(p01, p10);
             let flat = [a[0][0], a[0][1], a[1][0], a[1][1]];
             let inv = linalg::invert_real(&flat, 2)
                 .expect("assignment matrix must be invertible (error rate != 0.5)");
@@ -87,67 +88,34 @@ impl MeasurementMitigator {
     }
 
     /// Applies the inverse assignment map to a counts histogram, returning a
-    /// mitigated probability distribution (clipped to `>= 0`, renormalized).
+    /// mitigated probability per basis state (clipped to `>= 0`,
+    /// renormalized; all zero for an empty histogram).
     ///
     /// # Panics
     ///
     /// Panics on width mismatch.
-    pub fn mitigate(&self, counts: &Counts) -> HashMap<String, f64> {
+    pub fn mitigate(&self, counts: &Counts) -> Vec<f64> {
         assert_eq!(counts.num_qubits(), self.num_qubits(), "width mismatch");
-        let n = self.num_qubits();
-        let dim = 1usize << n;
-        let mut p = vec![0.0f64; dim];
-        let total = counts.total().max(1) as f64;
-        for (bits, c) in counts.iter() {
-            p[bitstring_to_index(bits)] = c as f64 / total;
-        }
-        // Apply each qubit's inverse assignment matrix along its axis.
-        for q in 0..n {
-            let inv = &self.inverses[q];
-            let bit = 1usize << q;
-            let mut next = vec![0.0f64; dim];
-            for (i, &pi) in p.iter().enumerate() {
-                if pi == 0.0 {
-                    continue;
-                }
-                let measured = ((i & bit) != 0) as usize;
-                for (true_bit, inv_row) in inv.iter().enumerate() {
-                    let j = (i & !bit) | (true_bit << q);
-                    next[j] += inv_row[measured] * pi;
-                }
-            }
-            p = next;
-        }
+        let mut p = map_per_qubit(&counts.probabilities(), &self.inverses);
         // Clip negative quasi-probabilities and renormalize.
         let mut sum = 0.0;
         for v in p.iter_mut() {
             *v = v.max(0.0);
             sum += *v;
         }
-        let mut out = HashMap::new();
         if sum > 0.0 {
-            for (i, &v) in p.iter().enumerate() {
-                if v > 1e-12 {
-                    out.insert(index_to_bitstring(i, n), v / sum);
-                }
-            }
+            p.iter_mut().for_each(|v| *v /= sum);
         }
-        out
+        p
     }
 
     /// Convenience: mitigated counts scaled back to the original shot
     /// count (rounded).
     pub fn mitigate_counts(&self, counts: &Counts) -> Counts {
+        let shots = counts.total() as f64;
         let dist = self.mitigate(counts);
-        let shots = counts.total();
-        let mut out = Counts::new(counts.num_qubits());
-        for (bits, p) in dist {
-            let c = (p * shots as f64).round() as u64;
-            if c > 0 {
-                out.record_index_n(bitstring_to_index(&bits), c);
-            }
-        }
-        out
+        let hist = dist.iter().map(|p| (p * shots).round() as u64).collect();
+        Counts::from_index_histogram(counts.num_qubits(), hist)
     }
 }
 
@@ -157,12 +125,11 @@ fn marginal_one_probability(counts: &Counts, q: usize) -> f64 {
         return 0.0;
     }
     let ones: u64 = counts
+        .tallies()
         .iter()
-        .filter(|(bits, _)| {
-            let idx = bitstring_to_index(bits);
-            idx & (1 << q) != 0
-        })
-        .map(|(_, c)| c)
+        .enumerate()
+        .filter(|&(index, _)| index & (1 << q) != 0)
+        .map(|(_, &c)| c)
         .sum();
     ones as f64 / total as f64
 }
@@ -182,8 +149,8 @@ mod tests {
         c.record_index_n(0, 600);
         c.record_index_n(3, 400);
         let out = m.mitigate(&c);
-        assert!((out["00"] - 0.6).abs() < 1e-12);
-        assert!((out["11"] - 0.4).abs() < 1e-12);
+        assert!((out[0b00] - 0.6).abs() < 1e-12);
+        assert!((out[0b11] - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -194,10 +161,7 @@ mod tests {
         c.record_index_n(0, 900);
         c.record_index_n(1, 100);
         let out = m.mitigate(&c);
-        assert!(
-            (out.get("0").copied().unwrap_or(0.0) - 1.0).abs() < 1e-9,
-            "{out:?}"
-        );
+        assert!((out[0] - 1.0).abs() < 1e-9, "{out:?}");
     }
 
     #[test]
@@ -210,10 +174,7 @@ mod tests {
         c.record_index_n(0b10, 160);
         c.record_index_n(0b00, 40);
         let out = m.mitigate(&c);
-        assert!(
-            (out.get("11").copied().unwrap_or(0.0) - 1.0).abs() < 1e-9,
-            "{out:?}"
-        );
+        assert!((out[0b11] - 1.0).abs() < 1e-9, "{out:?}");
     }
 
     #[test]
@@ -277,8 +238,8 @@ mod tests {
         c.record_index_n(2, 300);
         c.record_index_n(3, 400);
         let out = m.mitigate(&c);
-        let total: f64 = out.values().sum();
+        let total: f64 = out.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
-        assert!(out.values().all(|&v| v >= 0.0));
+        assert!(out.iter().all(|&v| v >= 0.0));
     }
 }

@@ -13,20 +13,21 @@ use vaqem_circuit::schedule::{IdleWindow, ScheduledCircuit};
 /// A gate-scheduling pass: per-window position fractions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GsPass {
-    min_window_ns: f64,
+    pulse_ns: f64,
 }
 
 impl GsPass {
-    /// Creates the pass; windows shorter than `min_window_ns` are ignored.
-    pub fn new(min_window_ns: f64) -> Self {
-        GsPass { min_window_ns }
+    /// Creates the pass for a device whose single-qubit slot is `pulse_ns`;
+    /// windows shorter than one slot are ignored.
+    pub fn new(pulse_ns: f64) -> Self {
+        GsPass { pulse_ns }
     }
 
     /// The tunable windows: idle windows whose following op is a movable
     /// single-qubit gate, in canonical `(qubit, start)` order.
     pub fn movable_windows(&self, scheduled: &ScheduledCircuit) -> Vec<IdleWindow> {
         scheduled
-            .idle_windows(self.min_window_ns)
+            .idle_windows(self.pulse_ns)
             .into_iter()
             .filter(|w| w.next_op_movable)
             .collect()

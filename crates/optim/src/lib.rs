@@ -4,12 +4,9 @@
 //!
 //! * [`spsa`] — Simultaneous Perturbation Stochastic Approximation, the
 //!   paper's (and Qiskit Runtime's) angle tuner;
-//! * [`nelder_mead`] — a derivative-free simplex tuner for the "ideal flow"
-//!   comparison;
 //! * [`sweep`] — the per-window 1-D exhaustive sweep used by the paper's
 //!   independent-window error-mitigation tuner (§VI-C).
 
-pub mod nelder_mead;
 pub mod spsa;
 pub mod sweep;
 

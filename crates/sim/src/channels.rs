@@ -3,8 +3,10 @@
 //! Used by the density-matrix simulator (the calibration-style "noisy
 //! simulation" of the paper's Fig. 9) and validated by CPTP property tests.
 //! The channels cover what an IBM calibration captures: amplitude damping
-//! (T1), phase damping (pure dephasing from T2), depolarizing gate error,
-//! and classical readout assignment error.
+//! (T1), phase damping (pure dephasing from T2) and depolarizing gate
+//! error. Classical readout error is one per-qubit map: the density
+//! engine pushes its diagonal through [`assignment_matrix`]es with
+//! [`map_per_qubit`], and MEM undoes it with their inverses.
 
 use vaqem_mathkit::complex::{c64, Complex64};
 use vaqem_mathkit::matrix::{gates2x2, CMatrix};
@@ -125,48 +127,46 @@ impl KrausChannel {
     }
 }
 
-/// Classical readout-assignment error for one qubit.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReadoutError {
-    /// P(read 1 | state 0).
-    pub p01: f64,
-    /// P(read 0 | state 1).
-    pub p10: f64,
+/// The 2x2 column-stochastic readout-assignment matrix of one qubit,
+/// `A[m][t]` = P(measure m | true t), from its error rates `p01` =
+/// P(read 1 | state 0) and `p10` = P(read 0 | state 1).
+pub fn assignment_matrix(p01: f64, p10: f64) -> [[f64; 2]; 2] {
+    [[1.0 - p01, p10], [p01, 1.0 - p10]]
 }
 
-impl ReadoutError {
-    /// Creates a readout error.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both probabilities are in `[0, 1]`.
-    pub fn new(p01: f64, p10: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p01), "p01 must be a probability");
-        assert!((0.0..=1.0).contains(&p10), "p10 must be a probability");
-        ReadoutError { p01, p10 }
-    }
-
-    /// The 2x2 column-stochastic assignment matrix `A[m][t]` = P(measure m |
-    /// true t).
-    pub fn assignment_matrix(&self) -> [[f64; 2]; 2] {
-        [[1.0 - self.p01, self.p10], [self.p01, 1.0 - self.p10]]
-    }
-
-    /// Flips a measured bit according to the assignment probabilities.
-    pub fn apply<R: rand::Rng + ?Sized>(&self, true_bit: bool, rng: &mut R) -> bool {
-        let r: f64 = rng.gen();
-        if true_bit {
-            r >= self.p10
-        } else {
-            r < self.p01
+/// Applies one 2x2 map per qubit to a distribution over basis states:
+/// `maps[q][out][in]` moves weight between the two values of bit `q`
+/// (qubit 0 = LSB), one qubit after another. Assignment matrices push a
+/// true distribution through readout error; their inverses undo it (MEM).
+///
+/// # Panics
+///
+/// Panics unless `p` has `2^maps.len()` entries.
+pub fn map_per_qubit(p: &[f64], maps: &[[[f64; 2]; 2]]) -> Vec<f64> {
+    assert_eq!(p.len(), 1 << maps.len(), "one map per qubit required");
+    let mut p = p.to_vec();
+    let mut next = vec![0.0; p.len()];
+    for (q, map) in maps.iter().enumerate() {
+        let bit = 1usize << q;
+        next.fill(0.0);
+        for (i, &pi) in p.iter().enumerate() {
+            if pi == 0.0 {
+                continue;
+            }
+            let input = (i & bit != 0) as usize;
+            for (out, row) in map.iter().enumerate() {
+                next[(i & !bit) | (out << q)] += row[input] * pi;
+            }
         }
+        std::mem::swap(&mut p, &mut next);
     }
+    p
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use vaqem_mathkit::linalg;
 
     #[test]
     fn all_channels_are_trace_preserving() {
@@ -234,21 +234,40 @@ mod tests {
 
     #[test]
     fn readout_assignment_matrix_is_stochastic() {
-        let r = ReadoutError::new(0.02, 0.05);
-        let m = r.assignment_matrix();
+        let m = assignment_matrix(0.02, 0.05);
         assert!((m[0][0] + m[1][0] - 1.0).abs() < 1e-12);
         assert!((m[0][1] + m[1][1] - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn readout_flip_rates() {
-        let r = ReadoutError::new(0.1, 0.2);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let n = 20_000;
-        let flips0 = (0..n).filter(|_| r.apply(false, &mut rng)).count();
-        let flips1 = (0..n).filter(|_| !r.apply(true, &mut rng)).count();
-        assert!((flips0 as f64 / n as f64 - 0.1).abs() < 0.01);
-        assert!((flips1 as f64 / n as f64 - 0.2).abs() < 0.01);
+    fn map_per_qubit_flips_one_qubit() {
+        // Qubit 1 always reads flipped; qubit 0 reads perfectly.
+        let maps = [assignment_matrix(0.0, 0.0), assignment_matrix(1.0, 1.0)];
+        let out = map_per_qubit(&[0.1, 0.2, 0.3, 0.4], &maps);
+        assert_eq!(out, vec![0.3, 0.4, 0.1, 0.2]);
+    }
+
+    #[test]
+    fn assignment_maps_then_their_inverses_return_the_input() {
+        let maps = [
+            assignment_matrix(0.02, 0.05),
+            assignment_matrix(0.1, 0.2),
+            assignment_matrix(0.0, 0.3),
+        ];
+        let inverses: Vec<[[f64; 2]; 2]> = maps
+            .iter()
+            .map(|m| {
+                let inv = linalg::invert_real(&[m[0][0], m[0][1], m[1][0], m[1][1]], 2).unwrap();
+                [[inv[0], inv[1]], [inv[2], inv[3]]]
+            })
+            .collect();
+        let p = [0.05, 0.1, 0.0, 0.25, 0.2, 0.0, 0.15, 0.25];
+        let noisy = map_per_qubit(&p, &maps);
+        assert!((noisy.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        let back = map_per_qubit(&noisy, &inverses);
+        for (b, x) in back.iter().zip(p) {
+            assert!((b - x).abs() < 1e-12, "{back:?}");
+        }
     }
 
     #[test]

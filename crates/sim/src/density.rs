@@ -9,7 +9,7 @@
 //! model misses them on real hardware. The trajectory engine in
 //! [`crate::machine`] models the full set and plays the "real machine".
 
-use crate::channels::KrausChannel;
+use crate::channels::{assignment_matrix, map_per_qubit, KrausChannel};
 use crate::counts::Counts;
 use crate::kernels;
 use crate::sampling::CdfSampler;
@@ -150,29 +150,10 @@ impl DensityMatrix {
     /// Basis-state probabilities after pushing the true distribution
     /// through each qubit's readout assignment matrix.
     pub fn readout_probabilities(&self, noise: &NoiseParameters) -> Vec<f64> {
-        let dim = 1 << self.num_qubits;
-        let mut p = self.probabilities();
-        // Apply each qubit's assignment matrix as a stochastic map over the
-        // index space.
-        for q in 0..self.num_qubits {
-            let qn = noise.qubit(q);
-            let bit = 1usize << q;
-            let mut next = vec![0.0; dim];
-            for (i, &pi) in p.iter().enumerate() {
-                if pi == 0.0 {
-                    continue;
-                }
-                if i & bit == 0 {
-                    next[i] += pi * (1.0 - qn.readout_p01);
-                    next[i | bit] += pi * qn.readout_p01;
-                } else {
-                    next[i] += pi * (1.0 - qn.readout_p10);
-                    next[i & !bit] += pi * qn.readout_p10;
-                }
-            }
-            p = next;
-        }
-        p
+        let maps: Vec<_> = (0..self.num_qubits)
+            .map(|q| assignment_matrix(noise.qubit(q).readout_p01, noise.qubit(q).readout_p10))
+            .collect();
+        map_per_qubit(&self.probabilities(), &maps)
     }
 
     /// Exact counts under per-qubit readout error: the true distribution is
@@ -183,14 +164,7 @@ impl DensityMatrix {
     /// several shots).
     pub fn counts_with_readout(&self, noise: &NoiseParameters, shots: u64) -> Counts {
         let p = self.readout_probabilities(noise);
-        let alloc = stats::largest_remainder(&p, shots);
-        let mut counts = Counts::new(self.num_qubits);
-        for (i, &c) in alloc.iter().enumerate() {
-            if c > 0 {
-                counts.record_index_n(i, c);
-            }
-        }
-        counts
+        Counts::from_index_histogram(self.num_qubits, stats::largest_remainder(&p, shots))
     }
 
     /// Shot-sampled counts under per-qubit readout error, for callers that
@@ -208,7 +182,7 @@ impl DensityMatrix {
         let cdf = CdfSampler::from_probabilities(p.iter().copied());
         let mut hist = Vec::new();
         cdf.sample_histogram(rng, shots, &mut hist);
-        Counts::from_index_histogram(self.num_qubits, &hist)
+        Counts::from_index_histogram(self.num_qubits, hist)
     }
 }
 

@@ -767,8 +767,8 @@ impl MachineExecutor {
             .collect();
         run_lanes(build, &tables, &mut batch);
         batch
-            .iter()
-            .map(|job| Counts::from_index_histogram(job.compiled.num_qubits, &job.hist))
+            .into_iter()
+            .map(|job| Counts::from_index_histogram(job.compiled.num_qubits, job.hist))
             .collect()
     }
 }
@@ -1503,12 +1503,7 @@ mod tests {
         let counts = exec.run(&sched(&qc));
         // Without ZZ, qubit 0 would read 0 with certainty. zeta*t = 2.5 rad
         // rotates it far away.
-        let p_q0_one: f64 = counts
-            .iter()
-            .filter(|(bits, _)| bits.ends_with('1'))
-            .map(|(_, n)| n as f64)
-            .sum::<f64>()
-            / counts.total() as f64;
+        let p_q0_one = counts.probability("01") + counts.probability("11");
         assert!(
             p_q0_one > 0.2,
             "ZZ should rotate the idle qubit: {p_q0_one}"

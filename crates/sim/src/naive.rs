@@ -133,7 +133,8 @@ pub fn sample_index<R: Rng + ?Sized>(sv: &StateVector, rng: &mut R) -> usize {
     sv.amplitudes().len() - 1
 }
 
-/// Original shot loop: `O(2^n)` scan plus a bitstring allocation per shot.
+/// Original shot loop: an `O(2^n)` scan per shot, each outcome recorded
+/// into the histogram on its own.
 pub fn sample_counts<R: Rng + ?Sized>(sv: &StateVector, rng: &mut R, shots: u64) -> Counts {
     let mut counts = Counts::new(sv.num_qubits());
     for _ in 0..shots {

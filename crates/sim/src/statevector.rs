@@ -221,7 +221,7 @@ impl StateVector {
         let cdf = CdfSampler::from_amplitudes(&self.amps);
         let mut hist = Vec::new();
         cdf.sample_histogram(rng, shots, &mut hist);
-        Counts::from_index_histogram(self.num_qubits, &hist)
+        Counts::from_index_histogram(self.num_qubits, hist)
     }
 
     /// Exact counts: probabilities apportioned to `shots` by the
@@ -229,15 +229,8 @@ impl StateVector {
     /// `shots` (independent rounding could drift by several shots on wide
     /// distributions).
     pub fn exact_counts(&self, shots: u64) -> Counts {
-        let probs = self.probabilities();
-        let alloc = stats::largest_remainder(&probs, shots);
-        let mut counts = Counts::new(self.num_qubits);
-        for (i, &c) in alloc.iter().enumerate() {
-            if c > 0 {
-                counts.record_index_n(i, c);
-            }
-        }
-        counts
+        let alloc = stats::largest_remainder(&self.probabilities(), shots);
+        Counts::from_index_histogram(self.num_qubits, alloc)
     }
 
     /// Exact expectation `<psi|M|psi>` of a dense Hermitian observable.

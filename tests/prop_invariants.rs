@@ -125,7 +125,7 @@ proptest! {
     fn dd_insertion_keeps_schedules_valid(qc in arb_circuit(3, 25), reps in 0usize..5) {
         let d = DurationModel::ibm_default();
         let s = schedule(&qc, &d, ScheduleKind::Alap).expect("schedules");
-        let pass = DdPass::new(DdSequence::Xy4, SLOT, SLOT);
+        let pass = DdPass::new(DdSequence::Xy4, SLOT);
         let out = pass.apply_uniform(&s, reps);
         out.validate().expect("valid after DD");
     }
